@@ -2,8 +2,9 @@
 // behind -DTGS_BUILD_PERF=ON (needs a system libbenchmark).
 //
 // The *_Naive benchmarks run the retired exhaustive pair-selection loops
-// kept in tests/reference_schedulers.h, so the incremental-vs-naive
-// speedup of one build is measured inside one binary; the committed
+// kept in tests/reference_schedulers.h, and BM_Ez_Reference the frozen EZ
+// of tests/reference_named.h, so each speedup over the retired code is
+// measured inside one binary; the committed
 // BENCH_schedulers.json at the repo root is the baseline CI compares
 // against (tools/check_perf_regression.py, >2x real_time fails).
 //
@@ -14,6 +15,7 @@
 
 #include <vector>
 
+#include "reference_named.h"
 #include "reference_schedulers.h"
 #include "reference_timeline.h"
 #include "tgs/apn/bsa.h"
@@ -33,6 +35,7 @@
 #include "tgs/net/topology.h"
 #include "tgs/sched/timeline.h"
 #include "tgs/sched/workspace.h"
+#include "tgs/unc/ez.h"
 #include "tgs/util/mem.h"
 
 namespace tgs {
@@ -130,9 +133,7 @@ void BM_Mh_Apn(benchmark::State& state) {
 }
 BENCHMARK(BM_Mh_Apn)->Arg(100)->Arg(300);
 
-// BSA on the incremental migration engine: every tentative migration
-// releases and recommits only the affected downstream region of the
-// commit order (apn_common.h ApnMigrationEngine).
+// BSA: one apn_build_with_assignment from scratch per tentative migration.
 void BM_Bsa_Apn(benchmark::State& state) {
   const TaskGraph g = bench_graph(static_cast<NodeId>(state.range(0)));
   const RoutingTable routes{Topology::hypercube(3)};
@@ -143,18 +144,25 @@ void BM_Bsa_Apn(benchmark::State& state) {
 }
 BENCHMARK(BM_Bsa_Apn)->Arg(100)->Arg(300)->Arg(500);
 
-// The retired O(full-rebuild) BSA (tests/reference_schedulers.h): one
-// apn_build_with_assignment from scratch per tentative migration. Run at
-// the same sizes as BM_Bsa_Apn so the in-run ratio at v=500 (the
-// migration engine's reason to exist) is asserted by the CI perf gate.
-void BM_Bsa_FullRebuild(benchmark::State& state) {
+// EZ: edge zeroing with each tentative merge evaluated through a label
+// remap that stops once the running makespan exceeds the best so far.
+void BM_Ez(benchmark::State& state) {
   const TaskGraph g = bench_graph(static_cast<NodeId>(state.range(0)));
-  const RoutingTable routes{Topology::hypercube(3)};
+  SchedWorkspace ws;
+  ws.begin_graph(g);
   for (auto _ : state)
-    benchmark::DoNotOptimize(
-        reference::full_rebuild_bsa(g, routes).makespan());
+    benchmark::DoNotOptimize(EzScheduler().run(g, {}, ws).makespan());
 }
-BENCHMARK(BM_Bsa_FullRebuild)->Arg(100)->Arg(300)->Arg(500);
+BENCHMARK(BM_Ez)->Arg(300)->Arg(500);
+
+// The frozen pre-refactor EZ (tests/reference_named.h): a DisjointSets
+// snapshot, a dense renumbering and a full makespan evaluation per edge.
+void BM_Ez_Reference(benchmark::State& state) {
+  const TaskGraph g = bench_graph(static_cast<NodeId>(state.range(0)));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(reference::original_ez(g).makespan());
+}
+BENCHMARK(BM_Ez_Reference)->Arg(500);
 
 // ------------------------------------------------------------ giant tier --
 

@@ -93,314 +93,4 @@ NetSchedule apn_build_with_assignment(const TaskGraph& g,
   return ns;
 }
 
-ApnMigrationEngine::ApnMigrationEngine(NetSchedule& ns,
-                                       std::vector<ProcId>& assign,
-                                       bool insertion,
-                                       ApnMigrationScratch& scratch)
-    : ns_(&ns), assign_(&assign), scratch_(&scratch), insertion_(insertion) {
-  const TaskGraph& g = ns.graph();
-  if (assign.size() != static_cast<std::size_t>(g.num_nodes()))
-    throw std::invalid_argument(
-        "ApnMigrationEngine: assignment size != graph node count");
-  ApnMigrationScratch& sc = *scratch_;
-  sc.order = blevel_order(g);
-  sc.pos.assign(g.num_nodes(), 0);
-  for (std::size_t i = 0; i < sc.order.size(); ++i)
-    sc.pos[sc.order[i]] = static_cast<std::int32_t>(i);
-  sc.node_touched.assign(g.num_nodes(), 0);
-  sc.forced.assign(g.num_nodes(), 0);
-  sc.snap_idx.assign(g.num_nodes(), -1);
-  sc.proc_floor.assign(
-      static_cast<std::size_t>(ns.topology().num_procs()), kTimeInf);
-  sc.link_floor.assign(
-      static_cast<std::size_t>(ns.topology().num_links()), kTimeInf);
-}
-
-void ApnMigrationEngine::release_commit(NodeId x, std::vector<Message>* stolen) {
-  const TaskGraph& g = ns_->graph();
-  Schedule& tasks = ns_->tasks();
-  const ProcId xp = tasks.proc(x);
-  for (const Adj& par : g.parents(x)) {
-    if ((*assign_)[par.node] == xp && par.node != migrated_node_) continue;
-    if (stolen != nullptr)
-      ns_->take_message(par.node, x, *stolen);
-    else
-      ns_->release_message(par.node, x);
-  }
-  tasks.unplace(x);
-}
-
-Time ApnMigrationEngine::apply(NodeId n, ProcId p) {
-  if (pending_)
-    throw std::logic_error(
-        "ApnMigrationEngine::apply with an unresolved migration");
-  const TaskGraph& g = ns_->graph();
-  const RoutingTable& routes = ns_->routes();
-  ApnMigrationScratch& sc = *scratch_;
-  std::vector<ProcId>& assign = *assign_;
-  Schedule& tasks = ns_->tasks();
-
-  pending_ = true;
-  migrated_node_ = n;
-  old_proc_ = assign[n];
-  assign[n] = p;
-
-  std::fill(sc.node_touched.begin(), sc.node_touched.end(), 0);
-  std::fill(sc.forced.begin(), sc.forced.end(), 0);
-  std::fill(sc.snap_idx.begin(), sc.snap_idx.end(), -1);
-  std::fill(sc.proc_floor.begin(), sc.proc_floor.end(), kTimeInf);
-  std::fill(sc.link_floor.begin(), sc.link_floor.end(), kTimeInf);
-  sc.affected.clear();
-  sc.snaps.clear();
-  sc.saved_msgs.clear();
-
-  bool proc_div = false;  // any proc_floor set this apply
-  bool link_div = false;  // any link_floor set this apply
-  std::size_t forced_pending = 1;
-  sc.forced[n] = 1;
-  changed_ = 0;
-
-  // Snapshot x's commit and drop it in one pass: the released messages
-  // are MOVED into the snapshot arena (take_message) rather than copied
-  // and discarded -- one keyed lookup per message, zero hops-buffer
-  // allocations. A node is snapshotted iff it has been released, so a
-  // fresh snapshot always sees x placed.
-  const auto snapshot_release = [&](NodeId x) {
-    if (sc.snap_idx[x] >= 0) return;
-    sc.snap_idx[x] = static_cast<std::int32_t>(sc.snaps.size());
-    sc.snaps.push_back({x, tasks.proc(x), tasks.start(x),
-                        static_cast<std::int32_t>(sc.saved_msgs.size()), 0});
-    release_commit(x, &sc.saved_msgs);
-    sc.snaps.back().msg_end =
-        static_cast<std::int32_t>(sc.saved_msgs.size());
-  };
-
-  // Evict a later-position node whose stale reservation sits inside a fit
-  // window: snapshot + drop its commit, and force a recommit when the
-  // scan reaches its position.
-  const auto evict = [&](NodeId x) {
-    snapshot_release(x);
-    if (!sc.forced[x]) {
-      sc.forced[x] = 1;
-      ++forced_pending;
-    }
-  };
-
-  for (std::size_t i = static_cast<std::size_t>(sc.pos[n]);
-       i < sc.order.size(); ++i) {
-    // Nothing diverged and no eviction outstanding: every later commit
-    // reads exactly its pre-apply inputs and the scan can stop.
-    if (!proc_div && !link_div && forced_pending == 0) break;
-    const NodeId m = sc.order[i];
-    const ProcId mp = assign[m];
-
-    bool examine = sc.forced[m] != 0;
-    bool walk = false;
-    if (!examine) {
-      for (const Adj& par : g.parents(m)) {
-        if (!sc.node_touched[par.node]) continue;
-        // A touched cross parent invalidates the message record itself
-        // (depart_after embeds FT(parent); a moved parent changes the
-        // route); a same-proc finish shift only moves the ready time.
-        // Only the migrated node can own a stale same-proc message.
-        if (assign[par.node] != mp ||
-            (par.node == n && ns_->find_message(n, m) != nullptr)) {
-          examine = true;
-          break;
-        }
-        walk = true;
-      }
-    }
-    if (!examine && link_div) {
-      // Conservative on links: every hop of m's messages ends at or below
-      // its finish, so a route link whose divergence floor is above FT(m)
-      // cannot re-route anything. Route lookups only -- no hash probes.
-      const Time fm = tasks.finish(m);
-      for (const Adj& par : g.parents(m)) {
-        if (par.cost <= 0 || assign[par.node] == mp) continue;
-        for (std::int32_t l : routes.path_links(assign[par.node], mp)) {
-          if (sc.link_floor[l] < fm) {
-            examine = true;
-            break;
-          }
-        }
-        if (examine) break;
-      }
-    }
-    if (!examine && !walk && proc_div &&
-        sc.proc_floor[mp] < tasks.finish(m))
-      walk = true;
-    if (!examine && walk) {
-      if (!insertion_) {
-        examine = true;  // append-mode fits have no counterfactual walk
-      } else {
-        // Exact check: would m land below its current start in the rebuilt
-        // prefix state (skipping its own interval and not-yet-recommitted
-        // later positions)? Identical landing => identical commit, skip.
-        // The walk is clamped at the current start: prefix recommits never
-        // overlap m's old interval (they would have evicted it), so the
-        // counterfactual fit can only be <= it -- unless the ready time
-        // itself moved past it, which is a change outright.
-        Time ready = 0;
-        for (const Adj& par : g.parents(m)) {
-          const Time arr = (assign[par.node] == mp || par.cost <= 0)
-                               ? tasks.finish(par.node)
-                               : ns_->find_message(par.node, m)->arrival;
-          ready = std::max(ready, arr);
-        }
-        const Time cur = tasks.start(m);
-        if (ready > cur) {
-          examine = true;
-        } else {
-          const Time land = tasks.timeline(mp).earliest_fit_skip(
-              ready, g.weight(m), cur, [&](std::int64_t owner) {
-                return owner == static_cast<std::int64_t>(m) ||
-                       static_cast<std::size_t>(
-                           sc.pos[static_cast<std::size_t>(owner)]) > i;
-              });
-          if (land != cur) examine = true;
-        }
-      }
-    }
-    if (!examine) continue;
-
-    // ---- Recommit m against the full-rebuild prefix state.
-    snapshot_release(m);
-    if (sc.forced[m]) {
-      sc.forced[m] = 0;
-      --forced_pending;
-    }
-    sc.affected.push_back(m);
-
-    const Cost w = g.weight(m);
-    Time start = 0;
-    for (;;) {
-      sc.polluters.clear();
-      sc.laid.clear();
-      Time ready = 0;
-      bool polluted = false;
-      for (const Adj& par : g.parents(m)) {
-        if (assign[par.node] == mp) {
-          ready = std::max(ready, tasks.finish(par.node));
-          continue;
-        }
-        const Time depart = tasks.finish(par.node);
-        Message msg{par.node, m, par.cost, depart, depart, {}};
-        if (par.cost > 0) {
-          Time t = depart;
-          for (std::int32_t link : routes.path_links(assign[par.node], mp)) {
-            const Time hop = ns_->link_timeline(link).earliest_fit(
-                t, par.cost, /*insertion=*/true);
-            ns_->link_timeline(link).any_interval_in(
-                t, hop, [&](std::int64_t owner) {
-                  const NodeId dst =
-                      static_cast<NodeId>(owner & 0xffffffff);
-                  if (static_cast<std::size_t>(sc.pos[dst]) > i)
-                    sc.polluters.push_back(dst);
-                  return false;
-                });
-            if (!sc.polluters.empty()) {
-              polluted = true;
-              break;
-            }
-            msg.hops.push_back({link, hop, hop + par.cost});
-            t = hop + par.cost;
-          }
-          msg.arrival = t;
-        }
-        if (polluted) break;
-        ready = std::max(ready, msg.arrival);
-        ns_->restore_message(msg);  // commit at exactly these hops
-        sc.laid.push_back(par.node);
-      }
-      if (!polluted) {
-        start = tasks.earliest_start_on(mp, ready, w, insertion_);
-        tasks.timeline(mp).any_interval_in(
-            ready, start, [&](std::int64_t owner) {
-              if (static_cast<std::size_t>(
-                      sc.pos[static_cast<std::size_t>(owner)]) > i)
-                sc.polluters.push_back(static_cast<NodeId>(owner));
-              return false;
-            });
-        if (sc.polluters.empty()) {
-          tasks.place(m, mp, start);
-          break;
-        }
-      }
-      // A stale later-position reservation influenced a fit: undo this
-      // attempt's messages, evict the polluters, try again.
-      for (NodeId src : sc.laid) ns_->release_message(src, m);
-      for (NodeId x : sc.polluters) evict(x);
-    }
-
-    // ---- Record divergence of m's new commit vs its snapshot.
-    const ApnMigrationScratch::NodeSnap snap = sc.snaps[sc.snap_idx[m]];
-    if (snap.proc != mp || snap.start != start) {
-      sc.node_touched[m] = 1;
-      ++changed_;
-      sc.proc_floor[snap.proc] =
-          std::min(sc.proc_floor[snap.proc], snap.start);
-      sc.proc_floor[mp] = std::min(sc.proc_floor[mp], start);
-      proc_div = true;
-    }
-    // Old side: every snapshotted incoming message (keyed by its recorded
-    // src -- the snapshot, not the current assignment, says what existed;
-    // the migrated node's old messages were laid against its OLD proc).
-    const auto note_hops = [&](const Message& msg) {
-      for (const MsgHop& h : msg.hops) {
-        sc.link_floor[h.link] = std::min(sc.link_floor[h.link], h.start);
-        link_div = true;
-      }
-    };
-    for (std::int32_t k = snap.msg_begin; k < snap.msg_end; ++k) {
-      const Message& old = sc.saved_msgs[k];
-      const Message* neu = ns_->find_message(old.src, m);
-      bool same = neu != nullptr && old.depart_after == neu->depart_after &&
-                  old.arrival == neu->arrival &&
-                  old.hops.size() == neu->hops.size();
-      for (std::size_t h = 0; same && h < old.hops.size(); ++h)
-        same = old.hops[h].link == neu->hops[h].link &&
-               old.hops[h].start == neu->hops[h].start &&
-               old.hops[h].end == neu->hops[h].end;
-      if (same) continue;
-      note_hops(old);
-      if (neu != nullptr) note_hops(*neu);
-    }
-    // New side without an old counterpart: cross parents by the current
-    // assignment whose message is brand new (co-located before the apply).
-    for (const Adj& par : g.parents(m)) {
-      if (assign[par.node] == mp) continue;
-      bool had_old = false;
-      for (std::int32_t k = snap.msg_begin; !had_old && k < snap.msg_end; ++k)
-        had_old = sc.saved_msgs[k].src == par.node;
-      if (had_old) continue;
-      if (const Message* neu = ns_->find_message(par.node, m))
-        note_hops(*neu);
-    }
-  }
-  return ns_->makespan();
-}
-
-void ApnMigrationEngine::commit() {
-  if (!pending_)
-    throw std::logic_error("ApnMigrationEngine::commit without apply");
-  pending_ = false;
-}
-
-void ApnMigrationEngine::rollback() {
-  if (!pending_)
-    throw std::logic_error("ApnMigrationEngine::rollback without apply");
-  ApnMigrationScratch& sc = *scratch_;
-  // Drop every recommitted node first (new reservations may overlap old
-  // ones of a different affected node), then restore the snapshot; the
-  // old intervals are mutually consistent, so restore order is free.
-  for (NodeId m : sc.affected) release_commit(m, nullptr);
-  Schedule& tasks = ns_->tasks();
-  for (const ApnMigrationScratch::NodeSnap& s : sc.snaps)
-    tasks.place(s.node, s.proc, s.start);
-  for (Message& msg : sc.saved_msgs) ns_->restore_message(std::move(msg));
-  (*assign_)[migrated_node_] = old_proc_;
-  pending_ = false;
-}
-
 }  // namespace tgs

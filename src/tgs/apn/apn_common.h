@@ -75,109 +75,4 @@ NetSchedule apn_build_with_assignment(const TaskGraph& g,
                                       const std::vector<ProcId>& assign,
                                       bool insertion);
 
-/// Scratch state of ApnMigrationEngine, kept in SchedWorkspace so a BSA
-/// run's O(v x degree) tentative migrations allocate nothing in steady
-/// state. Capacity-only between applies; the snapshot pools hold live
-/// data only while an apply() is pending.
-struct ApnMigrationScratch {
-  std::vector<NodeId> order;          // commit order (descending b-level)
-  std::vector<std::int32_t> pos;      // node -> position in `order`
-  std::vector<char> node_touched;     // recommit changed (proc or start)
-  std::vector<char> forced;           // must recommit when the scan arrives
-  std::vector<std::int32_t> snap_idx; // node -> index into snaps, -1
-  std::vector<Time> proc_floor;       // earliest proc divergence (kTimeInf)
-  std::vector<Time> link_floor;       // earliest link divergence (kTimeInf)
-  std::vector<NodeId> affected;       // recommitted nodes, in commit order
-  std::vector<NodeId> laid;           // parents routed in current attempt
-  std::vector<NodeId> polluters;      // later-position owners in a window
-  struct NodeSnap {                   // pre-apply commit of one node
-    NodeId node;
-    ProcId proc;
-    Time start;
-    std::int32_t msg_begin;           // incoming messages in saved_msgs
-    std::int32_t msg_end;
-  };
-  std::vector<NodeSnap> snaps;
-  std::vector<Message> saved_msgs;    // pre-apply incoming messages, moved
-                                      // out of the store at release time
-                                      // and moved back on rollback
-};
-
-/// Incremental single-node migration on an assignment-built NetSchedule.
-///
-/// Invariant: `ns` is byte-identical to apn_build_with_assignment(g,
-/// routes, assign, insertion). apply(n, p) updates assign[n] = p and
-/// transforms `ns` into the schedule a full rebuild with the new
-/// assignment would produce -- without rebuilding. It exploits that the
-/// commit order (descending b-level) and every node's target processor
-/// are fixed, so the inputs of each commit are statically known: its
-/// parents' finish times and the state of its processor / route-link
-/// timelines below what it reads. One forward pass over the order from
-/// n's position keeps, per resource, the earliest time at which the live
-/// state diverges from the pre-apply state ("divergence floor"): a node
-/// whose parents are untouched and whose resources are clean below its
-/// own commit provably recommits byte-identically and is skipped without
-/// touching it. When only its processor floor is hit, an exact
-/// counterfactual fit (Timeline::earliest_fit_skip over the rebuilt
-/// prefix, ignoring not-yet-recommitted later positions) decides whether
-/// the task would actually move -- crowded-pivot gaps that a task cannot
-/// use therefore do NOT cascade into whole-suffix rebuilds, and the
-/// recommit set tracks the true byte-delta of the migration. (On BSA's
-/// packed serial-injection schedules that delta is measured at 70-80%
-/// of all nodes, so whole-run wall clock stays within a small factor of
-/// rebuild-per-migration rather than far below it; docs/perf.md
-/// quantifies this.) Nodes that do
-/// change are snapshotted, released and recommitted in order; a recommit
-/// whose fit window still contains a later-position node's stale
-/// reservation evicts that node (it recommits when the scan reaches it)
-/// and retries, so every fit sees exactly the full-rebuild prefix state.
-///
-/// Every apply() must be resolved by commit() (keep the migration) or
-/// rollback() (restore byte-identical pre-apply state from the snapshot)
-/// before the next apply().
-class ApnMigrationEngine {
- public:
-  /// Binds to a live schedule, its assignment (updated by apply/rollback)
-  /// and a workspace scratch. `assign` and `ns` must stay alive and must
-  /// only be mutated through the engine while it is in use.
-  ApnMigrationEngine(NetSchedule& ns, std::vector<ProcId>& assign,
-                     bool insertion, ApnMigrationScratch& scratch);
-
-  /// Tentatively reassign node n to processor p. Returns the makespan of
-  /// the updated schedule (== full-rebuild makespan).
-  Time apply(NodeId n, ProcId p);
-
-  /// Keep the pending migration.
-  void commit();
-
-  /// Undo the pending migration: restores assign[n] and byte-identical
-  /// task + link state.
-  void rollback();
-
-  /// Nodes released + recommitted by the last apply() (diagnostics).
-  std::size_t last_affected_count() const { return scratch_->affected.size(); }
-
-  /// Recommitted nodes whose (proc, start) actually changed -- the genuine
-  /// delta of the last apply() (diagnostics; <= last_affected_count()).
-  std::size_t last_changed_count() const { return changed_; }
-
- private:
-  /// Inverse of one node's commit, using the statically-known message set:
-  /// only cross-processor parents (plus the migrated node, whose processor
-  /// is ambiguous mid-apply) can hold a message record, so same-processor
-  /// parents skip the hash probe release_node would pay. With `stolen`,
-  /// released records are moved there (NetSchedule::take_message) instead
-  /// of discarded -- the snapshot path keeps them for rollback.
-  void release_commit(NodeId x, std::vector<Message>* stolen = nullptr);
-
-  NetSchedule* ns_;
-  std::vector<ProcId>* assign_;
-  ApnMigrationScratch* scratch_;
-  bool insertion_;
-  bool pending_ = false;
-  NodeId migrated_node_ = 0;
-  ProcId old_proc_ = 0;
-  std::size_t changed_ = 0;
-};
-
 }  // namespace tgs

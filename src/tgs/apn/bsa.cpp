@@ -1,7 +1,8 @@
 #include "tgs/apn/bsa.h"
 
-#include <algorithm>
 #include <queue>
+#include <utility>
+#include <vector>
 
 namespace tgs {
 
@@ -13,8 +14,6 @@ NetSchedule BsaScheduler::do_run(const TaskGraph& g, const RoutingTable& routes,
   // Serial injection: everything on the first pivot.
   std::vector<ProcId> assign(g.num_nodes(), static_cast<ProcId>(pivot0));
   NetSchedule ns = apn_build_with_assignment(g, routes, assign, /*insertion=*/true);
-  ApnMigrationEngine engine(ns, assign, /*insertion=*/true,
-                            ws.migration_scratch());
 
   // Breadth-first pivot order from pivot0 (neighbours ascend by id).
   std::vector<int> pivots;
@@ -65,10 +64,9 @@ NetSchedule BsaScheduler::do_run(const TaskGraph& g, const RoutingTable& routes,
       }
       if (best_p < 0) continue;
 
-      // Tentatively migrate (incremental release/recommit of only the
-      // affected downstream region; byte-identical to a full rebuild
-      // with the updated assignment) and roll back if the overall
-      // schedule suffers.
+      // Tentatively migrate by rebuilding the whole schedule from the
+      // updated assignment, and keep the old one if the overall schedule
+      // suffers.
       //
       // Tie rule: an EQUAL-makespan migration is accepted (<=, not <).
       // The task still moves even though the schedule as a whole gained
@@ -78,11 +76,13 @@ NetSchedule BsaScheduler::do_run(const TaskGraph& g, const RoutingTable& routes,
       // snapshots) and Bsa.EqualMakespanMigrationIsAccepted pin this;
       // changing <= to < is a behaviour change, not a cleanup.
       const Time before = ns.makespan();
-      const Time after = engine.apply(n, static_cast<ProcId>(best_p));
-      if (after <= before) {
-        engine.commit();
+      assign[n] = static_cast<ProcId>(best_p);
+      NetSchedule rebuilt =
+          apn_build_with_assignment(g, routes, assign, /*insertion=*/true);
+      if (rebuilt.makespan() <= before) {
+        ns = std::move(rebuilt);
       } else {
-        engine.rollback();
+        assign[n] = static_cast<ProcId>(pivot);
       }
     }
   }

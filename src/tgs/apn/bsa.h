@@ -10,13 +10,13 @@
 // strength on large graphs to "an efficient scheduling of communication
 // messages", which the explicit link re-routing reproduces.
 //
-// Implementation note: every tentative migration runs on the incremental
-// ApnMigrationEngine (apn_common.h): only the affected downstream region
-// of the fixed b-level commit order is released and recommitted, with a
-// snapshot/rollback path for rejected migrations. The result is defined
-// to be byte-identical to deterministically rebuilding the whole schedule
-// from the assignment (the historical implementation, kept as the
-// property-test reference in tests/reference_schedulers.h).
+// Implementation note: every tentative migration rebuilds the whole
+// NetSchedule from the updated assignment (apn_build_with_assignment) and
+// keeps it iff the makespan does not grow. An exact incremental engine
+// that released and recommitted only the affected region was measured
+// 2.7-3.5x slower than this rebuild and deleted: a migration off BSA's
+// packed pivot shifts 70-80% of the schedule, so an in-place update
+// touches most of it twice (docs/perf.md).
 #pragma once
 
 #include "tgs/apn/apn_common.h"

@@ -77,45 +77,6 @@ void NetSchedule::release_message(NodeId u, NodeId v) {
   order_dirty_ = true;
 }
 
-bool NetSchedule::take_message(NodeId u, NodeId v, std::vector<Message>& out) {
-  auto it = messages_.find(msg_key(u, v));
-  if (it == messages_.end()) return false;
-  for (const MsgHop& hop : it->second.hops)
-    links_[hop.link].release(msg_key(u, v), hop.start);
-  out.push_back(std::move(it->second));
-  messages_.erase(it);
-  order_dirty_ = true;
-  return true;
-}
-
-void NetSchedule::release_messages_of(NodeId n) {
-  for (const Adj& p : graph().parents(n)) release_message(p.node, n);
-  for (const Adj& c : graph().children(n)) release_message(n, c.node);
-}
-
-void NetSchedule::release_node(NodeId n) {
-  for (const Adj& p : graph().parents(n)) release_message(p.node, n);
-  tasks_.unplace(n);
-}
-
-void NetSchedule::restore_message(const Message& msg) {
-  const std::int64_t key = msg_key(msg.src, msg.dst);
-  for (const MsgHop& hop : msg.hops)
-    links_[hop.link].occupy(key, hop.start, hop.end - hop.start);
-  auto [it, inserted] = messages_.emplace(key, msg);
-  if (!inserted) throw std::logic_error("message already committed");
-  order_dirty_ = true;
-}
-
-void NetSchedule::restore_message(Message&& msg) {
-  const std::int64_t key = msg_key(msg.src, msg.dst);
-  for (const MsgHop& hop : msg.hops)
-    links_[hop.link].occupy(key, hop.start, hop.end - hop.start);
-  auto [it, inserted] = messages_.emplace(key, std::move(msg));
-  if (!inserted) throw std::logic_error("message already committed");
-  order_dirty_ = true;
-}
-
 const std::vector<Message>& NetSchedule::messages() const {
   if (order_dirty_) {
     order_.clear();

@@ -68,35 +68,6 @@ class NetSchedule {
   /// Remove the committed message of edge (u, v), releasing its links.
   void release_message(NodeId u, NodeId v);
 
-  /// release_message, but move the released record (including its hops
-  /// buffer) into `out` instead of discarding it: one keyed lookup and no
-  /// copy, which is what the migration engine's snapshot path wants --
-  /// every snapshotted message is about to be released anyway. Returns
-  /// false (and appends nothing) when no message is committed for (u, v).
-  bool take_message(NodeId u, NodeId v, std::vector<Message>& out);
-
-  /// Remove all messages touching node n (incoming and outgoing); used by
-  /// migrating algorithms before re-placing n.
-  void release_messages_of(NodeId n);
-
-  /// Exact inverse of apn_commit_node: release n's incoming messages (the
-  /// ones its own commit routed) and unplace the task. Outgoing messages
-  /// belong to the children's commits and are left alone -- a migration
-  /// engine releases each affected child through its own release_node.
-  void release_node(NodeId n);
-
-  /// Re-commit a previously released message at its recorded hop times
-  /// (no routing, no fitting): occupies exactly [start, end) on every
-  /// recorded link and restores the keyed entry. The snapshot/rollback
-  /// path of incremental migration uses this to restore byte-identical
-  /// link state. Throws if the edge's message is already committed or a
-  /// hop no longer fits.
-  void restore_message(const Message& msg);
-
-  /// Move-in overload: reuses the record's hops buffer (rollback feeds
-  /// the messages take_message stole back through this).
-  void restore_message(Message&& msg);
-
   /// Committed messages sorted by (src, dst); rebuilt lazily.
   const std::vector<Message>& messages() const;
 

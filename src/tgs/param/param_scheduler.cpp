@@ -402,7 +402,7 @@ Schedule ParamScheduler::do_run(const TaskGraph& g, const SchedOptions& opt,
   if (spec_.cluster != ParamCluster::kNone) {
     switch (spec_.cluster) {
       case ParamCluster::kEz:
-        ps.assign = ez_clusters(g);
+        ps.assign = ez_clusters(g, ws.deadline());
         break;
       case ParamCluster::kLc:
         ps.assign = lc_clusters(g);

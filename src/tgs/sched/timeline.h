@@ -19,7 +19,6 @@
 // (tests/test_timeline.cpp churns both against each other).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -78,59 +77,6 @@ class Timeline {
 
   /// Total busy time.
   Time busy_time() const;
-
-  /// Insertion-mode earliest_fit against a counterfactual state: intervals
-  /// whose owner satisfies skip(owner) are treated as idle. Returns the
-  /// exact fit when it lies below `limit`, and `limit` the moment the
-  /// running cursor reaches it -- bit-identical to clamping
-  /// earliest_fit(ready, dur, /*insertion=*/true) on a timeline that never
-  /// contained the skipped intervals to at most `limit`. The incremental
-  /// migration engine asks "would this block land below its current
-  /// start?" with limit = that start, so the common no-change answer costs
-  /// O(intervals in [ready, limit)) instead of a scan to the tail. Pass
-  /// kTimeInf for the unclamped fit. Linear from `ready` (no gap index):
-  /// intended for verification walks, not hot scheduling loops.
-  template <class SkipOwner>
-  Time earliest_fit_skip(Time ready, Cost dur, Time limit,
-                         SkipOwner&& skip) const {
-    if (ready >= limit) return limit;
-    if (size_ == 0 || dur == 0 || ready >= end_time_) return ready;
-    Time candidate = ready;
-    const std::size_t c0 = chunk_by_end(ready);
-    for (std::size_t c = c0; c < chunks_.size(); ++c) {
-      const std::vector<Interval>& ivs = chunks_[c].ivs;
-      auto it = ivs.begin();
-      if (c == c0)  // intervals ending at or before `ready` cannot constrain
-        it = std::lower_bound(ivs.begin(), ivs.end(), ready,
-                              [](const Interval& iv, Time x) {
-                                return iv.end <= x;
-                              });
-      for (; it != ivs.end(); ++it) {
-        if (skip(it->owner)) continue;
-        if (candidate + dur <= it->start) return candidate;
-        candidate = std::max(candidate, it->end);
-        if (candidate >= limit) return limit;
-      }
-    }
-    return candidate;
-  }
-
-  /// Visit owners of intervals overlapping [lo, hi) in start order; stops
-  /// early (returning true) when visit(owner) returns true. Zero-width
-  /// intervals at t in (lo, hi) are reported -- earliest_fit treats them
-  /// as cursor pushers, so a caller auditing a fit's input window must see
-  /// them too.
-  template <class Visit>
-  bool any_interval_in(Time lo, Time hi, Visit&& visit) const {
-    if (hi <= lo) return false;
-    for (std::size_t c = chunk_by_end(lo); c < chunks_.size(); ++c) {
-      for (const Interval& iv : chunks_[c].ivs) {
-        if (iv.start >= hi) return false;
-        if (iv.end > lo && visit(iv.owner)) return true;
-      }
-    }
-    return false;
-  }
 
  private:
   // Chunk capacity: split at > kSplit into two halves. Bounds the in-chunk

@@ -1,6 +1,5 @@
 #include "tgs/sched/workspace.h"
 
-#include "tgs/apn/apn_common.h"  // complete ApnMigrationScratch
 #include "tgs/bnp/bnp_common.h"  // complete PairScratch for the unique_ptr
 #include "tgs/param/param_scheduler.h"  // complete ParamScratch
 
@@ -8,7 +7,6 @@ namespace tgs {
 
 SchedWorkspace::SchedWorkspace()
     : pair_(std::make_unique<PairScratch>()),
-      migration_(std::make_unique<ApnMigrationScratch>()),
       param_(std::make_unique<ParamScratch>()) {}
 
 SchedWorkspace::~SchedWorkspace() = default;

@@ -15,10 +15,10 @@
 //  * ApnSweepScratch -- the per-processor buffers of the one-to-all APN
 //    probes (apn/apn_common.h), so the per-step sweeps of MH / DLS(APN) /
 //    BSA allocate nothing in steady state.
-//  * ApnMigrationScratch -- the affected-set flags and snapshot pools of
-//    the incremental migration engine (apn/apn_common.h) that BSA's
-//    tentative release/recommit steps run on. Stored behind a pointer so
-//    sched/ does not include net/ or apn/ headers.
+//  * ParamScratch -- the per-run buffers of the parameterized scheduler
+//    core (param/param_scheduler.h), behind a pointer for the same reason.
+//  * RunDeadline -- the per-request cancellation token polled by the
+//    scheduler inner loops and the EZ clustering pass.
 //
 // Results never depend on workspace contents -- it only recycles capacity
 // -- so sharing one workspace across algorithms or reusing it across
@@ -38,7 +38,6 @@
 namespace tgs {
 
 struct PairScratch;          // bnp/bnp_common.h
-struct ApnMigrationScratch;  // apn/apn_common.h
 struct ParamScratch;         // param/param_scheduler.h
 
 /// Thrown out of a scheduler run when the workspace's armed deadline
@@ -126,18 +125,15 @@ class SchedWorkspace {
   /// One-to-all APN probe buffers (sized by callers per topology).
   ApnSweepScratch& apn_scratch() { return apn_; }
 
-  /// Incremental-migration scratch (affected-set flags, snapshot pools)
-  /// of ApnMigrationEngine; sized by the engine per (graph, topology).
-  ApnMigrationScratch& migration_scratch() { return *migration_; }
-
   /// Per-run buffers of the parameterized scheduler core (priority keys,
   /// static ranks, arrival times, cluster assignment); sized by
   /// ParamScheduler per run.
   ParamScratch& param_scratch() { return *param_; }
 
-  /// Cooperative per-request deadline polled by ParamScheduler and the
-  /// APN inner loops. Survives begin_graph() untouched: arming is the
-  /// caller's per-request decision, not per-graph state.
+  /// Cooperative per-request deadline polled by ParamScheduler, the EZ
+  /// clustering pass and the APN inner loops. Survives begin_graph()
+  /// untouched: arming is the caller's per-request decision, not
+  /// per-graph state.
   RunDeadline& deadline() { return deadline_; }
 
  private:
@@ -146,7 +142,6 @@ class SchedWorkspace {
   GraphAttributeCache attrs_;
   std::unique_ptr<PairScratch> pair_;
   ApnSweepScratch apn_;
-  std::unique_ptr<ApnMigrationScratch> migration_;
   std::unique_ptr<ParamScratch> param_;
 };
 

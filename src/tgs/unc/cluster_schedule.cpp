@@ -30,7 +30,7 @@ Time assignment_makespan(const TaskGraph& g, const std::vector<ProcId>& assign,
                          std::vector<Time>& avail_scratch) {
   // Append-only traversal in the given topological order; per-processor
   // available time suffices, no Timeline objects needed. Scratch buffers
-  // avoid reallocation in hot loops (EZ runs this once per edge).
+  // avoid reallocation in hot loops.
   ProcId max_proc = 0;
   for (ProcId p : assign) max_proc = std::max(max_proc, p);
   avail_scratch.assign(static_cast<std::size_t>(max_proc) + 1, 0);

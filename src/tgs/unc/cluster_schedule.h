@@ -4,9 +4,10 @@
 // by descending b-level (a valid topological order, since b-level strictly
 // decreases along every edge) and each starts at
 //   max(processor available time, data-ready time)
-// with communication zeroed inside a cluster. This is the evaluation step
-// used by EZ after every tentative merge, the final materialization for LC,
-// and the execution-ordering step of the UNC+CS mapping extension.
+// with communication zeroed inside a cluster. This is the evaluation that
+// EZ's edge-zeroing pass replays per tentative merge (unc/ez.cpp), the
+// final materialization for LC, and the execution-ordering step of the
+// UNC+CS mapping extension.
 #pragma once
 
 #include <vector>
@@ -24,12 +25,11 @@ Schedule schedule_with_assignment(const TaskGraph& g,
                                   const std::vector<ProcId>& assign,
                                   bool insertion = false);
 
-/// Same, but only returns the makespan (no Schedule object); used in the
-/// EZ inner loop where only the length matters.
+/// Same, but only returns the makespan (no Schedule object).
 Time assignment_makespan(const TaskGraph& g, const std::vector<ProcId>& assign);
 
 /// Hot-loop variant with a precomputed traversal order and caller-owned
-/// scratch buffers (EZ calls this once per edge of the graph).
+/// scratch buffers (the cluster-mapping search calls it once per move).
 Time assignment_makespan(const TaskGraph& g, const std::vector<ProcId>& assign,
                          const std::vector<NodeId>& order,
                          std::vector<Time>& start_scratch,

@@ -14,6 +14,7 @@
 namespace tgs {
 
 class TaskGraph;
+class RunDeadline;  // sched/workspace.h
 
 class DisjointSets {
  public:
@@ -57,13 +58,16 @@ std::vector<ProcId> densify(const std::vector<NodeId>& labels);
 // the ClusterStep components of the parameterized scheduler
 // (src/tgs/param/); EZ and LC themselves are the parameter points
 // bl/static/append/{ez,lc} built on the first two.
-//   ez_clusters  -- Sarkar edge zeroing (unc/ez.cpp)
+//   ez_clusters  -- Sarkar edge zeroing (unc/ez.cpp); polls `deadline`
+//                   once per tentative merge, so an expired request
+//                   throws DeadlineExceeded from inside the O(e (v + e))
+//                   pass rather than after it
 //   lc_clusters  -- Kim-Browne linear path peeling (unc/lc.cpp)
 //   dsc_clusters -- clusters of a full DSC run (unc/dsc.cpp), densified;
 //                   DSC's interleaved start-time assignment cannot be
 //                   replayed by a generic list phase, so only its cluster
 //                   map is reused (docs/parameterized.md).
-std::vector<ProcId> ez_clusters(const TaskGraph& g);
+std::vector<ProcId> ez_clusters(const TaskGraph& g, RunDeadline& deadline);
 std::vector<ProcId> lc_clusters(const TaskGraph& g);
 std::vector<ProcId> dsc_clusters(const TaskGraph& g);
 

@@ -9,7 +9,6 @@
 // "optimize" them; their simplicity is the point.
 #pragma once
 
-#include <queue>
 #include <vector>
 
 #include "tgs/apn/apn_common.h"
@@ -133,90 +132,6 @@ inline NetSchedule naive_dls_apn(const TaskGraph& g,
     }
     apn_commit_node(ns, best_n, best_p, /*insertion=*/false);
     ready.mark_scheduled(best_n);
-  }
-  return ns;
-}
-
-/// One BSA migration decision: task `node` tried to bubble from `from`
-/// to `to`; `accepted` is the makespan verdict (<= before, ties accepted).
-struct BsaDecision {
-  NodeId node;
-  int from;
-  int to;
-  bool accepted;
-};
-
-/// BSA exactly as shipped before the incremental migration engine: every
-/// tentative migration rebuilds the entire NetSchedule from the updated
-/// assignment via apn_build_with_assignment. Ground truth for the
-/// BsaIncremental.* property tests -- the engine-based BsaScheduler must
-/// reproduce these schedules (and decisions) byte-for-byte, including the
-/// rolled-back state after every rejected migration.
-inline NetSchedule full_rebuild_bsa(const TaskGraph& g,
-                                    const RoutingTable& routes,
-                                    std::vector<BsaDecision>* decisions =
-                                        nullptr) {
-  const Topology& topo = routes.topology();
-  const int pivot0 = topo.max_degree_proc();
-
-  std::vector<ProcId> assign(g.num_nodes(), static_cast<ProcId>(pivot0));
-  NetSchedule ns = apn_build_with_assignment(g, routes, assign,
-                                             /*insertion=*/true);
-
-  std::vector<int> pivots;
-  {
-    std::vector<bool> seen(topo.num_procs(), false);
-    std::queue<int> q;
-    q.push(pivot0);
-    seen[pivot0] = true;
-    while (!q.empty()) {
-      const int p = q.front();
-      q.pop();
-      pivots.push_back(p);
-      for (const Topology::Neighbor& nb : topo.neighbors(p)) {
-        if (!seen[nb.proc]) {
-          seen[nb.proc] = true;
-          q.push(nb.proc);
-        }
-      }
-    }
-  }
-
-  ApnSweepScratch scratch;
-  for (int pivot : pivots) {
-    std::vector<NodeId> on_pivot;
-    for (const Interval& iv : ns.tasks().timeline(pivot).intervals())
-      on_pivot.push_back(static_cast<NodeId>(iv.owner));
-
-    for (NodeId n : on_pivot) {
-      if (ns.tasks().proc(n) != pivot) continue;
-      const Time cur_start = ns.tasks().start(n);
-
-      apn_probe_ready_all(ns, n, scratch);
-      int best_p = -1;
-      Time best_est = cur_start;
-      for (const Topology::Neighbor& nb : topo.neighbors(pivot)) {
-        const Time est = ns.tasks().earliest_start_on(
-            nb.proc, scratch.ready[nb.proc], g.weight(n), /*insertion=*/true);
-        if (est < best_est) {
-          best_est = est;
-          best_p = nb.proc;
-        }
-      }
-      if (best_p < 0) continue;
-
-      const Time before = ns.makespan();
-      assign[n] = static_cast<ProcId>(best_p);
-      NetSchedule rebuilt =
-          apn_build_with_assignment(g, routes, assign, /*insertion=*/true);
-      const bool accepted = rebuilt.makespan() <= before;
-      if (decisions) decisions->push_back({n, pivot, best_p, accepted});
-      if (accepted) {
-        ns = std::move(rebuilt);
-      } else {
-        assign[n] = static_cast<ProcId>(pivot);
-      }
-    }
   }
   return ns;
 }

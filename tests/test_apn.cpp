@@ -2,9 +2,6 @@
 // topologies, determinism, and algorithm-specific behaviours.
 #include <gtest/gtest.h>
 
-#include <random>
-
-#include "reference_schedulers.h"
 #include "tgs/apn/bsa.h"
 #include "tgs/apn/bu.h"
 #include "tgs/apn/dls_apn.h"
@@ -251,147 +248,6 @@ TEST(ApnCommon, BuildWithAssignmentRejectsWrongSizedVector) {
   EXPECT_THROW(
       apn_build_with_assignment(g, routes, long_assign, /*insertion=*/true),
       std::invalid_argument);
-}
-
-/// Full byte-level equality of two NetSchedules: every task placement and
-/// every committed message, hop by hop.
-void expect_net_equal(const NetSchedule& a, const NetSchedule& b,
-                      const std::string& label) {
-  const TaskGraph& g = a.graph();
-  for (NodeId n = 0; n < g.num_nodes(); ++n) {
-    ASSERT_EQ(a.tasks().is_placed(n), b.tasks().is_placed(n))
-        << label << " node " << n;
-    if (!a.tasks().is_placed(n)) continue;
-    ASSERT_EQ(a.tasks().proc(n), b.tasks().proc(n)) << label << " node " << n;
-    ASSERT_EQ(a.tasks().start(n), b.tasks().start(n))
-        << label << " node " << n;
-  }
-  const std::vector<Message>& ma = a.messages();
-  const std::vector<Message>& mb = b.messages();
-  ASSERT_EQ(ma.size(), mb.size()) << label;
-  for (std::size_t i = 0; i < ma.size(); ++i) {
-    ASSERT_EQ(ma[i].src, mb[i].src) << label << " msg " << i;
-    ASSERT_EQ(ma[i].dst, mb[i].dst) << label << " msg " << i;
-    ASSERT_EQ(ma[i].size, mb[i].size) << label << " msg " << i;
-    ASSERT_EQ(ma[i].depart_after, mb[i].depart_after) << label << " msg " << i;
-    ASSERT_EQ(ma[i].arrival, mb[i].arrival) << label << " msg " << i;
-    ASSERT_EQ(ma[i].hops.size(), mb[i].hops.size()) << label << " msg " << i;
-    for (std::size_t h = 0; h < ma[i].hops.size(); ++h) {
-      ASSERT_EQ(ma[i].hops[h].link, mb[i].hops[h].link)
-          << label << " msg " << i << " hop " << h;
-      ASSERT_EQ(ma[i].hops[h].start, mb[i].hops[h].start)
-          << label << " msg " << i << " hop " << h;
-      ASSERT_EQ(ma[i].hops[h].end, mb[i].hops[h].end)
-          << label << " msg " << i << " hop " << h;
-    }
-  }
-}
-
-// The migration engine against ground truth: random (node, proc)
-// reassignments on random topologies x random graphs. Every apply() must
-// match a from-scratch rebuild of the updated assignment byte-for-byte,
-// and every rollback() must restore the pre-apply schedule byte-for-byte.
-TEST(BsaIncremental, EngineMatchesFullRebuild) {
-  std::mt19937 rng(20260808);
-  std::vector<TaskGraph> graphs = apn_zoo();
-  for (const auto& topo : topo_zoo()) {
-    const RoutingTable routes(topo);
-    const int nprocs = topo.num_procs();
-    for (const auto& g : graphs) {
-      std::vector<ProcId> assign(g.num_nodes());
-      for (NodeId n = 0; n < g.num_nodes(); ++n)
-        assign[n] = static_cast<ProcId>(rng() % nprocs);
-      NetSchedule ns =
-          apn_build_with_assignment(g, routes, assign, /*insertion=*/true);
-      SchedWorkspace ws;
-      ws.begin_graph(g);
-      ApnMigrationEngine engine(ns, assign, /*insertion=*/true,
-                                ws.migration_scratch());
-      const std::string label = g.name() + " on " + topo.name();
-      for (int step = 0; step < 25; ++step) {
-        const std::vector<ProcId> prev = assign;
-        const NodeId n = static_cast<NodeId>(rng() % g.num_nodes());
-        const ProcId p = static_cast<ProcId>(rng() % nprocs);
-        const Time after = engine.apply(n, p);
-
-        std::vector<ProcId> want = prev;
-        want[n] = p;
-        const NetSchedule ref =
-            apn_build_with_assignment(g, routes, want, /*insertion=*/true);
-        ASSERT_EQ(after, ref.makespan()) << label << " step " << step;
-        expect_net_equal(ns, ref, label + " apply step " +
-                                      std::to_string(step));
-
-        if (rng() % 2 == 0) {
-          engine.rollback();
-          ASSERT_EQ(assign, prev) << label << " step " << step;
-          const NetSchedule ref_before =
-              apn_build_with_assignment(g, routes, prev, /*insertion=*/true);
-          expect_net_equal(ns, ref_before, label + " rollback step " +
-                                               std::to_string(step));
-        } else {
-          engine.commit();
-          ASSERT_EQ(assign, want) << label << " step " << step;
-        }
-      }
-    }
-  }
-}
-
-// The incremental BsaScheduler against the retired full-rebuild BSA
-// (tests/reference_schedulers.h): final schedules byte-identical across
-// random topologies x random graphs. Replaying the reference's decision
-// log through the engine additionally pins every accept/reject verdict
-// (a rejected migration exercises the snapshot/rollback path, and any
-// state divergence it left behind would flip a later verdict).
-TEST(BsaIncremental, MatchesFullRebuild) {
-  std::vector<TaskGraph> graphs = apn_zoo();
-  {
-    RgnosParams p;
-    p.num_nodes = 45;
-    p.ccr = 2.0;
-    p.parallelism = 4;
-    p.seed = 9001;
-    graphs.push_back(rgnos_graph(p));
-  }
-  for (const auto& topo : topo_zoo()) {
-    const RoutingTable routes(topo);
-    for (const auto& g : graphs) {
-      const std::string label = g.name() + " on " + topo.name();
-
-      std::vector<reference::BsaDecision> decisions;
-      const NetSchedule want = reference::full_rebuild_bsa(g, routes,
-                                                           &decisions);
-      const NetSchedule got = BsaScheduler().run(g, routes);
-      expect_net_equal(got, want, label);
-
-      // Replay: injection + the reference's tentative migrations, driven
-      // through the engine. Each verdict must agree with the reference's.
-      const int pivot0 = topo.max_degree_proc();
-      std::vector<ProcId> assign(g.num_nodes(),
-                                 static_cast<ProcId>(pivot0));
-      NetSchedule ns =
-          apn_build_with_assignment(g, routes, assign, /*insertion=*/true);
-      SchedWorkspace ws;
-      ws.begin_graph(g);
-      ApnMigrationEngine engine(ns, assign, /*insertion=*/true,
-                                ws.migration_scratch());
-      for (std::size_t i = 0; i < decisions.size(); ++i) {
-        const reference::BsaDecision& d = decisions[i];
-        const Time before = ns.makespan();
-        const Time after = engine.apply(d.node,
-                                        static_cast<ProcId>(d.to));
-        ASSERT_EQ(after <= before, d.accepted)
-            << label << " decision " << i;
-        if (d.accepted) {
-          engine.commit();
-        } else {
-          engine.rollback();
-        }
-      }
-      expect_net_equal(ns, want, label + " replay");
-    }
-  }
 }
 
 TEST(Bsa, StartsFromMaxDegreePivotAndImproves) {

@@ -14,6 +14,7 @@
 #include "reference_named.h"
 #include "reference_schedulers.h"
 #include "tgs/gen/rgnos.h"
+#include "tgs/graph/task_graph.h"
 #include "tgs/harness/registry.h"
 #include "tgs/param/param_scheduler.h"
 #include "tgs/param/param_spec.h"
@@ -138,13 +139,28 @@ TEST(ParamRegistry, NamedAlgorithmsExposeTheirSpecs) {
 
 // ------------------------------------- byte-identity vs frozen originals ----
 
-using NamedCase = std::tuple<std::uint64_t, double, int>;  // seed, ccr, procs
+// The same DAG with unit node weights and every edge cost equal to `cost`:
+// most tentative EZ merges then leave the makespan exactly where it was, so
+// the <= acceptance at len == best decides the clustering, and an early
+// exit that fired at len == best instead of len > best would change it.
+TaskGraph tie_heavy(const TaskGraph& g, Cost cost) {
+  TaskGraphBuilder b(g.name() + "_ties");
+  for (NodeId n = 0; n < g.num_nodes(); ++n) b.add_node(1);
+  for (NodeId u = 0; u < g.num_nodes(); ++u)
+    for (const Adj& c : g.children(u)) b.add_edge(u, c.node, cost);
+  return b.finalize();
+}
+
+// seed, ccr, procs, tie-heavy (uniform costs with edge cost = (int)ccr)
+using NamedCase = std::tuple<std::uint64_t, double, int, bool>;
 
 class NamedPointIdentity : public ::testing::TestWithParam<NamedCase> {};
 
 TEST_P(NamedPointIdentity, MatchesPreRefactorImplementations) {
-  const auto& [seed, ccr, procs] = GetParam();
-  const TaskGraph g = graph_for(seed, ccr);
+  const auto& [seed, ccr, procs, ties] = GetParam();
+  const TaskGraph g = ties ? tie_heavy(graph_for(seed, ccr),
+                                       static_cast<Cost>(ccr))
+                           : graph_for(seed, ccr);
   SchedOptions opt;
   opt.num_procs = procs;
 
@@ -170,7 +186,7 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, NamedPointIdentity,
     ::testing::Combine(::testing::Values<std::uint64_t>(1, 2, 3),
                        ::testing::Values(0.1, 1.0, 10.0),
-                       ::testing::Values(0, 2, 4)));
+                       ::testing::Values(0, 2, 4), ::testing::Bool()));
 
 // ------------------------------------------------- the full crossproduct ----
 

@@ -33,6 +33,7 @@
 #include "tgs/serve/protocol.h"
 #include "tgs/serve/server.h"
 #include "tgs/serve/socket.h"
+#include "tgs/unc/clustering.h"
 
 namespace tgs {
 namespace {
@@ -339,6 +340,27 @@ TEST(Deadline, ExpiredDeadlineCancelsEveryApnScheduler) {
               schedule_to_string(fresh.tasks()))
         << name;
   }
+}
+
+// EZ's edge-zeroing pass is O(e (v + e)) before any list phase starts, so
+// it polls the deadline itself: an expired request throws from inside
+// ez_clusters, and the workspace serves the next run byte-identically.
+TEST(Deadline, ExpiredDeadlineCancelsEzClusteringPass) {
+  const TaskGraph g = random_graph(9, 80);
+  SchedWorkspace ws;
+  ws.begin_graph(g);
+  const std::vector<ProcId> want = ez_clusters(g, ws.deadline());
+  ws.deadline().arm(std::chrono::steady_clock::now() -
+                    std::chrono::milliseconds(1));
+  EXPECT_THROW(ez_clusters(g, ws.deadline()), DeadlineExceeded);
+  ws.deadline().disarm();
+
+  EXPECT_EQ(ez_clusters(g, ws.deadline()), want);
+  ws.begin_graph(g);
+  const SchedulerPtr ez = make_scheduler("EZ");
+  const Schedule reused = ez->run(g, SchedOptions{}, ws);
+  const Schedule fresh = ez->run(g, SchedOptions{});
+  EXPECT_EQ(schedule_to_string(reused), schedule_to_string(fresh));
 }
 
 TEST(Deadline, UnarmedDeadlineNeverFires) {
