@@ -2,9 +2,10 @@
 // behind -DTGS_BUILD_PERF=ON (needs a system libbenchmark).
 //
 // The *_Naive benchmarks run the retired exhaustive pair-selection loops
-// kept in tests/reference_schedulers.h, and BM_Ez_Reference the frozen EZ
-// of tests/reference_named.h, so each speedup over the retired code is
-// measured inside one binary; the committed
+// kept in tests/reference_schedulers.h, BM_Ez_Reference the frozen EZ
+// of tests/reference_named.h and BM_GraphFromString_Reference the frozen
+// istream tgs1 reader of tests/reference_graph_io.h, so each speedup over
+// the retired code is measured inside one binary; the committed
 // BENCH_schedulers.json at the repo root is the baseline CI compares
 // against (tools/check_perf_regression.py, >2x real_time fails).
 //
@@ -15,6 +16,7 @@
 
 #include <vector>
 
+#include "reference_graph_io.h"
 #include "reference_named.h"
 #include "reference_schedulers.h"
 #include "reference_timeline.h"
@@ -26,15 +28,18 @@
 #include "tgs/bnp/hlfet.h"
 #include "tgs/bnp/ish.h"
 #include "tgs/bnp/mcp.h"
+#include "tgs/exec/jsonl.h"
 #include "tgs/gen/rgnos.h"
 #include "tgs/gen/structured.h"
 #include "tgs/gen/traced.h"
 #include "tgs/graph/attributes.h"
+#include "tgs/graph/graph_io.h"
 #include "tgs/list/ready_list.h"
 #include "tgs/net/routing.h"
 #include "tgs/net/topology.h"
 #include "tgs/sched/timeline.h"
 #include "tgs/sched/workspace.h"
+#include "tgs/serve/protocol.h"
 #include "tgs/unc/ez.h"
 #include "tgs/util/mem.h"
 
@@ -163,6 +168,63 @@ void BM_Ez_Reference(benchmark::State& state) {
     benchmark::DoNotOptimize(reference::original_ez(g).makespan());
 }
 BENCHMARK(BM_Ez_Reference)->Arg(500);
+
+// ------------------------------------------------------------ graph ingest --
+
+// The tgs_serve request path before any scheduling: a v=500 bench graph is
+// ~19k edge lines, ~290 KB of tgs1 text.
+void BM_GraphFromString(benchmark::State& state) {
+  const std::string text =
+      graph_to_string(bench_graph(static_cast<NodeId>(state.range(0))));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(graph_from_string(text).num_edges());
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_GraphFromString)->Arg(100)->Arg(500);
+
+// The frozen istringstream + getline + strtoll reader with the two-sort
+// CSR build it replaced.
+void BM_GraphFromString_Reference(benchmark::State& state) {
+  const std::string text =
+      graph_to_string(bench_graph(static_cast<NodeId>(state.range(0))));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(reference::graph_from_string(text).num_edges_);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_GraphFromString_Reference)->Arg(500);
+
+// TaskGraphBuilder::finalize alone: the counting-sort CSR build, entry and
+// exit sets and the topological order. Filling the builder is not timed.
+void BM_Finalize(benchmark::State& state) {
+  const TaskGraph g = bench_graph(static_cast<NodeId>(state.range(0)));
+  for (auto _ : state) {
+    state.PauseTiming();
+    TaskGraphBuilder b(g.name());
+    b.reserve(g.num_nodes(), g.num_edges());
+    for (NodeId i = 0; i < g.num_nodes(); ++i) b.add_node(g.weight(i));
+    for (NodeId u = 0; u < g.num_nodes(); ++u)
+      for (const Adj& c : g.children(u)) b.add_edge(u, c.node, c.cost);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(b.finalize().num_edges());
+  }
+}
+BENCHMARK(BM_Finalize)->Arg(500);
+
+// parse_request on a schedule request line carrying the graph, as
+// tgs_client writes it: the JSON scan and the graph string it yields.
+void BM_ParseRequest(benchmark::State& state) {
+  const std::string text =
+      graph_to_string(bench_graph(static_cast<NodeId>(state.range(0))));
+  const std::string line =
+      JsonObject().add("id", "b").add("algo", "MCP").add("graph", text).str();
+  for (auto _ : state)
+    benchmark::DoNotOptimize(parse_request(line).graph_text.size());
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(line.size()));
+}
+BENCHMARK(BM_ParseRequest)->Arg(500);
 
 // ------------------------------------------------------------ giant tier --
 

@@ -1,7 +1,6 @@
 #include "tgs/graph/graph_io.h"
 
-#include <cerrno>
-#include <cstdlib>
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -31,45 +30,50 @@ std::string graph_to_string(const TaskGraph& g) {
 
 namespace {
 
-// strtoll-based field scanner over one line. istringstream-per-line costs a
-// heap-backed stream object and locale-aware extraction per record, which at
-// giant-tier sizes (100k nodes / 200k+ edges) dominates read_graph; this
-// cursor touches each byte once.
-struct LineScanner {
-  const char* p;
-  const std::string& line;
+// Shortest records a tgs1 text can hold ("node 0 1\n", "edge 0 1 0\n"): a
+// header's counts are clamped by what the text could possibly contain
+// before they size any allocation.
+constexpr std::size_t kMinNodeRecord = 9;
+constexpr std::size_t kMinEdgeRecord = 11;
 
-  explicit LineScanner(const std::string& l) : p(l.c_str()), line(l) {}
+// Field cursor over one line. Fields are split on ' ', '\t' and '\r';
+// integers follow strtoll (leading isspace, optional sign, base 10,
+// overflow is an error). A NUL ends the line's content: no rule below
+// steps over one. Error messages quote the whole line.
+class Fields {
+ public:
+  explicit Fields(std::string_view line)
+      : line_(line), p_(line.data()), end_(line.data() + line.size()) {}
 
-  void skip_ws() {
-    while (*p == ' ' || *p == '\t' || *p == '\r') ++p;
+  /// Next field, empty when the line is exhausted.
+  std::string_view token() {
+    while (p_ != end_ && is_sep(*p_)) ++p_;
+    const char* start = p_;
+    while (p_ != end_ && *p_ != '\0' && !is_sep(*p_)) ++p_;
+    return {start, static_cast<std::size_t>(p_ - start)};
   }
 
-  bool at_end() {
-    skip_ws();
-    return *p == '\0';
-  }
-
-  /// Next whitespace-delimited token, empty when the line is exhausted.
-  std::string token() {
-    skip_ws();
-    const char* start = p;
-    while (*p != '\0' && *p != ' ' && *p != '\t' && *p != '\r') ++p;
-    return std::string(start, p);
-  }
-
-  /// Next signed 64-bit integer; throws with `what` context on malformed or
-  /// out-of-range fields (ERANGE from strtoll, not a silent wrap).
+  /// Next signed 64-bit integer; throws with `what` context on a missing
+  /// or out-of-range field.
   std::int64_t int64(const char* what) {
-    skip_ws();
-    errno = 0;
-    char* end = nullptr;
-    const long long x = std::strtoll(p, &end, 10);
-    if (end == p || errno == ERANGE)
-      throw std::invalid_argument(std::string("bad ") + what +
-                                  " line: " + line);
-    p = end;
-    return x;
+    const char* q = p_;
+    while (q != end_ && is_c_space(*q)) ++q;
+    const bool neg = q != end_ && *q == '-';
+    if (q != end_ && (*q == '-' || *q == '+')) ++q;
+    const std::uint64_t limit =
+        static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()) +
+        (neg ? 1 : 0);
+    const char* digits = q;
+    std::uint64_t x = 0;
+    bool overflow = false;
+    for (; q != end_ && static_cast<unsigned>(*q - '0') < 10; ++q) {
+      const unsigned d = static_cast<unsigned>(*q - '0');
+      overflow |= x > limit / 10 || (x == limit / 10 && d > limit % 10);
+      x = x * 10 + d;
+    }
+    if (q == digits || overflow) fail(std::string("bad ") + what + " line: ");
+    p_ = q;
+    return static_cast<std::int64_t>(neg ? 0 - x : x);
   }
 
   /// int64 narrowed to NodeId with an explicit range check: a node id that
@@ -77,73 +81,96 @@ struct LineScanner {
   NodeId node_id(const char* what) {
     const std::int64_t x = int64(what);
     if (x < 0 || x > static_cast<std::int64_t>(kNoNode - 1))
-      throw std::invalid_argument(std::string("bad ") + what +
-                                  " line (id out of range): " + line);
+      fail(std::string("bad ") + what + " line (id out of range): ");
     return static_cast<NodeId>(x);
   }
+
+  /// Throws `prefix` followed by the whole line.
+  [[noreturn]] void fail(std::string prefix) const {
+    throw std::invalid_argument(prefix.append(line_));
+  }
+
+ private:
+  static bool is_sep(char c) { return c == ' ' || c == '\t' || c == '\r'; }
+  static bool is_c_space(char c) {
+    return c == ' ' || (c >= '\t' && c <= '\r');
+  }
+
+  std::string_view line_;
+  const char* p_;
+  const char* end_;
 };
+
+/// Next '\n'-terminated line of `text` starting at `*pos` (the final line
+/// may lack its '\n'); false at the end of the text.
+bool next_line(std::string_view text, std::size_t* pos,
+               std::string_view* line) {
+  if (*pos == text.size()) return false;
+  const char* start = text.data() + *pos;
+  const std::size_t left = text.size() - *pos;
+  const void* nl = std::memchr(start, '\n', left);
+  const std::size_t len =
+      nl == nullptr ? left : static_cast<const char*>(nl) - start;
+  *line = {start, len};
+  *pos += nl == nullptr ? len : len + 1;
+  return true;
+}
+
+bool skipped(std::string_view line) { return line.empty() || line[0] == '#'; }
 
 }  // namespace
 
-TaskGraph read_graph(std::istream& is) {
-  std::string line;
-  std::string magic, name;
-  NodeId n = 0;
-  std::size_t m = 0;
-  // Header (skipping comments/blank lines). Counts are parsed as 64-bit and
-  // validated before narrowing so a giant (or corrupt) header fails loudly.
-  while (std::getline(is, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    LineScanner hs(line);
-    magic = hs.token();
-    if (magic != "tgs1") throw std::invalid_argument("bad tgs1 header: " + line);
-    name = hs.token();
-    if (name.empty()) throw std::invalid_argument("bad tgs1 header: " + line);
-    const std::int64_t n64 = hs.int64("tgs1 header");
-    const std::int64_t m64 = hs.int64("tgs1 header");
-    if (n64 < 0 || n64 > static_cast<std::int64_t>(kNoNode - 1) || m64 < 0)
-      throw std::invalid_argument("bad tgs1 header (counts): " + line);
-    n = static_cast<NodeId>(n64);
-    m = static_cast<std::size_t>(m64);
-    break;
+TaskGraph graph_from_string(std::string_view text) {
+  std::size_t pos = 0;
+  std::string_view line;
+  while (next_line(text, &pos, &line) && skipped(line)) {
   }
-  if (magic != "tgs1") throw std::invalid_argument("missing tgs1 header");
+  if (skipped(line)) throw std::invalid_argument("missing tgs1 header");
 
-  TaskGraphBuilder b(name);
-  b.reserve(n, m);
+  // Header. Counts are parsed as 64-bit and validated before narrowing so
+  // a giant (or corrupt) header fails loudly.
+  Fields hs(line);
+  if (hs.token() != "tgs1") hs.fail("bad tgs1 header: ");
+  const std::string_view name = hs.token();
+  if (name.empty()) hs.fail("bad tgs1 header: ");
+  const std::int64_t n64 = hs.int64("tgs1 header");
+  const std::int64_t m64 = hs.int64("tgs1 header");
+  if (n64 < 0 || n64 > static_cast<std::int64_t>(kNoNode - 1) || m64 < 0)
+    hs.fail("bad tgs1 header (counts): ");
+  const NodeId n = static_cast<NodeId>(n64);
+  const std::size_t m = static_cast<std::size_t>(m64);
+
+  TaskGraphBuilder b{std::string(name)};
+  b.reserve(std::min<std::size_t>(n, text.size() / kMinNodeRecord),
+            std::min(m, text.size() / kMinEdgeRecord));
   NodeId nodes_seen = 0;
   std::size_t edges_seen = 0;
-  while (std::getline(is, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    LineScanner ls(line);
-    const std::string kind = ls.token();
+  while (next_line(text, &pos, &line)) {
+    if (skipped(line)) continue;
+    Fields f(line);
+    const std::string_view kind = f.token();
     if (kind == "node") {
-      const NodeId id = ls.node_id("node");
-      const Cost w = ls.int64("node");
-      const std::string label = ls.token();  // optional
+      const NodeId id = f.node_id("node");
+      const Cost w = f.int64("node");
+      const std::string_view label = f.token();  // optional
       if (id != nodes_seen)
         throw std::invalid_argument("node ids must be dense and in order");
-      b.add_node(w, label);
+      b.add_node(w, std::string(label));
       ++nodes_seen;
     } else if (kind == "edge") {
-      const NodeId u = ls.node_id("edge");
-      const NodeId v = ls.node_id("edge");
-      const Cost c = ls.int64("edge");
+      const NodeId u = f.node_id("edge");
+      const NodeId v = f.node_id("edge");
+      const Cost c = f.int64("edge");
       b.add_edge(u, v, c);
       ++edges_seen;
     } else {
-      throw std::invalid_argument("unknown record: " + line);
+      f.fail("unknown record: ");
     }
     if (nodes_seen == n && edges_seen == m) break;
   }
   if (nodes_seen != n || edges_seen != m)
     throw std::invalid_argument("truncated tgs1 stream");
   return b.finalize();
-}
-
-TaskGraph graph_from_string(const std::string& text) {
-  std::istringstream is(text);
-  return read_graph(is);
 }
 
 void save_graph(const std::string& path, const TaskGraph& g) {
@@ -155,7 +182,9 @@ void save_graph(const std::string& path, const TaskGraph& g) {
 TaskGraph load_graph(const std::string& path) {
   std::ifstream f(path);
   if (!f) throw std::runtime_error("cannot open for read: " + path);
-  return read_graph(f);
+  std::ostringstream text;
+  text << f.rdbuf();
+  return graph_from_string(text.str());
 }
 
 }  // namespace tgs

@@ -64,18 +64,13 @@ TaskGraph TaskGraphBuilder::finalize() {
   if (any_label_) {
     g.labels_ = std::move(labels_);
     for (NodeId i = 0; i < n; ++i)
-      if (g.labels_[i].empty()) g.labels_[i] = "n" + std::to_string(i + 1);
+      if (g.labels_[i].empty()) g.labels_[i] = 'n' + std::to_string(i + 1);
   }
 
-  // Detect duplicate edges.
-  std::sort(edges_.begin(), edges_.end(), [](const Edge& a, const Edge& b) {
-    return a.u != b.u ? a.u < b.u : a.v < b.v;
-  });
-  for (std::size_t i = 1; i < edges_.size(); ++i)
-    if (edges_[i].u == edges_[i - 1].u && edges_[i].v == edges_[i - 1].v)
-      throw std::invalid_argument("duplicate edge");
-
-  // CSR construction (succ: already sorted by (u, v)).
+  // CSR by counting sort: bucket the edges into successor rows in input
+  // order, sort only the rows that did not arrive sorted (generators and
+  // graph_to_string emit edges in (u, v) order), and reject duplicates as
+  // equal neighbours within a row.
   g.succ_off_.assign(n + 1, 0);
   g.pred_off_.assign(n + 1, 0);
   for (const Edge& e : edges_) {
@@ -88,18 +83,28 @@ TaskGraph TaskGraphBuilder::finalize() {
   }
   g.succ_.resize(edges_.size());
   g.pred_.resize(edges_.size());
-  {
-    std::vector<std::size_t> pos(g.succ_off_.begin(), g.succ_off_.end() - 1);
-    for (const Edge& e : edges_) g.succ_[pos[e.u]++] = {e.v, e.cost};
+  std::vector<std::size_t> pos(g.succ_off_.begin(), g.succ_off_.end() - 1);
+  for (const Edge& e : edges_) g.succ_[pos[e.u]++] = {e.v, e.cost};
+  const auto by_node = [](const Adj& a, const Adj& b) {
+    return a.node < b.node;
+  };
+  const auto not_before = [](const Adj& a, const Adj& b) {
+    return a.node >= b.node;
+  };
+  for (NodeId u = 0; u < n; ++u) {
+    const auto first = g.succ_.begin() + g.succ_off_[u];
+    const auto last = g.succ_.begin() + g.succ_off_[u + 1];
+    if (std::adjacent_find(first, last, not_before) == last) continue;
+    std::stable_sort(first, last, by_node);
+    if (std::adjacent_find(first, last, not_before) != last)
+      throw std::invalid_argument("duplicate edge");
   }
-  {
-    // Re-sort by (v, u) for pred CSR.
-    std::sort(edges_.begin(), edges_.end(), [](const Edge& a, const Edge& b) {
-      return a.v != b.v ? a.v < b.v : a.u < b.u;
-    });
-    std::vector<std::size_t> pos(g.pred_off_.begin(), g.pred_off_.end() - 1);
-    for (const Edge& e : edges_) g.pred_[pos[e.v]++] = {e.u, e.cost};
-  }
+
+  // Predecessor rows filled by walking the successor rows in u order, so
+  // each comes out sorted by parent id.
+  pos.assign(g.pred_off_.begin(), g.pred_off_.end() - 1);
+  for (NodeId u = 0; u < n; ++u)
+    for (const Adj& c : g.children(u)) g.pred_[pos[c.node]++] = {u, c.cost};
   g.num_edges_ = edges_.size();
   for (Cost w : g.weights_) g.total_weight_ += w;
   for (const Edge& e : edges_) g.total_edge_cost_ += e.cost;

@@ -11,29 +11,36 @@ const JsonValue* JsonValue::find(const std::string& key) const {
   return it == obj_.end() ? nullptr : &it->second;
 }
 
+const JsonValue* JsonValue::member(const std::string& key, Type type,
+                                   const char* type_name) const {
+  const JsonValue* v = find(key);
+  if (v == nullptr || v->is_null()) return nullptr;
+  if (v->type_ != type)
+    throw std::invalid_argument("field '" + key + "' must be " + type_name);
+  return v;
+}
+
 std::string JsonValue::get_string(const std::string& key,
                                   const std::string& fallback) const {
-  const JsonValue* v = find(key);
-  if (v == nullptr || v->is_null()) return fallback;
-  if (!v->is_string())
-    throw std::invalid_argument("field '" + key + "' must be a string");
-  return v->as_string();
+  const JsonValue* v = member(key, Type::kString, "a string");
+  return v == nullptr ? fallback : v->str_;
+}
+
+std::string JsonValue::take_string(const std::string& key,
+                                   const std::string& fallback) {
+  // `this` is non-const, so the member found through it is too.
+  JsonValue* v = const_cast<JsonValue*>(member(key, Type::kString, "a string"));
+  return v == nullptr ? fallback : std::move(v->str_);
 }
 
 double JsonValue::get_number(const std::string& key, double fallback) const {
-  const JsonValue* v = find(key);
-  if (v == nullptr || v->is_null()) return fallback;
-  if (!v->is_number())
-    throw std::invalid_argument("field '" + key + "' must be a number");
-  return v->as_number();
+  const JsonValue* v = member(key, Type::kNumber, "a number");
+  return v == nullptr ? fallback : v->num_;
 }
 
 bool JsonValue::get_bool(const std::string& key, bool fallback) const {
-  const JsonValue* v = find(key);
-  if (v == nullptr || v->is_null()) return fallback;
-  if (!v->is_bool())
-    throw std::invalid_argument("field '" + key + "' must be a boolean");
-  return v->as_bool();
+  const JsonValue* v = member(key, Type::kBool, "a boolean");
+  return v == nullptr ? fallback : v->bool_;
 }
 
 // Not in an anonymous namespace: JsonValue friends this exact name.
@@ -162,6 +169,14 @@ class JsonParser {
     expect('"');
     std::string out;
     for (;;) {
+      // Copy each run of plain bytes with one append.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size()) {
+        const unsigned char c = static_cast<unsigned char>(text_[pos_]);
+        if (c == '"' || c == '\\' || c < 0x20) break;
+        ++pos_;
+      }
+      out.append(text_, run, pos_ - run);
       if (pos_ >= text_.size()) fail("unterminated string");
       const unsigned char c = static_cast<unsigned char>(text_[pos_]);
       if (c == '"') {
@@ -169,11 +184,6 @@ class JsonParser {
         return out;
       }
       if (c < 0x20) fail("unescaped control character in string");
-      if (c != '\\') {
-        out.push_back(static_cast<char>(c));
-        ++pos_;
-        continue;
-      }
       ++pos_;  // backslash
       switch (peek()) {
         case '"': out.push_back('"'); ++pos_; break;

@@ -42,11 +42,19 @@ class JsonValue {
   /// has the wrong type -- protocol errors should name the offending field.
   std::string get_string(const std::string& key,
                          const std::string& fallback) const;
+  /// get_string that moves the member's text out instead of copying it.
+  std::string take_string(const std::string& key,
+                          const std::string& fallback);
   double get_number(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
 
  private:
   friend class JsonParser;
+  /// Member `key` when present and not null, else nullptr; throws when it
+  /// is not of `type`.
+  const JsonValue* member(const std::string& key, Type type,
+                          const char* type_name) const;
+
   Type type_ = Type::kNull;
   bool bool_ = false;
   double num_ = 0;

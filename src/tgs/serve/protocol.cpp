@@ -1,5 +1,7 @@
 #include "tgs/serve/protocol.h"
 
+#include <cmath>
+
 #include "tgs/exec/jsonl.h"
 
 namespace tgs {
@@ -18,6 +20,20 @@ const char* serve_error_code(ServeError e) {
   return "internal";
 }
 
+namespace {
+
+/// Integer field in [0, max]. The range is checked before the cast: a
+/// double outside int's range makes static_cast<int> undefined.
+int int_field(const JsonValue& doc, const std::string& key, double max) {
+  const double x = doc.get_number(key, 0);
+  if (!(x >= 0 && x <= max) || x != std::floor(x))
+    throw std::invalid_argument("field '" + key +
+                                "' must be an integer >= 0");
+  return static_cast<int>(x);
+}
+
+}  // namespace
+
 ServeRequest parse_request(const std::string& line) {
   JsonValue doc;
   try {
@@ -32,32 +48,19 @@ ServeRequest parse_request(const std::string& line) {
   try {
     req.op = doc.get_string("op", "schedule");
     req.id = doc.get_string("id", "");
-    req.graph_text = doc.get_string("graph", "");
+    req.graph_text = doc.take_string("graph", "");
     req.algo = doc.get_string("algo", "");
     req.topology = doc.get_string("topology", "");
-    const double procs = doc.get_number("procs", 0);
-    if (procs != static_cast<double>(static_cast<int>(procs)) || procs < 0 ||
-        procs > 1e6)
-      throw std::invalid_argument("field 'procs' must be an integer >= 0");
-    req.procs = static_cast<int>(procs);
+    req.procs = int_field(doc, "procs", 1e6);
     req.want_schedule = doc.get_bool("schedule", false);
     req.use_cache = doc.get_bool("cache", true);
-    const double deadline = doc.get_number("deadline_ms", 0);
-    if (deadline != static_cast<double>(static_cast<int>(deadline)) ||
-        deadline < 0 || deadline > 1e9)
-      throw std::invalid_argument(
-          "field 'deadline_ms' must be an integer >= 0");
-    req.deadline_ms = static_cast<int>(deadline);
+    req.deadline_ms = int_field(doc, "deadline_ms", 1e9);
     const std::string priority = doc.get_string("priority", "high");
     if (priority != "high" && priority != "low")
       throw std::invalid_argument(
           "field 'priority' must be \"high\" or \"low\"");
     req.low_priority = priority == "low";
-    const double retry = doc.get_number("retry", 0);
-    if (retry != static_cast<double>(static_cast<int>(retry)) || retry < 0 ||
-        retry > 1e6)
-      throw std::invalid_argument("field 'retry' must be an integer >= 0");
-    req.retry = static_cast<int>(retry);
+    req.retry = int_field(doc, "retry", 1e6);
   } catch (const std::invalid_argument& e) {
     throw ProtocolError(ServeError::kBadRequest, e.what());
   }

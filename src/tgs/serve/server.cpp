@@ -213,11 +213,11 @@ void Server::handle_line(const std::shared_ptr<ConnCtx>& ctx,
     request_stop();
     return;
   }
-  handle_schedule(ctx, req);
+  handle_schedule(ctx, std::move(req));
 }
 
 void Server::handle_schedule(const std::shared_ptr<ConnCtx>& ctx,
-                             const ServeRequest& req) {
+                             ServeRequest req) {
   const auto reply_error = [&](ServeError code, const std::string& msg) {
     stats_.count_error();
     write_response(ctx, render_error(req.id, code, msg));
@@ -225,6 +225,8 @@ void Server::handle_schedule(const std::shared_ptr<ConnCtx>& ctx,
 
   if (req.retry > 0) stats_.count_retry_observed();
 
+  // The queued request carries the parsed graph, not its text.
+  const std::string graph_text = std::exchange(req.graph_text, {});
   auto rr = std::make_shared<ResolvedRequest>();
   rr->req = req;
   rr->is_apn = !req.topology.empty();
@@ -244,7 +246,7 @@ void Server::handle_schedule(const std::shared_ptr<ConnCtx>& ctx,
   // algorithm (documented in docs/serve.md).
   try {
     rr->graph =
-        std::make_shared<const TaskGraph>(graph_from_string(req.graph_text));
+        std::make_shared<const TaskGraph>(graph_from_string(graph_text));
   } catch (const std::exception& e) {
     return reply_error(ServeError::kBadGraph, e.what());
   }

@@ -109,7 +109,7 @@ class Server {
   void handle_line(const std::shared_ptr<ConnCtx>& ctx,
                    const std::string& line);
   void handle_schedule(const std::shared_ptr<ConnCtx>& ctx,
-                       const ServeRequest& req);
+                       ServeRequest req);
   std::string render_stats(const std::string& id) const;
   void reap_finished_connections(bool join_all);
 

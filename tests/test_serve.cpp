@@ -203,6 +203,33 @@ TEST(Protocol, ErrorCodesMatchFailureClass) {
   EXPECT_EQ(code_of(R"({"graph":"g","algo":3})"), "bad_request");
 }
 
+TEST(Protocol, OutOfRangeIntegerFieldsAreBadRequests) {
+  // Each value is outside int's range, so the range check must come
+  // before any conversion to int.
+  for (const char* field : {"procs", "deadline_ms", "retry"}) {
+    for (const char* value : {"1e300", "-1e300", "1e19"}) {
+      const std::string line = std::string(R"({"graph":"g","algo":"MCP",")") +
+                               field + "\":" + value + "}";
+      try {
+        parse_request(line);
+        ADD_FAILURE() << line << " was accepted";
+      } catch (const ProtocolError& e) {
+        EXPECT_EQ(e.code(), ServeError::kBadRequest) << line;
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
+TEST(Protocol, GraphTextSurvivesEscapesAndLongRuns) {
+  const std::string run(5000, 'x');
+  const ServeRequest r = parse_request(
+      R"({"graph":"tgs1 g 1 0\nnode 0 3 )" + run +
+      R"(A\t\"q\"\\","algo":"MCP"})");
+  EXPECT_EQ(r.graph_text, "tgs1 g 1 0\nnode 0 3 " + run + "A\t\"q\"\\");
+}
+
 TEST(Protocol, CacheKeySeparatesEveryDimension) {
   const std::string fp(32, 'a');
   const std::string base = make_cache_key(fp, "BNP", "MCP", "", 0);
