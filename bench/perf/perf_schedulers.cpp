@@ -23,24 +23,19 @@
 #include "tgs/apn/bsa.h"
 #include "tgs/apn/dls_apn.h"
 #include "tgs/apn/mh.h"
-#include "tgs/bnp/dls.h"
-#include "tgs/bnp/etf.h"
-#include "tgs/bnp/hlfet.h"
-#include "tgs/bnp/ish.h"
-#include "tgs/bnp/mcp.h"
 #include "tgs/exec/jsonl.h"
 #include "tgs/gen/rgnos.h"
 #include "tgs/gen/structured.h"
 #include "tgs/gen/traced.h"
 #include "tgs/graph/attributes.h"
 #include "tgs/graph/graph_io.h"
+#include "tgs/harness/registry.h"
 #include "tgs/list/ready_list.h"
 #include "tgs/net/routing.h"
 #include "tgs/net/topology.h"
 #include "tgs/sched/timeline.h"
 #include "tgs/sched/workspace.h"
 #include "tgs/serve/protocol.h"
-#include "tgs/unc/ez.h"
 #include "tgs/util/mem.h"
 
 namespace tgs {
@@ -59,10 +54,11 @@ TaskGraph bench_graph(NodeId v) {
 
 void BM_Etf(benchmark::State& state) {
   const TaskGraph g = bench_graph(static_cast<NodeId>(state.range(0)));
+  const SchedulerPtr algo = make_scheduler("ETF");
   SchedWorkspace ws;
   ws.begin_graph(g);
   for (auto _ : state)
-    benchmark::DoNotOptimize(EtfScheduler().run(g, {}, ws).makespan());
+    benchmark::DoNotOptimize(algo->run(g, {}, ws).makespan());
 }
 BENCHMARK(BM_Etf)->Arg(100)->Arg(300)->Arg(500);
 
@@ -75,10 +71,11 @@ BENCHMARK(BM_Etf_Naive)->Arg(100)->Arg(300)->Arg(500);
 
 void BM_Dls(benchmark::State& state) {
   const TaskGraph g = bench_graph(static_cast<NodeId>(state.range(0)));
+  const SchedulerPtr algo = make_scheduler("DLS");
   SchedWorkspace ws;
   ws.begin_graph(g);
   for (auto _ : state)
-    benchmark::DoNotOptimize(DlsScheduler().run(g, {}, ws).makespan());
+    benchmark::DoNotOptimize(algo->run(g, {}, ws).makespan());
 }
 BENCHMARK(BM_Dls)->Arg(100)->Arg(300)->Arg(500);
 
@@ -112,10 +109,11 @@ BENCHMARK(BM_DlsApn_Naive)->Arg(100);
 // bounds how much of ETF/DLS time is pair selection vs shared machinery.
 void BM_Mcp(benchmark::State& state) {
   const TaskGraph g = bench_graph(static_cast<NodeId>(state.range(0)));
+  const SchedulerPtr algo = make_scheduler("MCP");
   SchedWorkspace ws;
   ws.begin_graph(g);
   for (auto _ : state)
-    benchmark::DoNotOptimize(McpScheduler().run(g, {}, ws).makespan());
+    benchmark::DoNotOptimize(algo->run(g, {}, ws).makespan());
 }
 BENCHMARK(BM_Mcp)->Arg(500);
 
@@ -123,8 +121,9 @@ BENCHMARK(BM_Mcp)->Arg(500);
 // its attribute recomputation + allocations) on every call.
 void BM_Etf_FreshWorkspace(benchmark::State& state) {
   const TaskGraph g = bench_graph(static_cast<NodeId>(state.range(0)));
+  const SchedulerPtr etf = make_scheduler("ETF");
   for (auto _ : state)
-    benchmark::DoNotOptimize(EtfScheduler().run(g, {}).makespan());
+    benchmark::DoNotOptimize(etf->run(g, {}).makespan());
 }
 BENCHMARK(BM_Etf_FreshWorkspace)->Arg(500);
 
@@ -153,10 +152,11 @@ BENCHMARK(BM_Bsa_Apn)->Arg(100)->Arg(300)->Arg(500);
 // remap that stops once the running makespan exceeds the best so far.
 void BM_Ez(benchmark::State& state) {
   const TaskGraph g = bench_graph(static_cast<NodeId>(state.range(0)));
+  const SchedulerPtr algo = make_scheduler("EZ");
   SchedWorkspace ws;
   ws.begin_graph(g);
   for (auto _ : state)
-    benchmark::DoNotOptimize(EzScheduler().run(g, {}, ws).makespan());
+    benchmark::DoNotOptimize(algo->run(g, {}, ws).makespan());
 }
 BENCHMARK(BM_Ez)->Arg(300)->Arg(500);
 
@@ -236,10 +236,10 @@ BENCHMARK(BM_ParseRequest)->Arg(500);
 // benchmark also reports per-iteration heap traffic (util/mem.h): the
 // memory metric regresses loudly here even when wall time hides it behind
 // runner noise.
-template <typename Sched>
-void giant_bench(benchmark::State& state) {
+void giant_bench(benchmark::State& state, const char* algo_name) {
   const TaskGraph g =
       cholesky_graph(static_cast<int>(state.range(0)), 1.0);
+  const SchedulerPtr algo = make_scheduler(algo_name);
   SchedWorkspace ws;
   ws.begin_graph(g);
   ws.attrs().static_levels();
@@ -248,7 +248,7 @@ void giant_bench(benchmark::State& state) {
   opt.num_procs = 64;
   AllocMeter meter;
   for (auto _ : state)
-    benchmark::DoNotOptimize(Sched().run(g, opt, ws).makespan());
+    benchmark::DoNotOptimize(algo->run(g, opt, ws).makespan());
   state.counters["v"] = static_cast<double>(g.num_nodes());
   state.counters["allocs"] = benchmark::Counter(
       static_cast<double>(meter.count()), benchmark::Counter::kAvgIterations);
@@ -257,18 +257,16 @@ void giant_bench(benchmark::State& state) {
       benchmark::Counter::kAvgIterations);
 }
 
-void BM_Giant_Mcp(benchmark::State& state) { giant_bench<McpScheduler>(state); }
+void BM_Giant_Mcp(benchmark::State& state) { giant_bench(state, "MCP"); }
 BENCHMARK(BM_Giant_Mcp)->Arg(141)->Arg(446)->Unit(benchmark::kMillisecond);
 
-void BM_Giant_Hlfet(benchmark::State& state) {
-  giant_bench<HlfetScheduler>(state);
-}
+void BM_Giant_Hlfet(benchmark::State& state) { giant_bench(state, "HLFET"); }
 BENCHMARK(BM_Giant_Hlfet)->Arg(141)->Arg(446)->Unit(benchmark::kMillisecond);
 
-void BM_Giant_Ish(benchmark::State& state) { giant_bench<IshScheduler>(state); }
+void BM_Giant_Ish(benchmark::State& state) { giant_bench(state, "ISH"); }
 BENCHMARK(BM_Giant_Ish)->Arg(141)->Arg(446)->Unit(benchmark::kMillisecond);
 
-void BM_Giant_Etf(benchmark::State& state) { giant_bench<EtfScheduler>(state); }
+void BM_Giant_Etf(benchmark::State& state) { giant_bench(state, "ETF"); }
 BENCHMARK(BM_Giant_Etf)->Arg(141)->Arg(446)->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------------------------ net layer --

@@ -106,8 +106,18 @@ TaskGraph TaskGraphBuilder::finalize() {
   for (NodeId u = 0; u < n; ++u)
     for (const Adj& c : g.children(u)) g.pred_[pos[c.node]++] = {u, c.cost};
   g.num_edges_ = edges_.size();
-  for (Cost w : g.weights_) g.total_weight_ += w;
-  for (const Edge& e : edges_) g.total_edge_cost_ += e.cost;
+  // Every path length, level and makespan is at most the sum of all weights
+  // and costs, so bounding that sum below kTimeInf keeps all the Time
+  // arithmetic downstream exact. Summed in 128 bits, which fewer than 2^64
+  // terms below 2^63 each cannot overflow.
+  __int128 weight_sum = 0, cost_sum = 0;
+  for (Cost w : g.weights_) weight_sum += w;
+  for (const Edge& e : edges_) cost_sum += e.cost;
+  if (weight_sum + cost_sum >= kTimeInf)
+    throw std::invalid_argument("node weights plus edge costs must sum below " +
+                                std::to_string(kTimeInf));
+  g.total_weight_ = static_cast<Cost>(weight_sum);
+  g.total_edge_cost_ = static_cast<Cost>(cost_sum);
 
   // Entries / exits.
   for (NodeId i = 0; i < n; ++i) {

@@ -104,8 +104,9 @@ class TaskGraph {
 };
 
 /// Mutable builder. add_node returns dense ids in call order. finalize()
-/// throws std::invalid_argument on cycles, self-loops, duplicate edges, or
-/// non-positive node weights.
+/// throws std::invalid_argument on cycles, self-loops, duplicate edges,
+/// non-positive node weights, or node weights plus edge costs summing to
+/// kTimeInf or more.
 class TaskGraphBuilder {
  public:
   explicit TaskGraphBuilder(std::string name = "graph");

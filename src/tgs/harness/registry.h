@@ -2,6 +2,8 @@
 //   BNP: HLFET, ISH, MCP, ETF, DLS, LAST
 //   UNC: EZ, LC, DSC, MD, DCP
 //   APN: MH, DLS, BU, BSA
+// registry.cpp holds them as one table per scheduler base; every function
+// below reads that table.
 #pragma once
 
 #include <string>
@@ -27,10 +29,10 @@ std::vector<ApnSchedulerPtr> make_apn_schedulers();
 
 /// Lookup by table name ("MCP", "DCP", ...) or by a parameterized-scheduler
 /// spec "param:<metric>/<ready>/<insertion>[/<cluster>]" (see
-/// src/tgs/param/param_spec.h for the token grammar). Throws
-/// std::invalid_argument for unknown names; the message enumerates the
-/// valid names and the param: grammar. APN names: "MH", "DLS-APN"/"DLS",
-/// "BU", "BSA".
+/// src/tgs/param/param_spec.h for the token grammar); builds only the
+/// scheduler asked for. Throws std::invalid_argument for unknown names;
+/// the message of either lookup enumerates all 15 names, the DLS-APN alias
+/// and the param: grammar. APN names: "MH", "DLS-APN"/"DLS", "BU", "BSA".
 SchedulerPtr make_scheduler(const std::string& name);
 ApnSchedulerPtr make_apn_scheduler(const std::string& name);
 

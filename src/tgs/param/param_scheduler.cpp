@@ -272,8 +272,9 @@ class ListPhase {
   ReadyList ready_;
 };
 
-}  // namespace
-
+/// Fill `ps.key` / `ps.rank` for `metric` on the graph bound to `attrs`.
+/// Ranks are a permutation encoding (key desc, id asc) -- lexicographic
+/// ALAP-list order for kAlapList.
 void compute_param_metric(ParamMetric metric, GraphAttributeCache& attrs,
                           ParamScratch& ps) {
   if (attrs.graph() == nullptr)
@@ -384,15 +385,10 @@ void compute_param_metric(ParamMetric metric, GraphAttributeCache& attrs,
   for (NodeId i = 0; i < v; ++i) ps.rank[ps.order[i]] = static_cast<int>(i);
 }
 
-ParamScheduler::ParamScheduler(const ParamSpec& spec)
-    : spec_(spec),
-      name_(spec.to_string()),
-      class_(spec.cluster == ParamCluster::kNone ? AlgoClass::kBNP
-                                                 : AlgoClass::kUNC) {}
+}  // namespace
 
-ParamScheduler::ParamScheduler(const ParamSpec& spec, std::string name,
-                               AlgoClass cls)
-    : spec_(spec), name_(std::move(name)), class_(cls) {}
+ParamScheduler::ParamScheduler(const ParamSpec& spec, std::string name)
+    : spec_(spec), name_(name.empty() ? spec.to_string() : std::move(name)) {}
 
 Schedule ParamScheduler::do_run(const TaskGraph& g, const SchedOptions& opt,
                                 SchedWorkspace& ws) const {

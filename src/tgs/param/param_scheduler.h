@@ -1,8 +1,9 @@
 // ParamScheduler: one list-scheduling core executing any ParamSpec point
-// behind the ordinary Scheduler NVI. The named BNP/UNC list algorithms are
-// thin subclasses that pin a spec and a table name (bnp/hlfet.h, unc/ez.h,
-// ...); every other point of the crossproduct is a novel combination
-// reachable via make_scheduler("param:...") and the param_sweep experiment.
+// behind the ordinary Scheduler NVI. Seven of the paper's algorithms
+// (HLFET, ISH, MCP, ETF, DLS, EZ, LC) are rows of the registry table in
+// harness/registry.cpp that pair a table name with a spec; every other
+// point of the crossproduct is a novel combination reachable via
+// make_scheduler("param:...") and the param_sweep experiment.
 //
 // Execution model (docs/parameterized.md has the axis taxonomy and the
 // byte-identity map against the original standalone implementations):
@@ -63,15 +64,16 @@ struct ParamScratch {
 
 class ParamScheduler : public Scheduler {
  public:
-  /// Anonymous point: name() is the canonical spec string, algo_class()
-  /// kUNC when a cluster step is present, else kBNP.
-  explicit ParamScheduler(const ParamSpec& spec);
-
-  /// Named point (HLFET, EZ, ...): keeps the classic table name and class.
-  ParamScheduler(const ParamSpec& spec, std::string name, AlgoClass cls);
+  /// name() is `name` for a named point (HLFET, EZ, ...), else the
+  /// canonical spec string.
+  explicit ParamScheduler(const ParamSpec& spec, std::string name = {});
 
   std::string name() const override { return name_; }
-  AlgoClass algo_class() const override { return class_; }
+  /// kUNC when a cluster step is present, else kBNP.
+  AlgoClass algo_class() const override {
+    return spec_.cluster == ParamCluster::kNone ? AlgoClass::kBNP
+                                                : AlgoClass::kUNC;
+  }
   const ParamSpec& spec() const { return spec_; }
 
  protected:
@@ -81,13 +83,6 @@ class ParamScheduler : public Scheduler {
  private:
   ParamSpec spec_;
   std::string name_;
-  AlgoClass class_;
 };
-
-/// Fill `ps.key` / `ps.rank` for `metric` on the graph bound to `attrs`.
-/// Exposed for tests; ranks are a permutation encoding (key desc, id asc)
-/// -- lexicographic ALAP-list order for kAlapList.
-void compute_param_metric(ParamMetric metric, GraphAttributeCache& attrs,
-                          ParamScratch& ps);
 
 }  // namespace tgs

@@ -67,10 +67,4 @@ void save_schedule(const std::string& path, const Schedule& s) {
   write_schedule(f, s);
 }
 
-Schedule load_schedule(const std::string& path, const TaskGraph& g) {
-  std::ifstream f(path);
-  if (!f) throw std::runtime_error("cannot open for read: " + path);
-  return read_schedule(f, g);
-}
-
 }  // namespace tgs

@@ -25,6 +25,5 @@ Schedule read_schedule(std::istream& is, const TaskGraph& g);
 Schedule schedule_from_string(const std::string& text, const TaskGraph& g);
 
 void save_schedule(const std::string& path, const Schedule& s);
-Schedule load_schedule(const std::string& path, const TaskGraph& g);
 
 }  // namespace tgs

@@ -62,11 +62,13 @@ struct Server::ConnCtx {
 };
 
 /// A schedule request after reader-side resolution: graph parsed and
-/// fingerprinted, algorithm resolved against the right registry, cache key
-/// built. Everything a worker needs, immutable from here on.
+/// fingerprinted, algorithm built from the right registry, cache key built.
+/// Everything a worker needs, immutable from here on.
 struct Server::ResolvedRequest {
   ServeRequest req;
   std::shared_ptr<const TaskGraph> graph;
+  SchedulerPtr algo;          // set unless is_apn; the worker runs it
+  ApnSchedulerPtr apn_algo;   // set iff is_apn
   std::string resolved_algo;  // registry spelling ("DLS", not "DLS-APN")
   std::string algo_class;     // "BNP" / "UNC" / "APN"
   std::string cache_key;
@@ -257,17 +259,17 @@ void Server::handle_schedule(const std::shared_ptr<ConnCtx>& ctx,
       return reply_error(ServeError::kBadTopology, e.what());
     }
     try {
-      const ApnSchedulerPtr algo = make_apn_scheduler(req.algo);
-      rr->resolved_algo = algo->name();
+      rr->apn_algo = make_apn_scheduler(req.algo);
+      rr->resolved_algo = rr->apn_algo->name();
       rr->algo_class = "APN";
     } catch (const std::exception& e) {
       return reply_error(ServeError::kUnknownAlgo, e.what());
     }
   } else {
     try {
-      const SchedulerPtr algo = make_scheduler(req.algo);
-      rr->resolved_algo = algo->name();
-      rr->algo_class = algo_class_name(algo->algo_class());
+      rr->algo = make_scheduler(req.algo);
+      rr->resolved_algo = rr->algo->name();
+      rr->algo_class = algo_class_name(rr->algo->algo_class());
     } catch (const std::exception& e) {
       return reply_error(ServeError::kUnknownAlgo, e.what());
     }
@@ -352,18 +354,16 @@ void Server::handle_schedule(const std::shared_ptr<ConnCtx>& ctx,
         }
         if (rr->is_apn) {
           const RoutingTable routes(Topology::from_spec(rr->req.topology));
-          const ApnSchedulerPtr algo = make_apn_scheduler(rr->resolved_algo);
-          NetSchedule ns = algo->run(*rr->graph, routes, ws);
+          NetSchedule ns = rr->apn_algo->run(*rr->graph, routes, ws);
           result.makespan = ns.makespan();
           result.nsl = normalized_schedule_length(*rr->graph, ns.makespan());
           result.procs_used = ns.tasks().procs_used();
           result.num_messages = ns.messages().size();
           result.schedule_text = schedule_to_string(ns.tasks());
         } else {
-          const SchedulerPtr algo = make_scheduler(rr->resolved_algo);
           SchedOptions opt;
           opt.num_procs = rr->req.procs;
-          Schedule s = algo->run(*rr->graph, opt, ws);
+          Schedule s = rr->algo->run(*rr->graph, opt, ws);
           result.makespan = s.makespan();
           result.nsl = normalized_schedule_length(s);
           result.procs_used = s.procs_used();

@@ -1,6 +1,6 @@
-// The edge-zeroing cluster core of EZ (Sarkar). The EzScheduler in ez.h is
-// the parameter point bl/static/append/ez; this file holds the clustering
-// pass the ParamScheduler's ClusterStep invokes.
+// The edge-zeroing cluster core of EZ (Sarkar). The registry's EZ is the
+// parameter point bl/static/append/ez; this file holds the clustering pass
+// the ParamScheduler's ClusterStep invokes.
 #include <algorithm>
 #include <numeric>
 #include <vector>

@@ -1,6 +1,6 @@
-// The path-peeling cluster core of LC (Kim & Browne). The LcScheduler in
-// lc.h is the parameter point bl/static/append/lc; this file holds the
-// clustering pass the ParamScheduler's ClusterStep invokes.
+// The path-peeling cluster core of LC (Kim & Browne). The registry's LC is
+// the parameter point bl/static/append/lc; this file holds the clustering
+// pass the ParamScheduler's ClusterStep invokes.
 #include <vector>
 
 #include "tgs/graph/task_graph.h"

@@ -51,10 +51,6 @@ double Rng::uniform01() {
   return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
-double Rng::uniform_real(double lo, double hi) {
-  return lo + (hi - lo) * uniform01();
-}
-
 bool Rng::bernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;

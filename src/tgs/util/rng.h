@@ -32,9 +32,6 @@ class Rng {
   /// Uniform double in [0, 1).
   double uniform01();
 
-  /// Uniform double in [lo, hi).
-  double uniform_real(double lo, double hi);
-
   /// True with probability p (clamped to [0,1]).
   bool bernoulli(double p);
 

@@ -39,13 +39,6 @@ double median(std::vector<double> xs) {
   return 0.5 * (xs[mid - 1] + xs[mid]);
 }
 
-double mean_of(const std::vector<double>& xs) {
-  if (xs.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : xs) s += x;
-  return s / static_cast<double>(xs.size());
-}
-
 double geomean_of(const std::vector<double>& xs) {
   if (xs.empty()) return 0.0;
   double logsum = 0.0;

@@ -137,7 +137,7 @@ inline NetSchedule naive_dls_apn(const TaskGraph& g,
 }
 
 /// The ETF loop rebuilt on IncrementalPairSelector with a configurable
-/// insertion mode -- the production EtfScheduler is append-only, so the
+/// insertion mode -- the production ETF is append-only, so the
 /// insertion variants of the selector are exercised through this harness.
 inline Schedule incremental_etf(const TaskGraph& g, const SchedOptions& opt,
                                 bool insertion, SchedWorkspace& ws) {

@@ -2,12 +2,7 @@
 // exact results on degenerate shapes, algorithm-specific behaviours.
 #include <gtest/gtest.h>
 
-#include "tgs/bnp/dls.h"
-#include "tgs/bnp/etf.h"
-#include "tgs/bnp/hlfet.h"
-#include "tgs/bnp/ish.h"
 #include "tgs/bnp/last.h"
-#include "tgs/bnp/mcp.h"
 #include "tgs/gen/psg.h"
 #include "tgs/gen/rgnos.h"
 #include "tgs/gen/structured.h"
@@ -115,10 +110,10 @@ TEST(Hlfet, PrioritizesByStaticLevel) {
   b.add_edge(a1, a2, 0);
   const TaskGraph g = b.finalize();
   (void)c1;
-  HlfetScheduler algo;
+  const SchedulerPtr algo = make_scheduler("HLFET");
   SchedOptions opt;
   opt.num_procs = 1;
-  const Schedule s = algo.run(g, opt);
+  const Schedule s = algo->run(g, opt);
   EXPECT_LT(s.start(a1), s.start(c1));  // higher static level first
 }
 
@@ -127,12 +122,12 @@ TEST(Ish, FillsHolesThatHlfetLeaves) {
   // before the join on the source processor; ISH should pack ready tasks
   // into it, never doing worse than HLFET.
   const auto zoo = small_zoo();
-  HlfetScheduler hlfet;
-  IshScheduler ish;
+  const SchedulerPtr hlfet = make_scheduler("HLFET");
+  const SchedulerPtr ish = make_scheduler("ISH");
   int ish_wins = 0, hlfet_wins = 0;
   for (const auto& g : zoo) {
-    const Time lh = hlfet.run(g, {}).makespan();
-    const Time li = ish.run(g, {}).makespan();
+    const Time lh = hlfet->run(g, {}).makespan();
+    const Time li = ish->run(g, {}).makespan();
     ish_wins += li < lh;
     hlfet_wins += lh < li;
   }
@@ -145,9 +140,9 @@ TEST(Mcp, SchedulesCpNodesFirstOnCanonical9) {
   // MCP's ALAP-lexicographic order begins with the CP nodes n1, n7, n9
   // (ALAP 0, 12, 22). n1 therefore starts at 0 and n7/n9 land such that
   // the canonical graph schedules within its CP bound estimate.
-  McpScheduler mcp;
+  const SchedulerPtr mcp = make_scheduler("MCP");
   const TaskGraph g = psg_canonical9();
-  const Schedule s = mcp.run(g, {});
+  const Schedule s = mcp->run(g, {});
   EXPECT_TRUE(validate_schedule(s).ok);
   EXPECT_EQ(s.start(0), 0);
   // MCP is the paper's best BNP performer; on this example it should beat
@@ -159,18 +154,18 @@ TEST(Etf, PicksGloballyEarliestStart) {
   // One heavy entry and one light entry; ETF schedules the light one first
   // if it starts earlier, regardless of level.
   const TaskGraph g = independent_tasks(3, 10);
-  EtfScheduler etf;
+  const SchedulerPtr etf = make_scheduler("ETF");
   SchedOptions opt;
   opt.num_procs = 3;
-  const Schedule s = etf.run(g, opt);
+  const Schedule s = etf->run(g, opt);
   // All can start at 0 on distinct processors.
   for (NodeId n = 0; n < 3; ++n) EXPECT_EQ(s.start(n), 0);
 }
 
 TEST(Dls, NeverIdlesWhenWorkIsReady) {
   const TaskGraph g = psg_canonical9();
-  DlsScheduler dls;
-  const Schedule s = dls.run(g, {});
+  const SchedulerPtr dls = make_scheduler("DLS");
+  const Schedule s = dls->run(g, {});
   EXPECT_TRUE(validate_schedule(s).ok);
   // The entry node must start immediately.
   EXPECT_EQ(s.start(0), 0);

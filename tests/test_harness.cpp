@@ -6,6 +6,7 @@
 #include "tgs/harness/registry.h"
 #include "tgs/harness/runner.h"
 #include "tgs/net/routing.h"
+#include "tgs/param/param_scheduler.h"
 
 namespace tgs {
 namespace {
@@ -34,6 +35,75 @@ TEST(Registry, LookupByName) {
   EXPECT_EQ(make_apn_scheduler("DLS-APN")->name(), "DLS");
   EXPECT_THROW(make_scheduler("NOPE"), std::invalid_argument);
   EXPECT_THROW(make_apn_scheduler("NOPE"), std::invalid_argument);
+}
+
+// The registry, row by row: every listed name, its class, and for the
+// seven parameter points the spec docs/parameterized.md gives.
+TEST(Registry, EveryListedNameResolvesToItsRow) {
+  struct Row {
+    const char* name;
+    AlgoClass cls;
+    const char* spec;  // nullptr: a standalone implementation
+  };
+  const Row kRows[] = {
+      {"HLFET", AlgoClass::kBNP, "param:sl/static/append/none"},
+      {"ISH", AlgoClass::kBNP, "param:sl/static/hole/none"},
+      {"MCP", AlgoClass::kBNP, "param:alaplist/static/insert/none"},
+      {"ETF", AlgoClass::kBNP, "param:sl/etf/append/none"},
+      {"DLS", AlgoClass::kBNP, "param:sl/dls/append/none"},
+      {"LAST", AlgoClass::kBNP, nullptr},
+      {"EZ", AlgoClass::kUNC, "param:bl/static/append/ez"},
+      {"LC", AlgoClass::kUNC, "param:bl/static/append/lc"},
+      {"DSC", AlgoClass::kUNC, nullptr},
+      {"MD", AlgoClass::kUNC, nullptr},
+      {"DCP", AlgoClass::kUNC, nullptr},
+      {"MH", AlgoClass::kAPN, nullptr},
+      {"DLS", AlgoClass::kAPN, nullptr},
+      {"BU", AlgoClass::kAPN, nullptr},
+      {"BSA", AlgoClass::kAPN, nullptr},
+  };
+  std::vector<std::string> listed[3];  // by AlgoClass
+  for (const Row& row : kRows) {
+    SCOPED_TRACE(row.name);
+    listed[static_cast<int>(row.cls)].push_back(row.name);
+    if (row.cls == AlgoClass::kAPN) {
+      EXPECT_EQ(make_apn_scheduler(row.name)->name(), row.name);
+      continue;
+    }
+    const SchedulerPtr s = make_scheduler(row.name);
+    EXPECT_EQ(s->name(), row.name);
+    EXPECT_EQ(s->algo_class(), row.cls);
+    const auto* p = dynamic_cast<const ParamScheduler*>(s.get());
+    if (row.spec == nullptr) {
+      EXPECT_EQ(p, nullptr);
+    } else {
+      ASSERT_NE(p, nullptr);
+      EXPECT_EQ(p->spec(), ParamSpec::parse(row.spec));
+    }
+  }
+  EXPECT_EQ(bnp_names(), listed[static_cast<int>(AlgoClass::kBNP)]);
+  EXPECT_EQ(unc_names(), listed[static_cast<int>(AlgoClass::kUNC)]);
+  EXPECT_EQ(apn_names(), listed[static_cast<int>(AlgoClass::kAPN)]);
+
+  // Either lookup's unknown-name message names every algorithm, the
+  // DLS-APN alias and the param: grammar.
+  for (const bool apn : {false, true}) {
+    try {
+      if (apn)
+        make_apn_scheduler("NOPE");
+      else
+        make_scheduler("NOPE");
+      ADD_FAILURE() << "NOPE resolved";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      for (const Row& row : kRows)
+        EXPECT_NE(msg.find(row.name), std::string::npos) << row.name << msg;
+      EXPECT_NE(msg.find("DLS-APN"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("param:<metric>/<ready>/<insertion>[/<cluster>]"),
+                std::string::npos)
+          << msg;
+    }
+  }
 }
 
 TEST(Registry, CombinedListOrder) {

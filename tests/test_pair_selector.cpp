@@ -13,11 +13,10 @@
 #include "reference_schedulers.h"
 #include "tgs/apn/dls_apn.h"
 #include "tgs/bnp/bnp_common.h"
-#include "tgs/bnp/dls.h"
-#include "tgs/bnp/etf.h"
 #include "tgs/gen/psg.h"
 #include "tgs/gen/rgnos.h"
 #include "tgs/gen/rgpos.h"
+#include "tgs/harness/registry.h"
 #include "tgs/graph/task_graph.h"
 #include "tgs/list/ready_list.h"
 #include "tgs/net/routing.h"
@@ -83,11 +82,11 @@ TEST(PairSelector, EtfAndDlsMatchNaiveOverGraphsProcsAndInsertion) {
       }
       // The production schedulers are the append-mode instantiations.
       expect_identical(reference::naive_etf(g, opt, false),
-                       EtfScheduler().run(g, opt, ws),
-                       "EtfScheduler " + g.name());
+                       make_scheduler("ETF")->run(g, opt, ws),
+                       "ETF " + g.name());
       expect_identical(reference::naive_dls(g, opt, false),
-                       DlsScheduler().run(g, opt, ws),
-                       "DlsScheduler " + g.name());
+                       make_scheduler("DLS")->run(g, opt, ws),
+                       "DLS " + g.name());
     }
   }
 }
@@ -213,6 +212,8 @@ TEST(PairSelector, DlsApnMatchesNaiveUnderLinkContention) {
 // One workspace reused across different graphs and algorithms must change
 // nothing: workspace state recycles capacity, never results.
 TEST(PairSelector, WorkspaceReuseIsObservationallyInert) {
+  const SchedulerPtr etf = make_scheduler("ETF");
+  const SchedulerPtr dls = make_scheduler("DLS");
   SchedWorkspace shared;
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     RgnosParams p;
@@ -222,9 +223,9 @@ TEST(PairSelector, WorkspaceReuseIsObservationallyInert) {
     p.seed = seed;
     const TaskGraph g = rgnos_graph(p);
     shared.begin_graph(g);
-    expect_identical(EtfScheduler().run(g, {}), EtfScheduler().run(g, {}, shared),
+    expect_identical(etf->run(g, {}), etf->run(g, {}, shared),
                      "shared-vs-fresh ETF");
-    expect_identical(DlsScheduler().run(g, {}), DlsScheduler().run(g, {}, shared),
+    expect_identical(dls->run(g, {}), dls->run(g, {}, shared),
                      "shared-vs-fresh DLS");
   }
 }
@@ -240,9 +241,9 @@ TEST(PairSelector, RunRejectsWorkspaceBoundToAnotherGraph) {
   const TaskGraph b = rgnos_graph(p);
   SchedWorkspace ws;
   ws.begin_graph(a);
-  EXPECT_THROW(EtfScheduler().run(b, {}, ws), std::logic_error);
+  EXPECT_THROW(make_scheduler("ETF")->run(b, {}, ws), std::logic_error);
   SchedWorkspace unbound;
-  EXPECT_THROW(DlsScheduler().run(a, {}, unbound), std::logic_error);
+  EXPECT_THROW(make_scheduler("DLS")->run(a, {}, unbound), std::logic_error);
 }
 
 }  // namespace

@@ -525,6 +525,20 @@ TEST(Server, MalformedRequestsGetStructuredErrors) {
   EXPECT_EQ(pong.get_string("status", ""), "ok");
 }
 
+// Node weights plus edge costs at kTimeInf or more would overflow the
+// scheduler's Time arithmetic; the graph is refused before any work.
+TEST(Protocol, OverweightGraphGetsBadGraphReply) {
+  ServerFixture f;
+  const JsonValue r = f.ask(
+      R"({"id":"w","graph":"tgs1 g 2 1\nnode 0 9223372036854775807\n)"
+      R"(node 1 1\nedge 0 1 1\n","algo":"MCP"})");
+  EXPECT_EQ(r.get_string("id", ""), "w");
+  EXPECT_EQ(r.get_string("status", ""), "error");
+  EXPECT_EQ(r.get_string("code", ""), "bad_graph");
+  EXPECT_NE(r.get_string("message", "").find("sum below"), std::string::npos)
+      << r.get_string("message", "");
+}
+
 TEST(Server, UnknownAlgoMessageEnumeratesNamesAndParamGrammar) {
   ServerFixture f;
   const JsonValue r = f.ask(schedule_request(small_graph(), "NOPE"));

@@ -12,8 +12,6 @@
 #include "tgs/unc/clustering.h"
 #include "tgs/unc/dcp.h"
 #include "tgs/unc/dsc.h"
-#include "tgs/unc/ez.h"
-#include "tgs/unc/lc.h"
 #include "tgs/unc/md.h"
 #include <map>
 
@@ -118,16 +116,16 @@ TEST(Ez, NeverWorseThanNoClustering) {
     std::vector<ProcId> separate(g.num_nodes());
     for (NodeId n = 0; n < g.num_nodes(); ++n) separate[n] = static_cast<ProcId>(n);
     const Time baseline = assignment_makespan(g, separate);
-    EzScheduler ez;
-    EXPECT_LE(ez.run(g, {}).makespan(), baseline) << g.name();
+    const SchedulerPtr ez = make_scheduler("EZ");
+    EXPECT_LE(ez->run(g, {}).makespan(), baseline) << g.name();
   }
 }
 
 TEST(Ez, ZeroesHeavyChainEdges) {
   // On a chain with heavy comm, EZ must merge everything into one cluster.
   const TaskGraph g = chain_graph(5, 10, 100);
-  EzScheduler ez;
-  const Schedule s = ez.run(g, {});
+  const SchedulerPtr ez = make_scheduler("EZ");
+  const Schedule s = ez->run(g, {});
   EXPECT_EQ(s.procs_used(), 1);
   EXPECT_EQ(s.makespan(), 50);
 }
@@ -136,8 +134,8 @@ TEST(Lc, ClustersAreLinearChains) {
   // Every LC cluster is a path: within a cluster, each node has at most one
   // cluster-successor and one cluster-predecessor.
   for (const auto& g : unc_zoo()) {
-    LcScheduler lc;
-    const Schedule s = lc.run(g, {});
+    const SchedulerPtr lc = make_scheduler("LC");
+    const Schedule s = lc->run(g, {});
     ASSERT_TRUE(validate_schedule(s).ok);
     std::vector<int> succ_in_cluster(g.num_nodes(), 0), pred_in_cluster(g.num_nodes(), 0);
     for (NodeId u = 0; u < g.num_nodes(); ++u)
