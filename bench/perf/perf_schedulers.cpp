@@ -228,17 +228,13 @@ BENCHMARK(BM_ParseRequest)->Arg(500);
 
 // ------------------------------------------------------------ giant tier --
 
-// Traced Cholesky at giant dims: Arg is the matrix dimension, v =
-// dim(dim+1)/2, so 141 -> ~10k nodes and 446 -> ~100k (the tier's
-// acceptance size). Deterministic (seed-free) workload, 64 procs, warm
-// workspace with pre-warmed shared attributes -- the same protocol as the
-// giant_sweep experiment, so its numbers and these cross-check. Each
-// benchmark also reports per-iteration heap traffic (util/mem.h): the
-// memory metric regresses loudly here even when wall time hides it behind
-// runner noise.
-void giant_bench(benchmark::State& state, const char* algo_name) {
-  const TaskGraph g =
-      cholesky_graph(static_cast<int>(state.range(0)), 1.0);
+// Traced kernels at giant dims, 64 procs, warm workspace with pre-warmed
+// shared attributes -- the same protocol as the giant_sweep experiment, so
+// its numbers and these cross-check. Each benchmark also reports
+// per-iteration heap traffic (util/mem.h): the memory metric regresses
+// loudly here even when wall time hides it behind runner noise.
+void giant_bench(benchmark::State& state, const TaskGraph& g,
+                 const char* algo_name) {
   const SchedulerPtr algo = make_scheduler(algo_name);
   SchedWorkspace ws;
   ws.begin_graph(g);
@@ -257,17 +253,42 @@ void giant_bench(benchmark::State& state, const char* algo_name) {
       benchmark::Counter::kAvgIterations);
 }
 
-void BM_Giant_Mcp(benchmark::State& state) { giant_bench(state, "MCP"); }
+// Cholesky: Arg is the matrix dimension, v = dim(dim+1)/2, so 141 -> ~10k
+// nodes and 446 -> ~100k (the tier's acceptance size).
+void giant_cholesky(benchmark::State& state, const char* algo_name) {
+  giant_bench(state, cholesky_graph(static_cast<int>(state.range(0)), 1.0),
+              algo_name);
+}
+
+void BM_Giant_Mcp(benchmark::State& state) { giant_cholesky(state, "MCP"); }
 BENCHMARK(BM_Giant_Mcp)->Arg(141)->Arg(446)->Unit(benchmark::kMillisecond);
 
-void BM_Giant_Hlfet(benchmark::State& state) { giant_bench(state, "HLFET"); }
+void BM_Giant_Hlfet(benchmark::State& state) { giant_cholesky(state, "HLFET"); }
 BENCHMARK(BM_Giant_Hlfet)->Arg(141)->Arg(446)->Unit(benchmark::kMillisecond);
 
-void BM_Giant_Ish(benchmark::State& state) { giant_bench(state, "ISH"); }
+void BM_Giant_Ish(benchmark::State& state) { giant_cholesky(state, "ISH"); }
 BENCHMARK(BM_Giant_Ish)->Arg(141)->Arg(446)->Unit(benchmark::kMillisecond);
 
-void BM_Giant_Etf(benchmark::State& state) { giant_bench(state, "ETF"); }
+void BM_Giant_Etf(benchmark::State& state) { giant_cholesky(state, "ETF"); }
 BENCHMARK(BM_Giant_Etf)->Arg(141)->Arg(446)->Unit(benchmark::kMillisecond);
+
+// FFT butterflies: Arg is the point count n, v = (n/2) log2(n), so 4096 ->
+// 24,576 nodes, 2048 ready at once. Thousands of ready nodes share one
+// best processor here, so a pair phase that does O(ready) work per
+// placement is ~100x HLFET; CI gates the ETF/DLS ratios against HLFET.
+void giant_fft(benchmark::State& state, const char* algo_name) {
+  giant_bench(state, fft_graph(static_cast<int>(state.range(0)), 1.0),
+              algo_name);
+}
+
+void BM_GiantFft_Hlfet(benchmark::State& state) { giant_fft(state, "HLFET"); }
+BENCHMARK(BM_GiantFft_Hlfet)->Arg(4096)->Unit(benchmark::kMillisecond);
+
+void BM_GiantFft_Etf(benchmark::State& state) { giant_fft(state, "ETF"); }
+BENCHMARK(BM_GiantFft_Etf)->Arg(4096)->Unit(benchmark::kMillisecond);
+
+void BM_GiantFft_Dls(benchmark::State& state) { giant_fft(state, "DLS"); }
+BENCHMARK(BM_GiantFft_Dls)->Arg(4096)->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------------------------ net layer --
 

@@ -32,7 +32,6 @@ NetSchedule DlsApnScheduler::do_run(const TaskGraph& g,
 
   PairScratch& scratch = ws.pair_scratch();
   scratch.bind(g.num_nodes());
-  scratch.begin_run();
 
   // stamp[m] records how many nodes had been committed when m's cached
   // (proc, EST) was last probed: the cache is exact iff stamp[m] equals

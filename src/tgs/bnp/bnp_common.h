@@ -1,5 +1,5 @@
 // Shared machinery of the BNP (bounded number of processors) list
-// schedulers. Three concerns live here:
+// schedulers. Four concerns live here:
 //
 //  * ProcScanner -- keeps processor usage dense (a new processor is only
 //    considered once all lower-numbered ones hold work), which both bounds
@@ -10,12 +10,19 @@
 //    arrivals (with the processor of the largest) plus per-processor local
 //    finish maxima. This turns the O(parents) inner loop of ETF/DLS into
 //    O(1), which matters at the paper's 500-node / 250-graph scale.
-//  * IncrementalPairSelector -- caches each ready node's best (processor,
-//    EST) pair and, after a placement, re-scores only what the placement
-//    could have changed. ETF and DLS are the paper's slow BNP algorithms
-//    precisely because they re-evaluate every (ready node, processor) pair
-//    at every step; the selector removes that re-evaluation without
-//    changing a single schedule (see the invariant below).
+//  * AppendPairSelector -- ETF/DLS pair selection for append placement.
+//    There a ready node's EST has a closed form in two frozen arrival
+//    values and two monotone thresholds, so a scheduling step is a few
+//    heap operations: no step touches the whole ready set or every
+//    processor.
+//  * IncrementalPairSelector -- the insertion-mode counterpart. Gaps break
+//    the closed form, so it caches each ready node's best (processor, EST)
+//    pair and, after a placement, re-scores only what the placement could
+//    have changed.
+//
+// ETF and DLS are the paper's slow BNP algorithms precisely because they
+// re-evaluate every (ready node, processor) pair at every step; both
+// selectors remove that re-evaluation without changing a single schedule.
 #pragma once
 
 #include <algorithm>
@@ -71,47 +78,76 @@ struct ArrivalInfo {
   }
 };
 
-/// Build the arrival summary for `n` from the placed parents in `s`.
-ArrivalInfo compute_arrival(const Schedule& s, NodeId n);
-
-/// In-place variant reusing `info`'s local_ft capacity.
+/// Build the arrival summary for `n` from the placed parents in `s`,
+/// reusing `info`'s local_ft capacity.
 void compute_arrival_into(const Schedule& s, NodeId n, ArrivalInfo& info);
 
 /// Scan processors [0, scanner.scan_count()) and return the one minimizing
-/// the earliest start time of `n` (ties: smaller processor id).
+/// the earliest start time of `n` (ties: smaller processor id). `scratch`
+/// holds the arrival summary, so a warm caller allocates nothing.
 struct ProcChoice {
   ProcId proc;
   Time start;
 };
 ProcChoice best_est_proc(const Schedule& s, NodeId n, const ProcScanner& scanner,
-                         bool insertion);
+                         bool insertion, ArrivalInfo& scratch);
+
+/// The pair policies' selection order over (node, start) candidates. ETF
+/// takes the earliest start, ties to the smaller rank; DLS the largest
+/// key - start, ties to the earlier start, then the smaller node id. Both
+/// are strict total orders over distinct nodes (rank is a permutation),
+/// and for a fixed node a later start is always strictly worse.
+struct PairOrder {
+  const Time* key;  // DLS: the metric scalar, larger = more urgent
+  const int* rank;  // ETF: the total priority order, 0 = first
+  bool dls;
+
+  bool better(NodeId a, Time ta, NodeId b, Time tb) const {
+    if (!dls) return ta != tb ? ta < tb : rank[a] < rank[b];
+    const Time da = key[a] - ta;
+    const Time db = key[b] - tb;
+    if (da != db) return da > db;
+    if (ta != tb) return ta < tb;
+    return a < b;
+  }
+};
 
 /// Reusable pools of the pair selectors, owned by a SchedWorkspace. Flat
-/// per-node vectors replace the per-run std::unordered_map<NodeId,
-/// ArrivalInfo>. Stale entries are never erased: liveness is the tracked
-/// list (IncrementalPairSelector) or the per-run stamps rewritten at
-/// every admission (the DLS(APN) lazy selector), so starting a new run is
-/// O(1) and steady-state runs allocate nothing (ArrivalInfo::local_ft
-/// capacity survives across runs).
+/// per-node vectors replace per-run maps, and every buffer keeps its
+/// capacity across runs, so starting a run is O(procs) and steady-state
+/// runs allocate nothing. Stale entries are never erased: each selector
+/// rewrites a node's slots when it admits the node.
 struct PairScratch {
+  // IncrementalPairSelector and the DLS(APN) lazy selector.
   std::vector<std::uint64_t> stamp;       // DLS(APN) only: commit count at
                                           //   the node's last probe
   std::vector<ArrivalInfo> arrival;       // per-node arrival summary
   std::vector<ProcChoice> best;           // per-node best (proc, EST)
   std::vector<NodeId> tracked;            // nodes currently ready
-  std::vector<Time> seg;                  // proc end-time segment tree
 
-  // Giant-tier bookkeeping (all maintained by IncrementalPairSelector):
-  // tracked membership is position-indexed so untracking is O(1) instead
-  // of an O(ready) scan, and tracked nodes are additionally bucketed by
-  // their cached best processor so a placement on p rescores only
-  // bucket[p] -- the exact stale set -- instead of every tracked node.
+  // Tracked membership is position-indexed so untracking is O(1), and
+  // tracked nodes are bucketed by their cached best processor so a
+  // placement on p rescores only bucket[p] -- the exact stale set.
   std::vector<std::uint32_t> tracked_pos;  // node -> index in tracked
   std::vector<std::uint32_t> bucket_pos;   // node -> index in its bucket
   std::vector<std::vector<NodeId>> bucket; // proc -> nodes with best.proc==p
   std::vector<NodeId> bucket_snap;         // node_placed iteration snapshot
 
-  /// Size the pools for a graph with `num_nodes` nodes (grow-only).
+  // AppendPairSelector: per-node frozen arrival values, and heaps of node
+  // ids whose keys are read from those arrays.
+  std::vector<Time> a_ready;    // ready_on(a_proc): the proc1 data-ready time
+  std::vector<Time> g_ready;    // max1: the data-ready time anywhere else
+  std::vector<ProcId> a_proc;   // proc1 (kNoProc: no parent pays comm)
+  std::vector<NodeId> pend_a;   // A terms pending when last checked
+  std::vector<NodeId> pend_g;   // G terms pending when last checked
+  std::vector<NodeId> sat_g;    // G terms saturated: start E
+  std::vector<std::vector<NodeId>> sat_a;  // proc q -> A saturated: end[q]
+  std::vector<int> tour;        // tournament over the sat_a tops
+  std::vector<Time> seg;        // proc end-time segment tree
+
+  ArrivalInfo probe;  // one-shot arrival summary (admissions, best_est_proc)
+
+  /// Size the cached-best pools for `num_nodes` nodes (grow-only).
   void bind(std::size_t num_nodes) {
     if (stamp.size() < num_nodes) {
       stamp.resize(num_nodes, 0);
@@ -122,16 +158,14 @@ struct PairScratch {
     }
   }
 
-  /// Size the per-processor buckets (grow-only).
-  void bind_procs(std::size_t num_procs) {
-    if (bucket.size() < num_procs) bucket.resize(num_procs);
-  }
-
-  /// Start a run: forget every tracked node. O(buckets) pointer resets,
-  /// no deallocation (bucket capacity survives across runs).
-  void begin_run() {
-    tracked.clear();
-    for (std::vector<NodeId>& b : bucket) b.clear();
+  /// Size the AppendPairSelector pools (grow-only).
+  void bind_append(std::size_t num_nodes, std::size_t num_procs) {
+    if (a_ready.size() < num_nodes) {
+      a_ready.resize(num_nodes);
+      g_ready.resize(num_nodes);
+      a_proc.resize(num_nodes);
+    }
+    if (sat_a.size() < num_procs) sat_a.resize(num_procs);
   }
 };
 
@@ -153,7 +187,12 @@ class ProcEndIndex {
       storage[i] = std::min(storage[2 * i], storage[2 * i + 1]);
   }
 
+  int base() const { return base_; }
+
   Time end_of(int p) const { return (*seg_)[base_ + p]; }
+
+  /// Smallest end time over all processors.
+  Time min_end() const { return (*seg_)[1]; }
 
   void set(int p, Time end) {
     std::vector<Time>& s = *seg_;
@@ -201,7 +240,87 @@ class ProcEndIndex {
   std::vector<Time>* seg_ = nullptr;
 };
 
-/// Incremental (ready node, processor) pair selection against a Schedule.
+/// Append-mode (ready node, processor) pair selection in closed form.
+///
+/// With append placement EST(m, p) = max(ready_on(m, p), end[p]), and
+/// ready_on(m, p) is the arrival maximum max1 on every processor except
+/// proc1, the one hosting the dominant parent (a parent's finish without
+/// communication never exceeds its finish plus communication). So
+///
+///   EST(m) = min(A_m, G_m),  A_m = max(r1_m, end[proc1_m]),
+///                            G_m = max(max1_m, E),
+///
+/// where r1_m = ready_on(m, proc1_m) and max1_m freeze at admission and E
+/// is the smallest end time in the scan window. E is 0 while a fresh
+/// processor is in the window, so E, like every end[q], never decreases.
+///
+/// A term is *pending* while its frozen value exceeds its threshold
+/// (r1 > end[q], max1 > E): its value is the frozen one, a static key. It
+/// is *saturated* once the threshold reaches it, and stays so, because
+/// thresholds only grow; then its value is the threshold itself, shared
+/// with every other term saturated on it. Hence:
+///
+///  * one lazily pruned heap per term kind holds the pending terms, keyed
+///    by their frozen values; a top found saturated moves to its
+///    saturated heap, a top whose node was placed is dropped;
+///  * the saturated G terms share start E, so one heap ordered by the
+///    PairOrder at equal starts (rank; or key desc, id) gives their best;
+///    the saturated A terms get one such heap per processor q (start
+///    end[q]), and a tournament over processors combines the tops,
+///    updated only when a processor's end time or heap top changes.
+///
+/// pick() returns the best of these four tops under PairOrder. That is
+/// the exhaustive scan's pick: every offered candidate is the exact value
+/// of one of its node's two terms, so never better than the node's EST,
+/// and for a fixed node a later start is strictly worse, so the best over
+/// the union of terms sits at a node's smaller term, its EST.
+///
+/// best(n) then chooses the processor by the scan's rule (smallest id
+/// among the earliest starts) through ProcEndIndex in O(log procs).
+class AppendPairSelector {
+ public:
+  /// Starts on a schedule with nothing placed. `scratch` and the arrays
+  /// behind `order` must outlive the selector.
+  AppendPairSelector(const Schedule& s, const ProcScanner& scanner,
+                     const PairOrder& order, PairScratch& scratch);
+
+  /// Admit a node whose parents are all placed.
+  void node_ready(NodeId n);
+
+  /// Report a placement on `p` (after Schedule::place and
+  /// ProcScanner::note_placement). Placed nodes leave the heaps lazily:
+  /// liveness is read from the schedule.
+  void node_placed(ProcId p);
+
+  /// The ready node the exhaustive (node, processor) scan would pick.
+  /// Ready set must be non-empty.
+  NodeId pick();
+
+  /// Earliest start of ready node `n` over the scan window, in O(1).
+  Time est(NodeId n) const;
+
+  /// Processor and start the scan would choose for ready node `n`.
+  ProcChoice best(NodeId n) const;
+
+ private:
+  struct HeapCmp;  // max-heap order: the better candidate on top
+
+  bool placed(NodeId m) const { return sched_->proc(m) != kNoProc; }
+  Time end_of(ProcId q) const { return index_.end_of(q); }
+  void push(std::vector<NodeId>& heap, const Time* value, NodeId m);
+  void pop(std::vector<NodeId>& heap, const Time* value);
+  void push_sat_a(NodeId m);
+  int winner(int p, int q) const;
+  void refresh(ProcId q);
+
+  const Schedule* sched_;
+  const ProcScanner* scanner_;
+  PairOrder order_;
+  PairScratch* scratch_;
+  ProcEndIndex index_;
+};
+
+/// Insertion-mode incremental (ready node, processor) pair selection.
 ///
 /// Invariant: placing a task on processor q only mutates timeline q, and a
 /// ready node's arrival summary is frozen (its parents are placed and never
@@ -211,40 +330,27 @@ class ProcEndIndex {
 /// be scored against every cached pair (an empty processor can only win
 /// strictly, so ties keep preferring smaller ids). ESTs on untouched
 /// processors cannot shrink (occupying a timeline never makes earliest_fit
-/// earlier, in both append and insertion mode), hence no other cached best
-/// can be beaten. Selection order -- and therefore every schedule -- is
-/// byte-identical to the exhaustive per-step rescan; the goldens and the
-/// naive-reference property tests enforce this.
+/// earlier), hence no other cached best can be beaten. Selection order --
+/// and therefore every schedule -- is byte-identical to the exhaustive
+/// per-step rescan; the goldens and the naive-reference property tests
+/// enforce this.
 ///
 /// Per-node bests are exact at all times, so a scheduling step is one
 /// O(ready) argmin over best() instead of O(ready x procs) EST probes.
-///
-/// In append (non-insertion) mode the per-node rescore itself drops from
-/// O(procs) to O(log procs): EST(m, p) = max(ready_on(m, p), end_time(p)),
-/// and ready_on(m, p) equals the arrival max1 on every processor except
-/// proc1 (a parent's finish without communication never exceeds its finish
-/// plus communication), so the best processor is either proc1 or the
-/// answer to an ordered end-time query on ProcEndIndex. Insertion mode
-/// falls back to the linear scan (gaps break the max() formula).
 class IncrementalPairSelector {
  public:
-  /// `scratch` must outlive the selector; begin_run() is called here.
+  /// `scratch` must outlive the selector.
   IncrementalPairSelector(const Schedule& s, const ProcScanner& scanner,
-                          bool insertion, PairScratch& scratch)
+                          PairScratch& scratch)
       : sched_(&s),
         scanner_(&scanner),
         scratch_(&scratch),
-        insertion_(insertion),
         scanned_(scanner.scan_count()) {
     scratch.bind(s.graph().num_nodes());
-    scratch.bind_procs(static_cast<std::size_t>(scanner.limit()));
-    scratch.begin_run();
-    if (!insertion_) {
-      index_.init(scanner.limit(), scratch.seg);
-      for (int p = 0; p < std::min(scanner.limit(), s.num_procs()); ++p)
-        if (const Time end = s.timeline(p).end_time(); end > 0)
-          index_.set(p, end);
-    }
+    if (scratch.bucket.size() < static_cast<std::size_t>(scanner.limit()))
+      scratch.bucket.resize(static_cast<std::size_t>(scanner.limit()));
+    scratch.tracked.clear();
+    for (std::vector<NodeId>& b : scratch.bucket) b.clear();
   }
 
   /// Admit a node whose parents are all placed: compute its arrival
@@ -263,8 +369,7 @@ class IncrementalPairSelector {
   /// the cached pairs the placement could have invalidated. In the common
   /// case (no new processor opened) that is bucket[p] -- the nodes whose
   /// cached best sits on p -- so a placement costs O(|bucket[p]|) rescore
-  /// work, not an O(ready) scan (the measured giant-tier bottleneck: FFT
-  /// graphs keep thousands of nodes ready at once).
+  /// work, not an O(ready) scan.
   void node_placed(NodeId n, ProcId p) {
     PairScratch& sc = *scratch_;
     {
@@ -274,14 +379,12 @@ class IncrementalPairSelector {
       sc.tracked.pop_back();
       bucket_remove(n);  // n's cached best.proc, which may differ from p
     }
-    if (!insertion_) index_.set(p, sched_->timeline(p).end_time());
     const int count = scanner_->scan_count();
     if (count > scanned_) {
       // Rare (at most `limit` times per run): a fresh processor opened, so
-      // every cached pair must see it. Newly opened processors are empty,
-      // so in append mode node m could start there at its arrival max1;
-      // their ids exceed every cached id, so only a strict improvement can
-      // move the best.
+      // every cached pair must see it. Its id exceeds every cached id, so
+      // only a strict improvement can move the best.
+      const TaskGraph& g = sched_->graph();
       for (NodeId m : sc.tracked) {
         if (sc.best[m].proc == p) {
           rescore(m, count, /*fresh=*/false);
@@ -289,15 +392,10 @@ class IncrementalPairSelector {
         }
         const ArrivalInfo& arr = sc.arrival[m];
         ProcChoice pc = sc.best[m];
-        if (insertion_) {
-          const Cost dur = sched_->graph().weight(m);
-          for (ProcId q = static_cast<ProcId>(scanned_); q < count; ++q) {
-            const Time t =
-                sched_->earliest_start_on(q, arr.ready_on(q), dur, insertion_);
-            if (t < pc.start) pc = {q, t};  // strict: ties keep smaller id
-          }
-        } else if (arr.max1 < pc.start) {
-          pc = {static_cast<ProcId>(scanned_), arr.max1};
+        for (ProcId q = static_cast<ProcId>(scanned_); q < count; ++q) {
+          const Time t =
+              sched_->earliest_start_on(q, arr.ready_on(q), g.weight(m), true);
+          if (t < pc.start) pc = {q, t};  // strict: ties keep smaller id
         }
         if (pc.proc != sc.best[m].proc || pc.start != sc.best[m].start)
           set_best(m, pc);
@@ -313,9 +411,6 @@ class IncrementalPairSelector {
   /// Cached best (processor, EST) of ready node `n`; exact under the
   /// invariant above.
   const ProcChoice& best(NodeId n) const { return scratch_->best[n]; }
-
-  /// Frozen arrival summary of ready node `n`.
-  const ArrivalInfo& arrival(NodeId n) const { return scratch_->arrival[n]; }
 
  private:
   void bucket_insert(NodeId m) {
@@ -354,34 +449,10 @@ class IncrementalPairSelector {
 
   ProcChoice score(NodeId m, int count) const {
     const ArrivalInfo& arr = scratch_->arrival[m];
-    if (!insertion_) {
-      // Candidate 1: proc1, the only processor whose data-ready time can
-      // undercut max1.
-      ProcChoice pc{kNoProc, kTimeInf};
-      if (arr.proc1 != kNoProc && arr.proc1 < count)
-        pc = {arr.proc1,
-              std::max(arr.ready_on(arr.proc1), index_.end_of(arr.proc1))};
-      // Candidate 2: best of the generic EST max(max1, end_time(p)). For
-      // proc1 the generic value only over-estimates, so including it is
-      // harmless (candidate 1 wins any such tie at the same processor).
-      const int idle = index_.first_at_most(arr.max1, count);
-      ProcChoice gen{kNoProc, kTimeInf};
-      if (idle >= 0) {
-        gen = {static_cast<ProcId>(idle), arr.max1};
-      } else {
-        const int p = index_.min_end_proc(count);
-        gen = {static_cast<ProcId>(p), index_.end_of(p)};
-      }
-      if (pc.proc == kNoProc || gen.start < pc.start ||
-          (gen.start == pc.start && gen.proc < pc.proc))
-        pc = gen;
-      return pc;
-    }
     const Cost dur = sched_->graph().weight(m);
     ProcChoice pc{0, kTimeInf};
     for (ProcId q = 0; q < count; ++q) {
-      const Time t =
-          sched_->earliest_start_on(q, arr.ready_on(q), dur, insertion_);
+      const Time t = sched_->earliest_start_on(q, arr.ready_on(q), dur, true);
       if (t < pc.start) pc = {q, t};
     }
     return pc;
@@ -390,8 +461,6 @@ class IncrementalPairSelector {
   const Schedule* sched_;
   const ProcScanner* scanner_;
   PairScratch* scratch_;
-  ProcEndIndex index_;
-  bool insertion_;
   int scanned_;  // scan_count the cached pairs are valid for
 };
 

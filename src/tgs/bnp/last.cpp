@@ -25,6 +25,7 @@ Schedule LastScheduler::do_run(const TaskGraph& g, const SchedOptions& opt,
   Schedule sched(g, effective_procs(g, opt));
   ProcScanner scanner(effective_procs(g, opt));
   ReadyList ready(g);
+  ArrivalInfo& probe = ws.pair_scratch().probe;
 
   while (!ready.empty()) {
     // Highest D_NODE = to_scheduled / incident, compared exactly via cross
@@ -40,7 +41,8 @@ Schedule LastScheduler::do_run(const TaskGraph& g, const SchedOptions& opt,
       if (lhs > rhs || (lhs == rhs && sl[m] > sl[best])) best = m;
     }
 
-    const ProcChoice choice = best_est_proc(sched, best, scanner, /*insertion=*/false);
+    const ProcChoice choice = best_est_proc(sched, best, scanner,
+                                           /*insertion=*/false, probe);
     sched.place(best, choice.proc, choice.start);
     scanner.note_placement(choice.proc);
     ready.mark_scheduled(best);

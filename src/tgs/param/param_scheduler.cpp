@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 
 #include "tgs/bnp/bnp_common.h"
@@ -39,6 +40,7 @@ class ListPhase {
         clustered_(spec.cluster != ParamCluster::kNone),
         fit_(spec.insertion == ParamInsertion::kInsert),
         hole_(spec.insertion == ParamInsertion::kHole),
+        dynamic_(spec.ready == ParamReady::kDynamic),
         sched_(g, clustered_ ? 0 : effective_procs(g, opt)),
         scanner_(effective_procs(g, opt)),
         ready_(g) {}
@@ -46,11 +48,8 @@ class ListPhase {
   Schedule run() {
     switch (spec_.ready) {
       case ParamReady::kStatic:
-        run_list(/*dynamic=*/false);
-        break;
       case ParamReady::kDynamic:
-        init_arrivals();
-        run_list(/*dynamic=*/true);
+        run_list();
         break;
       case ParamReady::kPairEtf:
       case ParamReady::kPairDls:
@@ -73,8 +72,8 @@ class ListPhase {
   // hole-filling pass) are discarded on pop. This replaces the O(ready)
   // per-step scan that dominated giant FFT-class graphs (ready width in
   // the thousands).
-  void push_list(NodeId n, bool dynamic) {
-    ps_.list_heap.push_back({dynamic ? ps_.arrival[n] : 0, ps_.rank[n], n});
+  void push_list(NodeId n) {
+    ps_.list_heap.push_back({dynamic_ ? ps_.arrival[n] : 0, ps_.rank[n], n});
     std::push_heap(ps_.list_heap.begin(), ps_.list_heap.end(), ListPickCmp{});
   }
 
@@ -88,10 +87,11 @@ class ListPhase {
     }
   }
 
-  void run_list(bool dynamic) {
+  void run_list() {
     list_heap_live_ = true;
+    if (dynamic_) ps_.arrival.assign(g_.num_nodes(), 0);  // entry: t=0
     ps_.list_heap.clear();
-    for (NodeId n : ready_.ready()) push_list(n, dynamic);
+    for (NodeId n : ready_.ready()) push_list(n);
     while (!ready_.empty()) {
       ws_.deadline().poll();
       const NodeId n = pick_list();
@@ -101,136 +101,126 @@ class ListPhase {
         p = ps_.assign[n];
         start = sched_.est(n, p, fit_);
       } else {
-        const ProcChoice c = best_est_proc(sched_, n, scanner_, fit_);
+        const ProcChoice c = best_est_proc(sched_, n, scanner_, fit_,
+                                           ws_.pair_scratch().probe);
         p = c.proc;
         start = c.start;
       }
-      place(n, p, start, nullptr, dynamic);
+      place(n, p, start);
     }
   }
 
   // ETF minimizes (EST, rank); DLS maximizes dl = key - EST with ties on
-  // earlier start then smaller id. The argmin stays a linear scan over the
-  // ready set on purpose: a lazy heap over the cached pairs was tried and
-  // measured SLOWER at giant scale (docs/perf.md, PR 9) -- wide symmetric
-  // graphs funnel thousands of cached bests onto one processor, so each
-  // placement re-keys O(ready) entries and the heap turns one O(ready)
-  // scan into O(ready log ready) churn. The selector's bucket rescoring
-  // already bounds the real per-placement work.
+  // earlier start then smaller id (PairOrder). Append placement gives each
+  // ready node's EST a closed form, so AppendPairSelector picks the pair
+  // in a few heap operations per step and no step visits the whole ready
+  // set (docs/perf.md, "append-mode pair selection"). Insertion gaps break
+  // the closed form: there the cached bests of IncrementalPairSelector
+  // feed a linear argmin over the ready set.
   void run_pair_selector() {
-    IncrementalPairSelector sel(sched_, scanner_, fit_, ws_.pair_scratch());
+    if (!fit_) {
+      AppendPairSelector& sel = append_sel_.emplace(
+          sched_, scanner_, pair_order(), ws_.pair_scratch());
+      for (NodeId n : ready_.ready()) sel.node_ready(n);
+      while (!ready_.empty()) {
+        ws_.deadline().poll();
+        const NodeId n = sel.pick();
+        const ProcChoice c = sel.best(n);
+        place(n, c.proc, c.start);
+      }
+      return;
+    }
+    IncrementalPairSelector& sel =
+        insert_sel_.emplace(sched_, scanner_, ws_.pair_scratch());
     for (NodeId n : ready_.ready()) sel.node_ready(n);
-    const bool etf = spec_.ready == ParamReady::kPairEtf;
     while (!ready_.empty()) {
       ws_.deadline().poll();
-      NodeId best_n = kNoNode;
-      Time best_t = 0;
-      Time best_dl = 0;
-      for (NodeId m : ready_.ready()) {
-        const Time t = sel.best(m).start;
-        if (etf) {
-          // Globally earliest start; ties -> higher metric priority.
-          if (best_n == kNoNode || t < best_t ||
-              (t == best_t && ps_.rank[m] < ps_.rank[best_n])) {
-            best_n = m;
-            best_t = t;
-          }
-        } else {
-          // Largest dynamic level key - EST; ties -> earlier start, then
-          // smaller node id (the original DLS tie chain).
-          const Time dl = ps_.key[m] - t;
-          if (best_n == kNoNode || dl > best_dl ||
-              (dl == best_dl &&
-               (t < best_t || (t == best_t && m < best_n)))) {
-            best_n = m;
-            best_t = t;
-            best_dl = dl;
-          }
-        }
-      }
-      place(best_n, sel.best(best_n).proc, best_t, &sel, false);
+      const NodeId n = scan_pick([&](NodeId m) { return sel.best(m).start; });
+      place(n, sel.best(n).proc, sel.best(n).start);
     }
   }
 
   // Pair policies under a fixed cluster map degenerate to a per-step scan
-  // of EST on each node's forced processor (the selector's invariant
-  // assumes free processor choice, so it does not apply here).
+  // of EST on each node's forced processor (the selectors assume free
+  // processor choice, so they do not apply here).
   void run_pair_clustered() {
-    const bool etf = spec_.ready == ParamReady::kPairEtf;
     while (!ready_.empty()) {
       ws_.deadline().poll();
-      NodeId best_n = kNoNode;
-      Time best_t = 0;
-      Time best_dl = 0;
-      for (NodeId m : ready_.ready()) {
-        const Time t = sched_.est(m, ps_.assign[m], fit_);
-        if (etf) {
-          if (best_n == kNoNode || t < best_t ||
-              (t == best_t && ps_.rank[m] < ps_.rank[best_n])) {
-            best_n = m;
-            best_t = t;
-          }
-        } else {
-          const Time dl = ps_.key[m] - t;
-          if (best_n == kNoNode || dl > best_dl ||
-              (dl == best_dl &&
-               (t < best_t || (t == best_t && m < best_n)))) {
-            best_n = m;
-            best_t = t;
-            best_dl = dl;
-          }
-        }
-      }
-      place(best_n, ps_.assign[best_n], best_t, nullptr, false);
+      const NodeId n = scan_pick(
+          [&](NodeId m) { return sched_.est(m, ps_.assign[m], fit_); });
+      place(n, ps_.assign[n], sched_.est(n, ps_.assign[n], fit_));
     }
+  }
+
+  PairOrder pair_order() const {
+    return {ps_.key.data(), ps_.rank.data(),
+            spec_.ready == ParamReady::kPairDls};
+  }
+
+  /// The ready node whose (node, est(node)) pair is best under PairOrder.
+  template <class Est>
+  NodeId scan_pick(Est est) const {
+    const PairOrder order = pair_order();
+    NodeId best_n = kNoNode;
+    Time best_t = 0;
+    for (NodeId m : ready_.ready()) {
+      const Time t = est(m);
+      if (best_n == kNoNode || order.better(m, t, best_n, best_t)) {
+        best_n = m;
+        best_t = t;
+      }
+    }
+    return best_n;
   }
 
   /// Commit `n` on `p` at `start`, maintain every incremental structure,
   /// and run the hole-filling pass when the insertion policy asks for it.
-  void place(NodeId n, ProcId p, Time start, IncrementalPairSelector* sel,
-             bool dynamic) {
+  void place(NodeId n, ProcId p, Time start) {
     // End of the processor's busy prefix before the placement == where the
     // idle hole (if any) begins once n lands at `start`.
     const Time hole_from = hole_ ? sched_.earliest_start_on(p, 0, 0, false) : 0;
     sched_.place(n, p, start);
     if (!clustered_) scanner_.note_placement(p);
-    if (sel != nullptr) sel->node_placed(n, p);
+    note_placed(n, p);
+    if (hole_) fill_hole(p, hole_from, start);
+  }
+
+  /// Bookkeeping shared by list placements and hole fills: the selector
+  /// sees the placement, then the children it made ready.
+  void note_placed(NodeId n, ProcId p) {
+    if (append_sel_) append_sel_->node_placed(p);
+    if (insert_sel_) insert_sel_->node_placed(n, p);
     ready_.mark_scheduled(n);
-    admit_children(n, sel, dynamic);
-    if (hole_) fill_hole(p, hole_from, start, sel, dynamic);
+    admit_children(n);
   }
 
   /// Children of `n` that just became ready enter the policy's incremental
-  /// state: the pair selector's tracked set, or the frozen arrival times
-  /// of the dynamic list policy.
-  void admit_children(NodeId n, IncrementalPairSelector* sel, bool dynamic) {
-    if (sel == nullptr && !dynamic && !list_heap_live_) return;
+  /// state: the pair selector, or the list heap (with the frozen arrival
+  /// times of the dynamic list policy).
+  void admit_children(NodeId n) {
     for (const Adj& c : g_.children(n)) {
       if (!ready_.is_ready(c.node)) continue;
-      if (sel != nullptr) {
-        sel->node_ready(c.node);
-      } else {
-        if (dynamic) {
+      if (append_sel_) {
+        append_sel_->node_ready(c.node);
+      } else if (insert_sel_) {
+        insert_sel_->node_ready(c.node);
+      } else if (list_heap_live_) {
+        if (dynamic_) {
           Time arr = 0;
           for (const Adj& par : g_.parents(c.node))
             arr = std::max(arr, sched_.finish(par.node) + par.cost);
           ps_.arrival[c.node] = arr;
         }
-        push_list(c.node, dynamic);
+        push_list(c.node);
       }
     }
-  }
-
-  void init_arrivals() {
-    ps_.arrival.assign(g_.num_nodes(), 0);  // entry nodes: data at t=0
   }
 
   /// ISH-style back-filling of [gap_from, gap_to) on `proc`, generalized
   /// to the run's metric: fill with the highest-priority ready task that
   /// fits entirely and (without a cluster map) would not have started
   /// strictly earlier on any other processor.
-  void fill_hole(ProcId proc, Time gap_from, Time gap_to,
-                 IncrementalPairSelector* sel, bool dynamic) {
+  void fill_hole(ProcId proc, Time gap_from, Time gap_to) {
     while (gap_from < gap_to && !ready_.empty()) {
       ws_.deadline().poll();
       NodeId best_fill = kNoNode;
@@ -240,9 +230,11 @@ class ListPhase {
         const Time st = std::max(sched_.data_ready(m, proc), gap_from);
         if (st + g_.weight(m) > gap_to) continue;
         if (!clustered_) {
-          const Time alt =
-              sel != nullptr ? sel->best(m).start
-                             : best_est_proc(sched_, m, scanner_, false).start;
+          const Time alt = append_sel_
+                               ? append_sel_->est(m)
+                               : best_est_proc(sched_, m, scanner_, false,
+                                               ws_.pair_scratch().probe)
+                                     .start;
           if (alt < st) continue;  // the hole is not this task's best slot
         }
         if (best_fill == kNoNode || ps_.rank[m] < ps_.rank[best_fill]) {
@@ -252,9 +244,7 @@ class ListPhase {
       }
       if (best_fill == kNoNode) break;
       sched_.place(best_fill, proc, best_start);
-      if (sel != nullptr) sel->node_placed(best_fill, proc);
-      ready_.mark_scheduled(best_fill);
-      admit_children(best_fill, sel, dynamic);
+      note_placed(best_fill, proc);
       gap_from = best_start + g_.weight(best_fill);
     }
   }
@@ -266,7 +256,10 @@ class ListPhase {
   const bool clustered_;
   const bool fit_;
   const bool hole_;
+  const bool dynamic_;
   bool list_heap_live_ = false;  // run_list admissions feed ps_.list_heap
+  std::optional<AppendPairSelector> append_sel_;       // pair, append/hole
+  std::optional<IncrementalPairSelector> insert_sel_;  // pair, insert
   Schedule sched_;
   ProcScanner scanner_;
   ReadyList ready_;

@@ -15,7 +15,8 @@
 //  3. list phase: the ready policy picks the next node (and processor),
 //     the insertion policy places it; kHole back-fills the idle gap the
 //     placement created. Pair policies without a cluster run on the
-//     IncrementalPairSelector, so param ETF/DLS keep the PR 4 speedups.
+//     pair selectors of bnp/bnp_common.h: AppendPairSelector for append
+//     and hole placement, IncrementalPairSelector for insertion.
 //
 // Determinism: every choice breaks ties by (rank, node id, processor id),
 // and rank itself encodes the smallest-id tie-break, so equal inputs give

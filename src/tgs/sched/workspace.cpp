@@ -14,7 +14,6 @@ SchedWorkspace::~SchedWorkspace() = default;
 void SchedWorkspace::begin_graph(const TaskGraph& g) {
   graph_ = &g;
   attrs_.bind(g);
-  pair_->bind(g.num_nodes());
 }
 
 }  // namespace tgs

@@ -47,7 +47,6 @@ void full_b_levels(const TaskGraph& g, std::vector<Time>& b) {
 
 Schedule MdScheduler::do_run(const TaskGraph& g, const SchedOptions& opt,
                              SchedWorkspace& ws) const {
-  (void)ws;
   const int limit = effective_procs(g, opt);
   Schedule sched(g, limit);
   ProcScanner scanner(limit);
@@ -92,7 +91,8 @@ Schedule MdScheduler::do_run(const TaskGraph& g, const SchedOptions& opt,
     }
     if (chosen == kNoProc) {
       // No window fit anywhere: fall back to globally earliest start.
-      const ProcChoice c = best_est_proc(sched, n, scanner, /*insertion=*/true);
+      const ProcChoice c = best_est_proc(sched, n, scanner, /*insertion=*/true,
+                                         ws.pair_scratch().probe);
       chosen = c.proc;
       chosen_start = c.start;
     }

@@ -32,11 +32,12 @@ inline Schedule original_hlfet(const TaskGraph& g, const SchedOptions& opt) {
   Schedule sched(g, effective_procs(g, opt));
   ProcScanner scanner(effective_procs(g, opt));
   ReadyList ready(g);
+  ArrivalInfo probe;
 
   while (!ready.empty()) {
     const NodeId n = argmax_priority(ready.ready(), sl);
     const ProcChoice choice =
-        best_est_proc(sched, n, scanner, /*insertion=*/false);
+        best_est_proc(sched, n, scanner, /*insertion=*/false, probe);
     sched.place(n, choice.proc, choice.start);
     scanner.note_placement(choice.proc);
     ready.mark_scheduled(n);
@@ -50,11 +51,12 @@ inline Schedule original_ish(const TaskGraph& g, const SchedOptions& opt) {
   Schedule sched(g, effective_procs(g, opt));
   ProcScanner scanner(effective_procs(g, opt));
   ReadyList ready(g);
+  ArrivalInfo probe;
 
   while (!ready.empty()) {
     const NodeId n = argmax_priority(ready.ready(), sl);
     const ProcChoice choice =
-        best_est_proc(sched, n, scanner, /*insertion=*/false);
+        best_est_proc(sched, n, scanner, /*insertion=*/false, probe);
     const Time hole_start = sched.earliest_start_on(choice.proc, 0, 0, false);
     sched.place(n, choice.proc, choice.start);
     scanner.note_placement(choice.proc);
@@ -69,7 +71,7 @@ inline Schedule original_ish(const TaskGraph& g, const SchedOptions& opt) {
         const Time dr = sched.data_ready(m, choice.proc);
         const Time st = std::max(dr, gap_from);
         if (st + g.weight(m) > gap_to) continue;
-        const ProcChoice alt = best_est_proc(sched, m, scanner, false);
+        const ProcChoice alt = best_est_proc(sched, m, scanner, false, probe);
         if (alt.start < st) continue;
         if (best_fill == kNoNode || sl[m] > sl[best_fill] ||
             (sl[m] == sl[best_fill] && m < best_fill)) {
@@ -106,9 +108,10 @@ inline Schedule original_mcp(const TaskGraph& g, const SchedOptions& opt) {
 
   Schedule sched(g, effective_procs(g, opt));
   ProcScanner scanner(effective_procs(g, opt));
+  ArrivalInfo probe;
   for (NodeId n : order) {
     const ProcChoice choice =
-        best_est_proc(sched, n, scanner, /*insertion=*/true);
+        best_est_proc(sched, n, scanner, /*insertion=*/true, probe);
     sched.place(n, choice.proc, choice.start);
     scanner.note_placement(choice.proc);
   }

@@ -37,7 +37,8 @@ inline Schedule naive_etf(const TaskGraph& g, const SchedOptions& opt,
     Time best_t = kTimeInf;
     const int nprocs = scanner.scan_count();
     for (NodeId m : ready.ready()) {
-      const ArrivalInfo arr = compute_arrival(sched, m);
+      ArrivalInfo arr;
+      compute_arrival_into(sched, m, arr);
       for (ProcId p = 0; p < nprocs; ++p) {
         const Time t =
             sched.earliest_start_on(p, arr.ready_on(p), g.weight(m), insertion);
@@ -75,7 +76,8 @@ inline Schedule naive_dls(const TaskGraph& g, const SchedOptions& opt,
     Time best_dl = 0;
     const int nprocs = scanner.scan_count();
     for (NodeId m : ready.ready()) {
-      const ArrivalInfo arr = compute_arrival(sched, m);
+      ArrivalInfo arr;
+      compute_arrival_into(sched, m, arr);
       for (ProcId p = 0; p < nprocs; ++p) {
         const Time est =
             sched.earliest_start_on(p, arr.ready_on(p), g.weight(m), insertion);
@@ -136,16 +138,16 @@ inline NetSchedule naive_dls_apn(const TaskGraph& g,
   return ns;
 }
 
-/// The ETF loop rebuilt on IncrementalPairSelector with a configurable
-/// insertion mode -- the production ETF is append-only, so the
-/// insertion variants of the selector are exercised through this harness.
+/// The ETF loop rebuilt on IncrementalPairSelector, which serves insertion
+/// mode only -- the production ETF is append-only, so the selector is
+/// exercised through this harness and the insertion-mode param points.
 inline Schedule incremental_etf(const TaskGraph& g, const SchedOptions& opt,
-                                bool insertion, SchedWorkspace& ws) {
+                                SchedWorkspace& ws) {
   const std::vector<Time> sl = static_levels(g);
   Schedule sched(g, effective_procs(g, opt));
   ProcScanner scanner(effective_procs(g, opt));
   ReadyList ready(g);
-  IncrementalPairSelector sel(sched, scanner, insertion, ws.pair_scratch());
+  IncrementalPairSelector sel(sched, scanner, ws.pair_scratch());
   for (NodeId n : ready.ready()) sel.node_ready(n);
 
   while (!ready.empty()) {
@@ -173,14 +175,14 @@ inline Schedule incremental_etf(const TaskGraph& g, const SchedOptions& opt,
   return sched;
 }
 
-/// DLS on the incremental selector with configurable insertion mode.
+/// DLS on the insertion-mode incremental selector.
 inline Schedule incremental_dls(const TaskGraph& g, const SchedOptions& opt,
-                                bool insertion, SchedWorkspace& ws) {
+                                SchedWorkspace& ws) {
   const std::vector<Time> sl = static_levels(g);
   Schedule sched(g, effective_procs(g, opt));
   ProcScanner scanner(effective_procs(g, opt));
   ReadyList ready(g);
-  IncrementalPairSelector sel(sched, scanner, insertion, ws.pair_scratch());
+  IncrementalPairSelector sel(sched, scanner, ws.pair_scratch());
   for (NodeId n : ready.ready()) sel.node_ready(n);
 
   while (!ready.empty()) {

@@ -1,13 +1,17 @@
-// Property and adversarial tests of the incremental pair-selection core
-// (bnp/bnp_common.h): the cached (ready node, processor) bests must
-// reproduce the naive exhaustive re-evaluation BYTE-FOR-BYTE -- same node,
-// same processor, same start, every step -- over random RGNOS / RGPOS /
-// PSG graphs, bounded and unbounded machines, append and insertion modes,
-// and under arbitrary placement policies. reference_schedulers.h holds
-// the naive ground-truth loops (the retired pre-selector implementations).
+// Property and adversarial tests of the pair-selection core
+// (bnp/bnp_common.h): the closed-form append selector and the cached
+// insertion selector must reproduce the naive exhaustive re-evaluation
+// BYTE-FOR-BYTE -- same node, same processor, same start, every step --
+// over random RGNOS / RGPOS / PSG graphs, tie-heavy FFTs, zero-cost and
+// edgeless graphs, bounded and unbounded machines, and under arbitrary
+// placement policies. reference_schedulers.h holds the naive ground-truth
+// loops (the retired pre-selector implementations).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "reference_schedulers.h"
@@ -16,6 +20,8 @@
 #include "tgs/gen/psg.h"
 #include "tgs/gen/rgnos.h"
 #include "tgs/gen/rgpos.h"
+#include "tgs/gen/traced.h"
+#include "tgs/graph/attributes.h"
 #include "tgs/harness/registry.h"
 #include "tgs/graph/task_graph.h"
 #include "tgs/list/ready_list.h"
@@ -70,78 +76,284 @@ TEST(PairSelector, EtfAndDlsMatchNaiveOverGraphsProcsAndInsertion) {
     for (const int procs : {0, 2, 5}) {
       SchedOptions opt;
       opt.num_procs = procs;
+      const std::string tag = g.name() + " procs=" + std::to_string(procs);
+      // Insertion mode runs on IncrementalPairSelector ...
+      expect_identical(reference::naive_etf(g, opt, true),
+                       reference::incremental_etf(g, opt, ws),
+                       "insertion ETF " + tag);
+      expect_identical(reference::naive_dls(g, opt, true),
+                       reference::incremental_dls(g, opt, ws),
+                       "insertion DLS " + tag);
+      // ... and the production schedulers, append mode, on
+      // AppendPairSelector.
+      expect_identical(reference::naive_etf(g, opt, false),
+                       make_scheduler("ETF")->run(g, opt, ws), "ETF " + tag);
+      expect_identical(reference::naive_dls(g, opt, false),
+                       make_scheduler("DLS")->run(g, opt, ws), "DLS " + tag);
+    }
+  }
+}
+
+// `g` with every edge cost set to zero: all data is ready anywhere at the
+// parents' finish, so proc1 never exists and only the G term is live.
+TaskGraph zero_cost(const TaskGraph& g) {
+  TaskGraphBuilder b(g.name() + "-zero-cost");
+  for (NodeId n = 0; n < g.num_nodes(); ++n) b.add_node(g.weight(n));
+  for (NodeId n = 0; n < g.num_nodes(); ++n)
+    for (const Adj& c : g.children(n)) b.add_edge(n, c.node, 0);
+  return b.finalize();
+}
+
+// Independent tasks only (every node an entry node), with repeated
+// weights so starts tie across nodes.
+TaskGraph entry_only(NodeId v) {
+  TaskGraphBuilder b("entry-only" + std::to_string(v));
+  for (NodeId n = 0; n < v; ++n) b.add_node(1 + (n * 7) % 5);
+  return b.finalize();
+}
+
+RgnosParams rgnos(NodeId v, double ccr, int par, std::uint64_t seed) {
+  RgnosParams p;
+  p.num_nodes = v;
+  p.ccr = ccr;
+  p.parallelism = par;
+  p.seed = seed;
+  return p;
+}
+
+// Graphs that stress the append selector's closed form: bounded machines
+// fill up, so the smallest end time E grows past zero and both of a node's
+// terms saturate; unit-weight FFT butterflies tie starts and levels across
+// whole ranks; zero-cost edges and entry-only graphs leave no dominant
+// parent processor at all.
+std::vector<TaskGraph> closed_form_graphs() {
+  std::vector<TaskGraph> graphs;
+  graphs.push_back(rgnos_graph(rgnos(80, 1.0, 3, 61)));
+  graphs.push_back(rgnos_graph(rgnos(80, 10.0, 5, 62)));
+  graphs.push_back(rgnos_graph(rgnos(60, 0.1, 1, 63)));
+  graphs.push_back(fft_graph(16));
+  graphs.push_back(fft_graph(32, 3.0));
+  graphs.push_back(zero_cost(rgnos_graph(rgnos(60, 1.0, 4, 64))));
+  graphs.push_back(entry_only(30));
+  return graphs;
+}
+
+TEST(PairSelector, AppendSelectorMatchesNaiveOnTiesAndBoundedMachines) {
+  SchedWorkspace ws;
+  for (const TaskGraph& g : closed_form_graphs()) {
+    ws.begin_graph(g);
+    for (const int procs : {2, 4, 64}) {
+      SchedOptions opt;
+      opt.num_procs = procs;
+      const std::string tag = g.name() + " procs=" + std::to_string(procs);
+      expect_identical(reference::naive_etf(g, opt, false),
+                       make_scheduler("ETF")->run(g, opt, ws), "ETF " + tag);
+      expect_identical(reference::naive_dls(g, opt, false),
+                       make_scheduler("DLS")->run(g, opt, ws), "DLS " + tag);
+    }
+  }
+}
+
+// FNV-1a over every node's (processor, start), chained through `h`.
+std::uint64_t schedule_digest(const Schedule& s, std::uint64_t h) {
+  const auto mix = [&h](std::int64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= static_cast<std::uint64_t>(x >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (NodeId n = 0; n < s.graph().num_nodes(); ++n) {
+    mix(s.proc(n));
+    mix(s.start(n));
+  }
+  return h;
+}
+
+// Every unclustered pair point of the parameterized core (7 metrics x
+// etf|dls x append|insert|hole), digested over closed_form_graphs() on
+// unbounded, 2 and 4 processors. The digests are the outputs of the
+// exhaustive-argmin pair phase that preceded AppendPairSelector, frozen:
+// any change to a selection, a processor choice or a hole fill shows.
+TEST(PairSelector, AllPairPointsMatchFrozenDigests) {
+  const std::vector<std::pair<const char*, std::uint64_t>> frozen = {
+      {"param:sl/etf/append", 0x9937bd4aa3273071ull},
+      {"param:bl/etf/append", 0xce154cd25b5eb72dull},
+      {"param:tl/etf/append", 0x417f9efa6d03ecf2ull},
+      {"param:alap/etf/append", 0xce154cd25b5eb72dull},
+      {"param:cp/etf/append", 0x1bf7939eedb54f6aull},
+      {"param:bl-tl/etf/append", 0x3d04348464722956ull},
+      {"param:alaplist/etf/append", 0xbb47e068debc0bc7ull},
+      {"param:sl/dls/append", 0x81e798e1bf0abdacull},
+      {"param:bl/dls/append", 0x967c42d0c619c57eull},
+      {"param:tl/dls/append", 0xc86120613a28b3fdull},
+      {"param:alap/dls/append", 0x967c42d0c619c57eull},
+      {"param:cp/dls/append", 0x1db7729753b1ba27ull},
+      {"param:bl-tl/dls/append", 0x550e69720a19376dull},
+      {"param:alaplist/dls/append", 0x967c42d0c619c57eull},
+      {"param:sl/etf/insert", 0x9937bd4aa3273071ull},
+      {"param:bl/etf/insert", 0xce154cd25b5eb72dull},
+      {"param:tl/etf/insert", 0x417f9efa6d03ecf2ull},
+      {"param:alap/etf/insert", 0xce154cd25b5eb72dull},
+      {"param:cp/etf/insert", 0x1bf7939eedb54f6aull},
+      {"param:bl-tl/etf/insert", 0x3d04348464722956ull},
+      {"param:alaplist/etf/insert", 0xbb47e068debc0bc7ull},
+      {"param:sl/dls/insert", 0xa0a080f39c319e68ull},
+      {"param:bl/dls/insert", 0x3c0452f8eb2afaefull},
+      {"param:tl/dls/insert", 0xc86120613a28b3fdull},
+      {"param:alap/dls/insert", 0x3c0452f8eb2afaefull},
+      {"param:cp/dls/insert", 0xaa9c85b9a72b3fd7ull},
+      {"param:bl-tl/dls/insert", 0x28ea55592074bc96ull},
+      {"param:alaplist/dls/insert", 0x3c0452f8eb2afaefull},
+      {"param:sl/etf/hole", 0x9937bd4aa3273071ull},
+      {"param:bl/etf/hole", 0xce154cd25b5eb72dull},
+      {"param:tl/etf/hole", 0x417f9efa6d03ecf2ull},
+      {"param:alap/etf/hole", 0xce154cd25b5eb72dull},
+      {"param:cp/etf/hole", 0x1bf7939eedb54f6aull},
+      {"param:bl-tl/etf/hole", 0x3d04348464722956ull},
+      {"param:alaplist/etf/hole", 0xbb47e068debc0bc7ull},
+      {"param:sl/dls/hole", 0xfd01d31923abac97ull},
+      {"param:bl/dls/hole", 0x3c0452f8eb2afaefull},
+      {"param:tl/dls/hole", 0xc86120613a28b3fdull},
+      {"param:alap/dls/hole", 0x3c0452f8eb2afaefull},
+      {"param:cp/dls/hole", 0xda2f8580cc31f86dull},
+      {"param:bl-tl/dls/hole", 0x3ca28394322b9e8aull},
+      {"param:alaplist/dls/hole", 0x3c0452f8eb2afaefull},
+  };
+  const std::vector<TaskGraph> graphs = closed_form_graphs();
+  SchedWorkspace ws;
+  std::size_t checked = 0;
+  for (const auto& [spec, want] : frozen) {
+    const SchedulerPtr algo = make_scheduler(spec);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const TaskGraph& g : graphs) {
+      ws.begin_graph(g);
+      for (const int procs : {0, 2, 4}) {
+        SchedOptions opt;
+        opt.num_procs = procs;
+        h = schedule_digest(algo->run(g, opt, ws), h);
+      }
+    }
+    EXPECT_EQ(h, want) << spec;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 42u);
+}
+
+// The naive pick under `order`: the exhaustive scan over the ready set.
+NodeId naive_pick(const Schedule& sched, const ProcScanner& scanner,
+                  const ReadyList& ready, const PairOrder& order) {
+  ArrivalInfo probe;
+  NodeId best = kNoNode;
+  Time best_t = 0;
+  for (NodeId m : ready.ready()) {
+    const Time t = best_est_proc(sched, m, scanner, false, probe).start;
+    if (best == kNoNode || order.better(m, t, best, best_t)) {
+      best = m;
+      best_t = t;
+    }
+  }
+  return best;
+}
+
+std::vector<int> rank_of(const std::vector<Time>& key) {
+  std::vector<NodeId> order(key.size());
+  for (NodeId n = 0; n < static_cast<NodeId>(key.size()); ++n) order[n] = n;
+  std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
+    return key[a] != key[b] ? key[a] > key[b] : a < b;
+  });
+  std::vector<int> rank(key.size());
+  for (std::size_t i = 0; i < order.size(); ++i)
+    rank[order[i]] = static_cast<int>(i);
+  return rank;
+}
+
+// Drive the selectors with an arbitrary deterministic placement policy
+// (not the ETF/DLS argmin) and, after every mutation, check each ready
+// node's best pair against the exhaustive best_est_proc scan -- and, for
+// the append selector, its ETF and DLS picks against the exhaustive
+// argmin. This covers invalidation and saturation paths the
+// algorithm-shaped runs may never hit on a given graph.
+TEST(PairSelector, CachedBestsStayExactUnderArbitraryPlacements) {
+  std::vector<TaskGraph> graphs;
+  for (const std::uint64_t seed : {5u, 6u})
+    graphs.push_back(rgnos_graph(rgnos(40, 1.0, 3, seed)));
+  graphs.push_back(fft_graph(16));
+  for (const TaskGraph& g : graphs) {
+    const std::vector<Time> sl = static_levels(g);
+    const std::vector<int> rank = rank_of(sl);
+    for (const int procs : {0, 2, 4}) {
       for (const bool insertion : {false, true}) {
+        SchedOptions opt;
+        opt.num_procs = procs;
+        Schedule sched(g, effective_procs(g, opt));
+        ProcScanner scanner(effective_procs(g, opt));
+        ReadyList ready(g);
+        PairScratch etf_scratch, dls_scratch, insert_scratch;
+        const PairOrder etf_order{sl.data(), rank.data(), false};
+        const PairOrder dls_order{sl.data(), rank.data(), true};
+        AppendPairSelector etf(sched, scanner, etf_order, etf_scratch);
+        AppendPairSelector dls(sched, scanner, dls_order, dls_scratch);
+        IncrementalPairSelector incr(sched, scanner, insert_scratch);
+        const auto admit = [&](NodeId n) {
+          if (insertion) {
+            incr.node_ready(n);
+          } else {
+            etf.node_ready(n);
+            dls.node_ready(n);
+          }
+        };
+        for (NodeId n : ready.ready()) admit(n);
+
         const std::string tag = g.name() + " procs=" + std::to_string(procs) +
                                 " insertion=" + std::to_string(insertion);
-        expect_identical(reference::naive_etf(g, opt, insertion),
-                         reference::incremental_etf(g, opt, insertion, ws),
-                         "ETF " + tag);
-        expect_identical(reference::naive_dls(g, opt, insertion),
-                         reference::incremental_dls(g, opt, insertion, ws),
-                         "DLS " + tag);
-      }
-      // The production schedulers are the append-mode instantiations.
-      expect_identical(reference::naive_etf(g, opt, false),
-                       make_scheduler("ETF")->run(g, opt, ws),
-                       "ETF " + g.name());
-      expect_identical(reference::naive_dls(g, opt, false),
-                       make_scheduler("DLS")->run(g, opt, ws),
-                       "DLS " + g.name());
-    }
-  }
-}
-
-// Drive the selector with an arbitrary deterministic placement policy
-// (not the ETF/DLS argmin) and, after every mutation, check each cached
-// best against the exhaustive best_est_proc scan. This covers invalidation
-// paths the algorithm-shaped runs may never hit on a given graph.
-TEST(PairSelector, CachedBestsStayExactUnderArbitraryPlacements) {
-  for (const bool insertion : {false, true}) {
-    for (const std::uint64_t seed : {5u, 6u}) {
-      RgnosParams p;
-      p.num_nodes = 40;
-      p.ccr = 1.0;
-      p.parallelism = 3;
-      p.seed = seed;
-      const TaskGraph g = rgnos_graph(p);
-
-      SchedWorkspace ws;
-      ws.begin_graph(g);
-      Schedule sched(g, effective_procs(g, {}));
-      ProcScanner scanner(effective_procs(g, {}));
-      ReadyList ready(g);
-      IncrementalPairSelector sel(sched, scanner, insertion,
-                                  ws.pair_scratch());
-      for (NodeId n : ready.ready()) sel.node_ready(n);
-
-      std::uint64_t h = seed * 0x9E3779B97F4A7C15ull;
-      while (!ready.empty()) {
-        for (NodeId m : ready.ready()) {
-          const ProcChoice want = best_est_proc(sched, m, scanner, insertion);
-          EXPECT_EQ(sel.best(m).proc, want.proc) << "node " << m;
-          EXPECT_EQ(sel.best(m).start, want.start) << "node " << m;
+        ArrivalInfo probe;
+        std::uint64_t h = static_cast<std::uint64_t>(procs + 7) *
+                          0x9E3779B97F4A7C15ull;
+        while (!ready.empty()) {
+          for (NodeId m : ready.ready()) {
+            const ProcChoice want =
+                best_est_proc(sched, m, scanner, insertion, probe);
+            const ProcChoice got = insertion ? incr.best(m) : etf.best(m);
+            ASSERT_EQ(got.proc, want.proc) << tag << " node " << m;
+            ASSERT_EQ(got.start, want.start) << tag << " node " << m;
+            if (!insertion) {
+              ASSERT_EQ(etf.est(m), want.start) << tag << " node " << m;
+              ASSERT_EQ(dls.best(m).proc, want.proc) << tag << " node " << m;
+            }
+          }
+          if (!insertion) {
+            ASSERT_EQ(etf.pick(), naive_pick(sched, scanner, ready, etf_order))
+                << tag;
+            ASSERT_EQ(dls.pick(), naive_pick(sched, scanner, ready, dls_order))
+                << tag;
+          }
+          h = h * 6364136223846793005ull + 1442695040888963407ull;
+          const NodeId n = ready.ready()[(h >> 33) % ready.size()];
+          h = h * 6364136223846793005ull + 1442695040888963407ull;
+          const ProcId q = static_cast<ProcId>(
+              (h >> 33) % static_cast<std::uint64_t>(scanner.scan_count()));
+          const Time t = sched.earliest_start_on(q, sched.data_ready(n, q),
+                                                 g.weight(n), insertion);
+          sched.place(n, q, t);
+          scanner.note_placement(q);
+          if (insertion) {
+            incr.node_placed(n, q);
+          } else {
+            etf.node_placed(q);
+            dls.node_placed(q);
+          }
+          ready.mark_scheduled(n);
+          for (const Adj& c : g.children(n))
+            if (ready.is_ready(c.node)) admit(c.node);
         }
-        h = h * 6364136223846793005ull + 1442695040888963407ull;
-        const NodeId n = ready.ready()[(h >> 33) % ready.size()];
-        h = h * 6364136223846793005ull + 1442695040888963407ull;
-        const ProcId q = static_cast<ProcId>(
-            (h >> 33) % static_cast<std::uint64_t>(scanner.scan_count()));
-        const Time t = sched.earliest_start_on(q, sched.data_ready(n, q),
-                                               g.weight(n), insertion);
-        sched.place(n, q, t);
-        scanner.note_placement(q);
-        sel.node_placed(n, q);
-        ready.mark_scheduled(n);
-        for (const Adj& c : g.children(n))
-          if (ready.is_ready(c.node)) sel.node_ready(c.node);
       }
     }
   }
 }
 
-// Adversarial: a placement that fills the cached best processor while a
-// fresh processor stands open must move the cached pair onto the fresh
-// processor -- the scenario the scan-window invalidation exists for.
+// Adversarial: a placement that fills a node's best processor while a
+// fresh processor stands open must move the node's best pair onto the
+// fresh processor -- in both selectors.
 TEST(PairSelector, NewlyOpenedProcessorInvalidatesCachedPair) {
   // Three independent tasks; no edges, so every EST is pure timeline.
   TaskGraphBuilder b("adversarial");
@@ -149,43 +361,69 @@ TEST(PairSelector, NewlyOpenedProcessorInvalidatesCachedPair) {
   b.add_node(1);
   b.add_node(1);
   const TaskGraph g = b.finalize();
+  const std::vector<Time> key(3, 0);
+  const std::vector<int> rank = {0, 1, 2};
 
-  SchedWorkspace ws;
-  ws.begin_graph(g);
-  Schedule sched(g, 3);
-  ProcScanner scanner(3);
-  ReadyList ready(g);
-  IncrementalPairSelector sel(sched, scanner, /*insertion=*/false,
-                              ws.pair_scratch());
-  for (NodeId n : ready.ready()) sel.node_ready(n);
+  for (const bool insertion : {false, true}) {
+    Schedule sched(g, 3);
+    ProcScanner scanner(3);
+    ReadyList ready(g);
+    PairScratch scratch;
+    AppendPairSelector append(sched, scanner, {key.data(), rank.data(), false},
+                              scratch);
+    PairScratch insert_scratch;
+    IncrementalPairSelector incr(sched, scanner, insert_scratch);
+    const auto best = [&](NodeId n) {
+      return insertion ? incr.best(n) : append.best(n);
+    };
+    const auto place = [&](NodeId n, ProcId p) {
+      sched.place(n, p, 0);
+      scanner.note_placement(p);
+      if (insertion)
+        incr.node_placed(n, p);
+      else
+        append.node_placed(p);
+      ready.mark_scheduled(n);
+    };
+    for (NodeId n : ready.ready()) {
+      if (insertion)
+        incr.node_ready(n);
+      else
+        append.node_ready(n);
+    }
 
-  // Initially only processor 0 is in the scan window.
-  EXPECT_EQ(sel.best(1).proc, 0);
-  EXPECT_EQ(sel.best(1).start, 0);
+    // Initially only processor 0 is in the scan window.
+    EXPECT_EQ(best(1).proc, 0);
+    EXPECT_EQ(best(1).start, 0);
+    if (!insertion) {
+      EXPECT_EQ(append.pick(), 0);
+    }
 
-  // Place node 0 on processor 0: the window grows to {0, 1} and nodes 1, 2
-  // (cached on the now-busy processor 0) must migrate to the fresh one.
-  sched.place(0, 0, 0);
-  scanner.note_placement(0);
-  sel.node_placed(0, 0);
-  ready.mark_scheduled(0);
-  EXPECT_EQ(scanner.scan_count(), 2);
-  EXPECT_EQ(sel.best(1).proc, 1);
-  EXPECT_EQ(sel.best(1).start, 0);
-  EXPECT_EQ(sel.best(2).proc, 1);
-  EXPECT_EQ(sel.best(2).start, 0);
+    // Place node 0 on processor 0: the window grows to {0, 1} and nodes
+    // 1, 2 (best on the now-busy processor 0) must move to the fresh one.
+    place(0, 0);
+    EXPECT_EQ(scanner.scan_count(), 2);
+    EXPECT_EQ(best(1).proc, 1);
+    EXPECT_EQ(best(1).start, 0);
+    EXPECT_EQ(best(2).proc, 1);
+    EXPECT_EQ(best(2).start, 0);
+    if (!insertion) {
+      EXPECT_EQ(append.pick(), 1);
+    }
 
-  // Occupy the fresh processor 1: node 2's cached best sits on it, so the
-  // placement must push node 2 onto newly opened processor 2, not back
-  // onto processor 0 (busy until t=10).
-  sched.place(1, 1, 0);
-  scanner.note_placement(1);
-  sel.node_placed(1, 1);
-  ready.mark_scheduled(1);
-  EXPECT_EQ(scanner.scan_count(), 3);
-  EXPECT_EQ(sel.best(2).proc, 2);
-  EXPECT_EQ(sel.best(2).start, 0);
-  EXPECT_EQ(best_est_proc(sched, 2, scanner, false).proc, 2);
+    // Occupy the fresh processor 1: node 2's best sits on it, so the
+    // placement must push node 2 onto newly opened processor 2, not back
+    // onto processor 0 (busy until t=10).
+    place(1, 1);
+    EXPECT_EQ(scanner.scan_count(), 3);
+    EXPECT_EQ(best(2).proc, 2);
+    EXPECT_EQ(best(2).start, 0);
+    if (!insertion) {
+      EXPECT_EQ(append.est(2), 0);
+    }
+    ArrivalInfo probe;
+    EXPECT_EQ(best_est_proc(sched, 2, scanner, insertion, probe).proc, 2);
+  }
 }
 
 TEST(PairSelector, DlsApnMatchesNaiveUnderLinkContention) {
