@@ -2,7 +2,9 @@
 // behind -DTGS_BUILD_PERF=ON (needs a system libbenchmark).
 //
 // The *_Naive benchmarks run the retired exhaustive pair-selection loops
-// kept in tests/reference_schedulers.h, BM_Ez_Reference the frozen EZ
+// kept in tests/reference_schedulers.h, BM_Net_ProbePerDestination the
+// per-destination route probe of tests/reference_net.h, BM_Ez_Reference
+// the frozen EZ
 // of tests/reference_named.h and BM_GraphFromString_Reference the frozen
 // istream tgs1 reader of tests/reference_graph_io.h, so each speedup over
 // the retired code is measured inside one binary; the committed
@@ -18,6 +20,7 @@
 
 #include "reference_graph_io.h"
 #include "reference_named.h"
+#include "reference_net.h"
 #include "reference_schedulers.h"
 #include "reference_timeline.h"
 #include "tgs/apn/bsa.h"
@@ -333,27 +336,34 @@ void BM_Net_ProbePerDestination(benchmark::State& state) {
     Time acc = 0;
     for (int src = 0; src < p; ++src)
       for (int dst = 0; dst < p; ++dst)
-        acc += ns.probe_arrival(src, dst, 9, 40 * src);
+        acc += reference::probe_arrival(ns, src, dst, 9, 40 * src);
     benchmark::DoNotOptimize(acc);
   }
 }
 BENCHMARK(BM_Net_ProbePerDestination);
 
-// Message commit/release churn against loaded link timelines (the BSA
-// migration pattern): every cycle routes a 3-hop message and releases it.
-void BM_Net_CommitReleaseChurn(benchmark::State& state) {
+// Building the contended net from scratch: every message of the fan-out
+// is routed (back-to-front route walk into the hop arena, then one fit and
+// occupy per hop) onto link timelines that grow to ~range/3 reservations.
+void BM_Net_Commit(benchmark::State& state) {
   const TaskGraph g = fork_join(static_cast<NodeId>(state.range(0)), 10, 9);
   const RoutingTable routes{Topology::hypercube(3)};
-  NetSchedule ns = contended_net(g, routes);
   for (auto _ : state) {
-    // 0 -> 7 is the full-diameter route.
-    ns.release_message(0, 1);
-    benchmark::DoNotOptimize(ns.commit_message(0, 1, 7));
-    ns.release_message(0, 1);
-    benchmark::DoNotOptimize(ns.commit_message(0, 1, 5));
+    const NetSchedule ns = contended_net(g, routes);
+    benchmark::DoNotOptimize(ns.messages().size());
   }
 }
-BENCHMARK(BM_Net_CommitReleaseChurn)->Arg(400)->Arg(1500);
+BENCHMARK(BM_Net_Commit)->Arg(400)->Arg(1500);
+
+// Routing construction: one BFS per source filling the routing trees.
+void BM_Routing_Build(benchmark::State& state) {
+  const Topology topo = Topology::ring(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    const RoutingTable routes(topo);
+    benchmark::DoNotOptimize(routes.distance(0, 1));
+  }
+}
+BENCHMARK(BM_Routing_Build)->Arg(256)->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------------------ data structures --
 

@@ -22,20 +22,6 @@ NetSchedule ApnScheduler::run(const TaskGraph& g, const RoutingTable& routes,
   return do_run(g, routes, ws);
 }
 
-Time apn_probe_est(const NetSchedule& ns, NodeId n, int p, bool insertion) {
-  const TaskGraph& g = ns.graph();
-  const Schedule& s = ns.tasks();
-  Time ready = 0;
-  for (const Adj& par : g.parents(n)) {
-    const Time ft = s.finish(par.node);
-    const int q = s.proc(par.node);
-    const Time arrival =
-        q == p ? ft : ns.probe_arrival(q, p, par.cost, ft);
-    ready = std::max(ready, arrival);
-  }
-  return s.earliest_start_on(p, ready, g.weight(n), insertion);
-}
-
 void apn_probe_ready_all(const NetSchedule& ns, NodeId n,
                          ApnSweepScratch& scratch) {
   const TaskGraph& g = ns.graph();

@@ -38,12 +38,6 @@ class ApnScheduler {
 
 using ApnSchedulerPtr = std::unique_ptr<ApnScheduler>;
 
-/// Earliest start time of ready node `n` (all parents placed) on processor
-/// `p`, probing message routes against current link reservations without
-/// committing them. Concurrent parent messages do not see each other in
-/// the probe (exactness is restored at commit time).
-Time apn_probe_est(const NetSchedule& ns, NodeId n, int p, bool insertion);
-
 /// One-to-all data-ready times: fills scratch.ready[p] with the arrival
 /// maximum over n's parents on every processor by composing each parent's
 /// one-to-all routing-tree sweep (NetSchedule::probe_arrival_all) -- each
@@ -53,10 +47,12 @@ Time apn_probe_est(const NetSchedule& ns, NodeId n, int p, bool insertion);
 void apn_probe_ready_all(const NetSchedule& ns, NodeId n,
                          ApnSweepScratch& scratch);
 
-/// One-to-all variant: fills scratch.est[p] == apn_probe_est(ns, n, p,
-/// insertion) for EVERY processor on top of apn_probe_ready_all.
-/// Bit-identical to the per-processor probe; the full processor scans
-/// (MH, DLS(APN) rescore) read one sweep.
+/// Earliest start time of ready node `n` (all parents placed) on EVERY
+/// processor: fills scratch.est[p] on top of apn_probe_ready_all, probing
+/// message routes against current link reservations without committing
+/// them. Concurrent parent messages do not see each other in the probe
+/// (exactness is restored at commit time). The full processor scans (MH,
+/// DLS(APN) rescore) read one sweep.
 void apn_probe_est_all(const NetSchedule& ns, NodeId n, bool insertion,
                        ApnSweepScratch& scratch);
 

@@ -49,7 +49,7 @@ NetSchedule BsaScheduler::do_run(const TaskGraph& g, const RoutingTable& routes,
 
       // Best adjacent processor by probed start time: one one-to-all
       // arrival sweep, then ESTs for just the pivot's neighbours
-      // (bit-identical to per-neighbour apn_probe_est).
+      // (bit-identical to per-neighbour route probes).
       ApnSweepScratch& scratch = ws.apn_scratch();
       apn_probe_ready_all(ns, n, scratch);
       int best_p = -1;

@@ -40,8 +40,8 @@ NetSchedule DlsApnScheduler::do_run(const TaskGraph& g,
   std::uint64_t commits = 0;
   ApnSweepScratch& sweep = ws.apn_scratch();
   const auto rescore = [&](NodeId m) {
-    // One one-to-all sweep scores every processor (bit-identical to the
-    // per-processor apn_probe_est loop; strict < keeps smallest-id ties).
+    // One one-to-all sweep scores every processor (bit-identical to a
+    // per-processor route-probe loop; strict < keeps smallest-id ties).
     apn_probe_est_all(ns, m, /*insertion=*/false, sweep);
     ProcChoice pc{0, kTimeInf};
     for (int p = 0; p < nprocs; ++p) {

@@ -14,8 +14,8 @@ NetSchedule MhScheduler::do_run(const TaskGraph& g, const RoutingTable& routes,
   for (NodeId n : blevel_order(g)) {
     ws.deadline().poll();
     // One one-to-all sweep replaces the per-processor probes: est[p] is
-    // bit-identical to apn_probe_est(ns, n, p), so the strict < argmin
-    // keeps the smallest-id tie-break.
+    // bit-identical to probing n's parent routes to p one by one, so the
+    // strict < argmin keeps the smallest-id tie-break.
     apn_probe_est_all(ns, n, /*insertion=*/false, scratch);
     int best_p = 0;
     Time best_t = kTimeInf;

@@ -60,6 +60,14 @@ class TaskGraph {
   static constexpr Cost kNoEdge = -1;
   Cost edge_cost(NodeId u, NodeId v) const;
 
+  /// Dense id of edge (u, v) in [0, num_edges()): its slot in the CSR
+  /// successor array, found by binary search over u's children. kNoSlot
+  /// when the edge does not exist. Slots number the edges in the order
+  /// children(0), children(1), ... list them, so a walk over all
+  /// children can count them instead. Per-edge side tables index by it.
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+  std::size_t edge_slot(NodeId u, NodeId v) const;
+
   bool has_edge(NodeId u, NodeId v) const { return edge_cost(u, v) >= 0; }
 
   /// Nodes with no parents / no children.

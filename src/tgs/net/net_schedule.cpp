@@ -8,43 +8,49 @@ namespace tgs {
 NetSchedule::NetSchedule(const TaskGraph& g, const RoutingTable& routes)
     : tasks_(g, routes.topology().num_procs()),
       routes_(&routes),
-      links_(routes.topology().num_links()) {}
+      links_(routes.topology().num_links()),
+      msg_of_(g.num_edges(), kNoMessage) {}
 
 Time NetSchedule::commit_message(NodeId u, NodeId v, int dst_proc) {
   if (!tasks_.is_placed(u)) throw std::logic_error("message src not placed");
+  const std::size_t slot = graph().edge_slot(u, v);
+  if (slot == TaskGraph::kNoSlot) throw std::logic_error("no such edge");
   const int src_proc = tasks_.proc(u);
-  const Cost size = graph().edge_cost(u, v);
-  if (size < 0) throw std::logic_error("no such edge");
   const Time depart = tasks_.finish(u);
+  if (src_proc == dst_proc) return depart;
+  if (msg_of_[slot] != kNoMessage)
+    throw std::logic_error("message already committed");
 
-  Message msg{u, v, size, depart, depart, {}};
-  if (src_proc != dst_proc && size > 0) {
+  const auto id = static_cast<std::uint32_t>(messages_.size());
+  const Cost size = graph().edge_cost(u, v);
+  Message msg{u, v, size, depart, depart,
+              static_cast<std::uint32_t>(hops_.size()), 0};
+  if (size > 0) {
+    // The route is stored as parent pointers, so write its links
+    // back-to-front into the message's arena slot, then time the hops
+    // forward. Zero-size messages are instantaneous and occupy no link.
+    msg.hop_count = static_cast<std::uint32_t>(
+        routes_->distance(src_proc, dst_proc));
+    hops_.resize(hops_.size() + msg.hop_count);
+    MsgHop* route = hops_.data() + msg.hop_begin;
+    for (int cur = dst_proc, i = static_cast<int>(msg.hop_count); i > 0;) {
+      const RoutingTable::SweepStep& st = routes_->tree_edge(src_proc, cur);
+      route[--i].link = st.link;
+      cur = st.parent;
+    }
     Time t = depart;
-    for (int link : routes_->path_links(src_proc, dst_proc)) {
-      const Time hop_start = links_[link].earliest_fit(t, size, /*insertion=*/true);
-      links_[link].occupy(msg_key(u, v), hop_start, size);
-      msg.hops.push_back({link, hop_start, hop_start + size});
-      t = hop_start + size;
+    for (std::uint32_t h = 0; h < msg.hop_count; ++h) {
+      Timeline& link = links_[route[h].link];
+      const Time hop_start = link.earliest_fit(t, size, /*insertion=*/true);
+      link.occupy(id, hop_start, size);
+      route[h].start = hop_start;
+      route[h].end = t = hop_start + size;
     }
     msg.arrival = t;
-  } else if (src_proc != dst_proc) {
-    // Zero-size message: instantaneous, no link occupancy.
-    msg.arrival = depart;
   }
-  const Time arrival = msg.arrival;
-  auto [it, inserted] = messages_.emplace(msg_key(u, v), std::move(msg));
-  if (!inserted) throw std::logic_error("message already committed");
-  order_dirty_ = true;
-  return arrival;
-}
-
-Time NetSchedule::probe_arrival(int src_proc, int dst_proc, Cost size,
-                                Time depart_after) const {
-  if (src_proc == dst_proc || size <= 0) return depart_after;
-  Time t = depart_after;
-  for (int link : routes_->path_links(src_proc, dst_proc))
-    t = links_[link].earliest_fit(t, size, /*insertion=*/true) + size;
-  return t;
+  messages_.push_back(msg);
+  msg_of_[slot] = id;
+  return msg.arrival;
 }
 
 void NetSchedule::probe_arrival_all(int src_proc, Cost size,
@@ -61,33 +67,6 @@ void NetSchedule::probe_arrival_all(int src_proc, Cost size,
     out[st.proc] =
         links_[st.link].earliest_fit(out[st.parent], size, /*insertion=*/true) +
         size;
-}
-
-const Message* NetSchedule::find_message(NodeId u, NodeId v) const {
-  const auto it = messages_.find(msg_key(u, v));
-  return it == messages_.end() ? nullptr : &it->second;
-}
-
-void NetSchedule::release_message(NodeId u, NodeId v) {
-  auto it = messages_.find(msg_key(u, v));
-  if (it == messages_.end()) return;
-  for (const MsgHop& hop : it->second.hops)
-    links_[hop.link].release(msg_key(u, v), hop.start);
-  messages_.erase(it);
-  order_dirty_ = true;
-}
-
-const std::vector<Message>& NetSchedule::messages() const {
-  if (order_dirty_) {
-    order_.clear();
-    order_.reserve(messages_.size());
-    for (const auto& [key, msg] : messages_) order_.push_back(msg);
-    std::sort(order_.begin(), order_.end(), [](const Message& a, const Message& b) {
-      return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-    });
-    order_dirty_ = false;
-  }
-  return order_;
 }
 
 }  // namespace tgs

@@ -7,10 +7,16 @@
 // message per link at a time. The message may wait at intermediate nodes
 // (hops need not be back-to-back) and departs no earlier than FT(u); the
 // child may start only after the last hop completes.
+//
+// Messages are kept in three flat arrays: the messages in commit order
+// (append-only: nothing un-routes a message), one arena of all hops that
+// each message addresses by offset and count, and a per-edge index keyed
+// by TaskGraph::edge_slot. A link reservation's owner is the index of its
+// message in messages().
 #pragma once
 
+#include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "tgs/net/routing.h"
@@ -30,8 +36,9 @@ struct Message {
   NodeId dst;
   Cost size;
   Time depart_after;  // FT(src) at routing time
-  Time arrival;       // last hop end (== depart_after when co-located)
-  std::vector<MsgHop> hops;
+  Time arrival;       // last hop end (== depart_after for a zero-size message)
+  std::uint32_t hop_begin;  // first hop in the NetSchedule's hop arena
+  std::uint32_t hop_count;  // route length; 0 for a zero-size message
 };
 
 class NetSchedule {
@@ -47,34 +54,44 @@ class NetSchedule {
 
   /// Route the message of edge (u, v) (u placed, v's processor given) and
   /// commit the link reservations. Returns the arrival time at dst_proc.
-  /// Co-located endpoints produce no message and arrive at depart_after.
+  /// Co-located endpoints produce no message and arrive at FT(u). Throws
+  /// std::logic_error if u is unplaced, (u, v) is not an edge, or the
+  /// edge's message was already committed.
   Time commit_message(NodeId u, NodeId v, int dst_proc);
 
-  /// Arrival time the message WOULD have if routed now, without reserving
-  /// links. Concurrent probes do not see each other (documented
-  /// approximation; commits are exact).
-  Time probe_arrival(int src_proc, int dst_proc, Cost size,
-                     Time depart_after) const;
-
-  /// One-to-all probe: fills out[p] (out.size() == num_procs) with
-  /// probe_arrival(src_proc, p, size, depart_after) for every processor,
-  /// walking the shortest-path routing tree of src_proc so each tree link
-  /// is probed exactly once -- O(links) instead of O(procs x diameter)
-  /// for a per-destination sweep. Bit-identical to per-destination probes
-  /// (the path to p is a prefix-closed tree path; probes reserve nothing).
+  /// One-to-all probe: fills out[p] (out.size() == num_procs) with the
+  /// arrival time a message of `size` leaving src_proc no earlier than
+  /// `depart_after` WOULD have at every processor p if routed now, without
+  /// reserving links. Walks the shortest-path routing tree of src_proc so
+  /// each tree link is probed exactly once -- O(links) instead of
+  /// O(procs x diameter) for per-destination route walks, and bit-identical
+  /// to them (the route to p is a tree path; probes reserve nothing).
+  /// Concurrent probes do not see each other (documented approximation;
+  /// commits are exact).
   void probe_arrival_all(int src_proc, Cost size, Time depart_after,
                          std::span<Time> out) const;
 
-  /// Remove the committed message of edge (u, v), releasing its links.
-  void release_message(NodeId u, NodeId v);
+  /// Committed messages in commit order.
+  std::span<const Message> messages() const { return messages_; }
 
-  /// Committed messages sorted by (src, dst); rebuilt lazily.
-  const std::vector<Message>& messages() const;
+  /// The hops of a committed message, in route order.
+  std::span<const MsgHop> hops(const Message& m) const {
+    return {hops_.data() + m.hop_begin, m.hop_count};
+  }
 
-  /// The committed message of edge (u, v), or nullptr -- a keyed hash
-  /// lookup (validation was an O(messages) scan per edge without it). The
-  /// pointer is invalidated by the next commit/release.
-  const Message* find_message(NodeId u, NodeId v) const;
+  /// The committed message of the edge in CSR slot `slot`
+  /// (TaskGraph::edge_slot; kNoSlot finds nothing), or nullptr: an array
+  /// lookup. The pointer is invalidated by the next commit.
+  const Message* find_message(std::size_t slot) const {
+    if (slot == TaskGraph::kNoSlot || msg_of_[slot] == kNoMessage)
+      return nullptr;
+    return &messages_[msg_of_[slot]];
+  }
+
+  /// The committed message of edge (u, v), or nullptr.
+  const Message* find_message(NodeId u, NodeId v) const {
+    return find_message(graph().edge_slot(u, v));
+  }
 
   const Timeline& link_timeline(int link) const { return links_[link]; }
 
@@ -83,16 +100,14 @@ class NetSchedule {
   Time makespan() const { return tasks_.makespan(); }
 
  private:
-  static std::int64_t msg_key(NodeId u, NodeId v) {
-    return (static_cast<std::int64_t>(u) << 32) | v;
-  }
+  static constexpr std::uint32_t kNoMessage = ~std::uint32_t{0};
 
   Schedule tasks_;
   const RoutingTable* routes_;
   std::vector<Timeline> links_;
-  std::unordered_map<std::int64_t, Message> messages_;
-  mutable std::vector<Message> order_;  // rebuilt lazily for messages()
-  mutable bool order_dirty_ = true;
+  std::vector<Message> messages_;       // commit order
+  std::vector<MsgHop> hops_;            // arena of all messages' hops
+  std::vector<std::uint32_t> msg_of_;   // per edge slot: index or kNoMessage
 };
 
 }  // namespace tgs

@@ -44,14 +44,24 @@ ValidationResult validate_net_schedule(const NetSchedule& ns) {
       }
   }
 
-  // Message per cross-proc edge, looked up by key -- a linear scan of the
-  // message list per edge made validation quadratic, which dominated the
-  // table6 sweep wall-clock outside the timed region.
+  // Exactly one message per cross-proc edge and none for a same-proc
+  // edge. commit_message records at most one message per edge, so
+  // checking every edge accounts for every committed message. The walk
+  // visits edges in CSR slot order, so it counts slots instead of
+  // searching for each one.
   const RoutingTable& routes = ns.routes();
+  std::size_t slot = 0;
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     for (const Adj& e : g.children(u)) {
       const NodeId v = e.node;
-      if (s.proc(u) == s.proc(v)) {
+      const Message* m = ns.find_message(slot++);
+      const int src = s.proc(u), dst = s.proc(v);
+      if (src == dst) {
+        if (m != nullptr) {
+          std::ostringstream os;
+          os << "message committed for same-proc edge " << u << "->" << v;
+          return fail(os.str());
+        }
         if (s.start(v) < s.finish(u)) {
           std::ostringstream os;
           os << "same-proc precedence violated on edge " << u << "->" << v;
@@ -59,24 +69,28 @@ ValidationResult validate_net_schedule(const NetSchedule& ns) {
         }
         continue;
       }
-      const Message* m = ns.find_message(u, v);
       if (m == nullptr) {
         std::ostringstream os;
         os << "missing message for cross-proc edge " << u << "->" << v;
         return fail(os.str());
       }
       if (m->size != e.cost) return fail("message size != edge cost");
-      // Route must match the routing table.
-      const auto& path = routes.path_links(s.proc(u), s.proc(v));
       if (e.cost > 0) {
-        if (m->hops.size() != path.size())
+        // Route must be the routing-tree path proc(u) -> proc(v), which
+        // the tree yields back-to-front.
+        const auto hops = ns.hops(*m);
+        if (hops.size() != static_cast<std::size_t>(routes.distance(src, dst)))
           return fail("message hop count differs from route");
-        for (std::size_t h = 0; h < path.size(); ++h)
-          if (m->hops[h].link != path[h])
+        int cur = dst;
+        for (std::size_t h = hops.size(); h > 0; --h) {
+          const RoutingTable::SweepStep& st = routes.tree_edge(src, cur);
+          if (hops[h - 1].link != st.link)
             return fail("message uses a link off its route");
+          cur = st.parent;
+        }
         // Hop timing: departs after FT(u), hops ordered, duration == size.
         Time prev_end = s.finish(u);
-        for (const MsgHop& hop : m->hops) {
+        for (const MsgHop& hop : hops) {
           if (hop.start < prev_end) return fail("hop starts before data ready");
           if (hop.end - hop.start != m->size) return fail("hop duration wrong");
           prev_end = hop.end;

@@ -8,16 +8,15 @@ namespace tgs {
 RoutingTable::RoutingTable(Topology topo) : topo_(std::move(topo)) {
   const Topology& t = topo_;
   const int p = t.num_procs();
-  path_off_.assign(static_cast<std::size_t>(p) * p + 1, 0);
   sweep_.reserve(static_cast<std::size_t>(p) * (p - 1));
+  step_of_.assign(static_cast<std::size_t>(p) * p, 0);
 
-  std::vector<int> parent(p), via_link(p), depth(p);
+  std::vector<int> depth(p);
   std::vector<bool> seen(p);
-  // BFS from src with ascending-id neighbour visits, so parent pointers
-  // (and thus paths) are deterministic. Appends the tree edges to sweep_
-  // in visit order: parents always precede children.
-  const auto bfs = [&](int src) {
-    std::fill(parent.begin(), parent.end(), -1);
+  // BFS from each source with ascending-id neighbour visits, so parent
+  // pointers (and thus routes) are deterministic. Appends the tree edges
+  // to sweep_ in visit order: parents always precede children.
+  for (int src = 0; src < p; ++src) {
     std::fill(seen.begin(), seen.end(), false);
     depth[src] = 0;
     std::queue<int> q;
@@ -29,48 +28,18 @@ RoutingTable::RoutingTable(Topology topo) : topo_(std::move(topo)) {
       for (const Topology::Neighbor& nb : t.neighbors(u)) {
         if (seen[nb.proc]) continue;
         seen[nb.proc] = true;
-        parent[nb.proc] = u;
-        via_link[nb.proc] = nb.link;
         depth[nb.proc] = depth[u] + 1;
+        step_of_[index(src, nb.proc)] =
+            static_cast<std::uint32_t>(sweep_.size());
         sweep_.push_back({static_cast<std::int32_t>(nb.proc),
                           static_cast<std::int32_t>(u),
-                          static_cast<std::int32_t>(nb.link)});
+                          static_cast<std::int32_t>(nb.link),
+                          static_cast<std::int32_t>(depth[nb.proc])});
         q.push(nb.proc);
       }
     }
-    for (int dst = 0; dst < p; ++dst)
-      if (dst != src && parent[dst] < 0)
-        throw std::invalid_argument("topology is not connected");
-  };
-
-  // One BFS per source sizes the CSR arena and emits the sweep; a prefix
-  // sum turns the per-path lengths into offsets; the fill pass then walks
-  // each parent chain back-to-front into its slot.
-  for (int src = 0; src < p; ++src) {
-    bfs(src);
-    for (int dst = 0; dst < p; ++dst)
-      path_off_[index(src, dst) + 1] =
-          dst == src ? 0 : static_cast<std::uint32_t>(depth[dst]);
-  }
-  for (std::size_t i = 1; i < path_off_.size(); ++i)
-    path_off_[i] += path_off_[i - 1];
-  path_data_.resize(path_off_.back());
-
-  for (int src = 0; src < p; ++src) {
-    const std::span<const SweepStep> steps = sweep(src);
-    // Recover parent chains from this source's sweep instead of a second
-    // BFS: the steps hold exactly the tree's parent pointers.
-    for (const SweepStep& st : steps) {
-      parent[st.proc] = st.parent;
-      via_link[st.proc] = st.link;
-    }
-    for (int dst = 0; dst < p; ++dst) {
-      if (dst == src) continue;
-      std::int32_t* out = path_data_.data() + path_off_[index(src, dst)];
-      int i = distance(src, dst);
-      for (int cur = dst; cur != src; cur = parent[cur])
-        out[--i] = static_cast<std::int32_t>(via_link[cur]);
-    }
+    if (sweep_.size() != static_cast<std::size_t>(src + 1) * (p - 1))
+      throw std::invalid_argument("topology is not connected");
   }
 }
 

@@ -4,14 +4,16 @@
 // tie-breaking, so every (src, dst) pair has one fixed path -- the paper's
 // APN algorithms assume a routing table, not adaptive routing.
 //
-// Two structural consequences of the per-source BFS are exposed:
-//  * All P^2 paths live in one CSR arena (offset/length views) instead of
-//    a vector-of-vectors -- one allocation, cache-dense iteration.
-//  * The routes out of one source form a shortest-path tree (the path to
-//    any destination is a prefix-closed tree path), published as the
-//    per-source sweep(): the tree's P-1 edges in BFS order, parents before
-//    children. NetSchedule::probe_arrival_all walks it to probe the
-//    arrival at ALL destinations touching each link exactly once.
+// The routes out of one source form a shortest-path tree (the route to any
+// destination is the route to its parent plus one hop), and those trees
+// are the only route store:
+//  * sweep(src) publishes the tree's P-1 edges in BFS order, parents before
+//    children. NetSchedule::probe_arrival_all walks it to probe the arrival
+//    at ALL destinations touching each link exactly once.
+//  * tree_edge(src, dst) is the same edge looked up by destination in O(1)
+//    (one P^2 index into the sweep). A route is read back-to-front by
+//    following parents from dst to src, at most diameter steps.
+// Memory is O(P^2): 16 bytes per tree edge plus a 4-byte index entry.
 #pragma once
 
 #include <cstdint>
@@ -30,25 +32,14 @@ class RoutingTable {
 
   const Topology& topology() const { return topo_; }
 
-  /// Link ids along the route src -> dst (empty when src == dst).
-  std::span<const std::int32_t> path_links(int src, int dst) const {
-    const std::size_t i = index(src, dst);
-    return {path_data_.data() + path_off_[i], path_off_[i + 1] - path_off_[i]};
-  }
-
-  /// Hop count of the route.
-  int distance(int src, int dst) const {
-    const std::size_t i = index(src, dst);
-    return static_cast<int>(path_off_[i + 1] - path_off_[i]);
-  }
-
-  /// One edge of a source's shortest-path routing tree: the message on the
-  /// route to `proc` crosses `link` after reaching `parent` (the previous
-  /// processor on the route; == src at depth 1).
+  /// One edge of a source's shortest-path routing tree: the route to
+  /// `proc` is the route to `parent` (src itself at depth 1) followed by
+  /// `link`; `depth` is the route's hop count.
   struct SweepStep {
     std::int32_t proc;
     std::int32_t parent;
     std::int32_t link;
+    std::int32_t depth;
   };
 
   /// The P-1 routing-tree edges out of `src`, in BFS order (every parent
@@ -60,15 +51,24 @@ class RoutingTable {
     return {sweep_.data() + static_cast<std::size_t>(src) * n, n};
   }
 
+  /// The last edge of the route src -> dst (src != dst).
+  const SweepStep& tree_edge(int src, int dst) const {
+    return sweep_[step_of_[index(src, dst)]];
+  }
+
+  /// Hop count of the route (0 when src == dst).
+  int distance(int src, int dst) const {
+    return src == dst ? 0 : tree_edge(src, dst).depth;
+  }
+
  private:
   std::size_t index(int src, int dst) const {
     return static_cast<std::size_t>(src) * topo_.num_procs() + dst;
   }
 
   Topology topo_;
-  std::vector<std::int32_t> path_data_;  // CSR arena of all P^2 paths
-  std::vector<std::uint32_t> path_off_;  // P^2 + 1 offsets into path_data_
-  std::vector<SweepStep> sweep_;         // P * (P-1) routing-tree edges
+  std::vector<SweepStep> sweep_;          // P * (P-1) routing-tree edges
+  std::vector<std::uint32_t> step_of_;    // P^2: sweep_ slot of (src, dst)
 };
 
 }  // namespace tgs

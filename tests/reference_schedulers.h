@@ -11,6 +11,7 @@
 
 #include <vector>
 
+#include "reference_net.h"
 #include "tgs/apn/apn_common.h"
 #include "tgs/net/topology.h"
 #include "tgs/bnp/bnp_common.h"

@@ -2,6 +2,13 @@
 // topologies, determinism, and algorithm-specific behaviours.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "reference_net.h"
 #include "tgs/apn/bsa.h"
 #include "tgs/apn/bu.h"
 #include "tgs/apn/dls_apn.h"
@@ -13,6 +20,7 @@
 #include "tgs/harness/registry.h"
 #include "tgs/net/net_validate.h"
 #include "tgs/unc/cluster_schedule.h"
+#include "tgs/util/mem.h"
 
 namespace tgs {
 namespace {
@@ -97,7 +105,7 @@ TEST(ApnCommon, ProbeNeverBeatsCommit) {
   NetSchedule ns(g, routes);
   for (NodeId n : blevel_order(g)) {
     const int p = static_cast<int>(n % 4);
-    const Time probe = apn_probe_est(ns, n, p, false);
+    const Time probe = reference::apn_probe_est(ns, n, p, false);
     const Time committed = apn_commit_node(ns, n, p, false);
     EXPECT_LE(probe, committed);
   }
@@ -143,7 +151,8 @@ TEST(ApnCommon, ProbeEstAllMatchesPerProcessor) {
         for (const bool insertion : {false, true}) {
           apn_probe_est_all(ns, n, insertion, scratch);
           for (int p = 0; p < nprocs; ++p)
-            ASSERT_EQ(scratch.est[p], apn_probe_est(ns, n, p, insertion))
+            ASSERT_EQ(scratch.est[p],
+                      reference::apn_probe_est(ns, n, p, insertion))
                 << g.name() << " on " << topo.name() << " node " << n
                 << " proc " << p << " insertion " << insertion;
         }
@@ -235,6 +244,131 @@ TEST(Apn, GoldenSchedulesOnMultiHopTopologies) {
        {1,1933},{1,1758},{1,1735},{1,1469},{1,1391},{1,1804},{1,1543},
        {1,1694},{1,2008},{1,2050},{1,1856}},
       "BSA/mesh23");
+}
+
+/// FNV-1a over every message's (src, dst, arrival) and hops (link, start,
+/// end), in (src, dst) order -- independent of the order messages() keeps.
+std::uint64_t message_digest(const NetSchedule& ns) {
+  std::vector<const Message*> msgs;
+  for (const Message& m : ns.messages()) msgs.push_back(&m);
+  std::sort(msgs.begin(), msgs.end(), [](const Message* a, const Message* b) {
+    return a->src != b->src ? a->src < b->src : a->dst < b->dst;
+  });
+  std::uint64_t h = 1469598103934665603ull;
+  const auto add = [&h](std::int64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (static_cast<std::uint64_t>(x) >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const Message* m : msgs) {
+    add(m->src);
+    add(m->dst);
+    add(m->arrival);
+    for (const MsgHop& hop : ns.hops(*m)) {
+      add(hop.link);
+      add(hop.start);
+      add(hop.end);
+    }
+  }
+  return h;
+}
+
+// Message routes and hop times, not just task placements, stay
+// byte-identical across network-layer refactors: digests of every message
+// of MH, DLS(APN), BU and BSA on four multi-hop topologies, frozen from the
+// implementation that stored every route in an all-pairs path arena.
+TEST(Apn, ApnMessagesMatchFrozenDigests) {
+  struct Want {
+    std::size_t messages;
+    std::uint64_t digest;
+  };
+  // Per (topology, graph): MH, DLS(APN), BU, BSA.
+  const std::vector<std::array<Want, 4>> want = {
+      // ring4, v50
+      {{{117, 0x1e504cdf0a9046d5ull}, {107, 0x80fb72a80187636bull},
+        {87, 0x3ca75dcf60f0097dull}, {70, 0xec1b38c00335e6fdull}}},
+      // ring4, v100
+      {{{505, 0xf7579ad4830fa813ull}, {541, 0x0ef25d7304d84d8bull},
+        {442, 0x1ec472ddcabed74full}, {84, 0x3ecf896c4d1f1679ull}}},
+      // ring4, v150
+      {{{1117, 0x7dd7442d427af89bull}, {1064, 0xa5a9582c23104aa2ull},
+        {1042, 0x322981a8b051a50eull}, {457, 0xb2af6ffa7c32cb19ull}}},
+      // mesh2x2, v50
+      {{{108, 0x3af594b68ad98abeull}, {102, 0x23d02377ceb8da66ull},
+        {87, 0xa624179f85f7f35cull}, {70, 0xec1b38c00335e6fdull}}},
+      // mesh2x2, v100
+      {{{526, 0xd285f010511a44a5ull}, {489, 0xb3ed95615cd66aceull},
+        {449, 0x5ec265b81710cefaull}, {84, 0x3ecf896c4d1f1679ull}}},
+      // mesh2x2, v150
+      {{{1141, 0xb6410dd96f5ed59full}, {1087, 0x4e5c13f05851c67bull},
+        {977, 0x5c8e00159cbf206bull}, {457, 0xb2af6ffa7c32cb19ull}}},
+      // hcube3, v50
+      {{{125, 0xf1f0453b92a3a201ull}, {131, 0x067211d7697940a3ull},
+        {120, 0xdba986d363e11ecdull}, {89, 0x20e7f267912f2c31ull}}},
+      // hcube3, v100
+      {{{646, 0x3ba59fd9f05e7c41ull}, {610, 0x59e9f58fdd8a7fa4ull},
+        {534, 0x66b2567495ae70c4ull}, {124, 0x3cec4a2e75f9a7efull}}},
+      // hcube3, v150
+      {{{1324, 0xb61e0acfb2a764faull}, {1268, 0x55688d6b0b40a556ull},
+        {1129, 0x6ef9e6ebb1dfe566ull}, {660, 0xeff09f11322a3ccbull}}},
+      // rand9, v50
+      {{{129, 0x3831a8003e8e2a7full}, {134, 0xc42c9f922690c875ull},
+        {109, 0x8b1e0795a7cd0692ull}, {120, 0xb280d1367efe1ebbull}}},
+      // rand9, v100
+      {{{622, 0x34fad8fbe85f6b60ull}, {618, 0x26665f60b4ca1bd4ull},
+        {404, 0xacd3e018c468aaeeull}, {197, 0xdd9ef1769f6c9c2eull}}},
+      // rand9, v150
+      {{{1352, 0x99217fecc784597dull}, {1340, 0xa416bff53565d963ull},
+        {991, 0x88ad1e6b7c16a345ull}, {993, 0xdc0c8ac7007c9f7dull}}},
+  };
+  const std::vector<Topology> topos = {
+      Topology::ring(4), Topology::mesh(2, 2), Topology::hypercube(3),
+      Topology::random_connected(9, 0.25, 11)};
+  struct GraphSpec {
+    NodeId v;
+    double ccr;
+    std::uint64_t seed;
+  };
+  const GraphSpec graphs[] = {{50, 1.0, 3}, {100, 2.0, 5}, {150, 0.5, 9}};
+  std::size_t row = 0;
+  for (const Topology& topo : topos) {
+    const RoutingTable routes(topo);
+    for (const GraphSpec& gs : graphs) {
+      RgnosParams p;
+      p.num_nodes = gs.v;
+      p.ccr = gs.ccr;
+      p.seed = gs.seed;
+      const TaskGraph g = rgnos_graph(p);
+      const NetSchedule got[] = {
+          MhScheduler().run(g, routes), DlsApnScheduler().run(g, routes),
+          BuScheduler().run(g, routes), BsaScheduler().run(g, routes)};
+      for (std::size_t a = 0; a < 4; ++a) {
+        const std::string label = topo.name() + " v=" +
+                                  std::to_string(gs.v) + " algo " +
+                                  std::to_string(a);
+        EXPECT_TRUE(validate_net_schedule(got[a]).ok) << label;
+        EXPECT_EQ(got[a].messages().size(), want[row][a].messages) << label;
+        EXPECT_EQ(message_digest(got[a]), want[row][a].digest) << label;
+      }
+      ++row;
+    }
+  }
+}
+
+// The message count is the one thing production reads from the message
+// table; it must not copy or sort anything.
+TEST(Apn, MessageCountDoesNotAllocate) {
+  RgnosParams p;
+  p.num_nodes = 150;
+  p.seed = 9;
+  const TaskGraph g = rgnos_graph(p);
+  const RoutingTable routes{Topology::ring(4)};
+  const NetSchedule ns = MhScheduler().run(g, routes);
+  AllocMeter meter;
+  const std::size_t n = ns.messages().size();
+  EXPECT_EQ(meter.count(), 0u);
+  EXPECT_GT(n, 0u);
 }
 
 TEST(ApnCommon, BuildWithAssignmentRejectsWrongSizedVector) {

@@ -1,15 +1,20 @@
-// Tests for the network substrate: topologies, routing (CSR paths and the
-// per-source routing-tree sweep), message scheduling, one-to-all probes,
-// APN validation.
+// Tests for the network substrate: topologies, routing (the per-source
+// routing trees: sweep order and route walks), message scheduling,
+// one-to-all probes, APN validation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <queue>
+#include <stdexcept>
 #include <vector>
 
+#include "reference_net.h"
 #include "tgs/gen/structured.h"
 #include "tgs/net/net_schedule.h"
 #include "tgs/net/net_validate.h"
 #include "tgs/net/routing.h"
 #include "tgs/net/topology.h"
+#include "tgs/util/mem.h"
 #include "tgs/util/rng.h"
 
 namespace tgs {
@@ -104,21 +109,67 @@ TEST(Routing, HypercubeHammingDistance) {
   EXPECT_EQ(r.distance(0b0101, 0b0100), 1);
 }
 
-TEST(Routing, PathsUseAdjacentLinks) {
-  const Topology t = Topology::mesh(3, 3);
-  const RoutingTable r(t);
-  for (int a = 0; a < 9; ++a)
-    for (int b = 0; b < 9; ++b) {
-      if (a == b) continue;
-      // Verify the link sequence is a connected path from a to b.
-      int cur = a;
-      for (int link : r.path_links(a, b)) {
-        const auto [x, y] = t.links()[link];
-        ASSERT_TRUE(cur == x || cur == y);
-        cur = cur == x ? y : x;
-      }
-      EXPECT_EQ(cur, b);
+/// Link ids of the route src -> dst by an independent BFS from src that
+/// visits neighbours in ascending id order (the smallest-id tie-break).
+std::vector<int> bfs_route(const Topology& t, int src, int dst) {
+  const int p = t.num_procs();
+  std::vector<int> parent(p, -1);
+  std::vector<bool> seen(p, false);
+  std::queue<int> q;
+  seen[src] = true;
+  q.push(src);
+  while (!q.empty()) {
+    const int u = q.front();
+    q.pop();
+    for (int w = 0; w < p; ++w) {
+      if (seen[w] || t.link_between(u, w) < 0) continue;
+      seen[w] = true;
+      parent[w] = u;
+      q.push(w);
     }
+  }
+  std::vector<int> route;
+  for (int cur = dst; cur != src; cur = parent[cur])
+    route.push_back(t.link_between(parent[cur], cur));
+  std::reverse(route.begin(), route.end());
+  return route;
+}
+
+/// The route src -> dst read back from the routing tree.
+std::vector<int> tree_route(const RoutingTable& r, int src, int dst) {
+  std::vector<int> route;
+  for (int cur = dst; cur != src;) {
+    const RoutingTable::SweepStep& st = r.tree_edge(src, cur);
+    route.push_back(st.link);
+    cur = st.parent;
+  }
+  std::reverse(route.begin(), route.end());
+  return route;
+}
+
+TEST(Routing, RoutesMatchBfsReference) {
+  for (const Topology& t : probe_topo_zoo()) {
+    const RoutingTable r(t);
+    const int p = t.num_procs();
+    for (int src = 0; src < p; ++src)
+      for (int dst = 0; dst < p; ++dst) {
+        const std::vector<int> want = bfs_route(t, src, dst);
+        EXPECT_EQ(tree_route(r, src, dst), want)
+            << t.name() << " " << src << "->" << dst;
+        EXPECT_EQ(r.distance(src, dst), static_cast<int>(want.size()))
+            << t.name() << " " << src << "->" << dst;
+      }
+  }
+}
+
+// The routing trees are the only route store: O(P^2) memory, where the
+// retired all-paths arena was O(P^2 x diameter) (~140 MB for ring512).
+TEST(Routing, Ring512FitsInTenMegabytes) {
+  const Topology t = Topology::ring(512);
+  AllocMeter meter;
+  const RoutingTable r(t);
+  EXPECT_LE(meter.bytes(), 10u << 20);
+  EXPECT_EQ(r.distance(0, 256), 256);
 }
 
 TEST(Routing, SweepIsTheRoutingTreeInParentFirstOrder) {
@@ -131,18 +182,14 @@ TEST(Routing, SweepIsTheRoutingTreeInParentFirstOrder) {
       std::vector<bool> reached(p, false);
       reached[src] = true;
       for (const RoutingTable::SweepStep& st : steps) {
-        // Parents precede children, every step crosses a real link, and
-        // the step's route is the parent's route plus one hop.
+        // Parents precede children, every step crosses a real link one hop
+        // deeper than its parent, and the per-destination lookup finds it.
         EXPECT_TRUE(reached[st.parent]);
         EXPECT_FALSE(reached[st.proc]);
         reached[st.proc] = true;
         EXPECT_EQ(t.link_between(st.parent, st.proc), st.link);
-        const auto parent_path = r.path_links(src, st.parent);
-        const auto path = r.path_links(src, st.proc);
-        ASSERT_EQ(path.size(), parent_path.size() + 1);
-        for (std::size_t h = 0; h < parent_path.size(); ++h)
-          EXPECT_EQ(path[h], parent_path[h]);
-        EXPECT_EQ(path.back(), st.link);
+        EXPECT_EQ(st.depth, r.distance(src, st.parent) + 1);
+        EXPECT_EQ(&r.tree_edge(src, st.proc), &st);
       }
       for (int dst = 0; dst < p; ++dst) EXPECT_TRUE(reached[dst]);
     }
@@ -173,7 +220,8 @@ TEST(NetSchedule, ProbeArrivalAllMatchesPerDestination) {
         const Time depart = rng.uniform_int(0, 500);
         ns.probe_arrival_all(src, size, depart, all);
         for (int dst = 0; dst < p; ++dst)
-          EXPECT_EQ(all[dst], ns.probe_arrival(src, dst, size, depart))
+          EXPECT_EQ(all[dst],
+                    reference::probe_arrival(ns, src, dst, size, depart))
               << topo.name() << " src=" << src << " dst=" << dst
               << " size=" << size << " depart=" << depart;
       }
@@ -192,8 +240,39 @@ TEST(NetSchedule, FindMessageIsKeyed) {
   EXPECT_EQ(ns.find_message(0, 1)->dst, 1u);
   EXPECT_EQ(ns.find_message(0, 2), nullptr);
   EXPECT_EQ(ns.find_message(1, 0), nullptr);  // direction matters
-  ns.release_message(0, 1);
+}
+
+TEST(NetSchedule, MessagesAreOneFlatTableInCommitOrder) {
+  const TaskGraph g = fork_join(3, 10, 8);  // fork(0) w1..w3 join(4)
+  const Topology topo = Topology::ring(4);
+  const RoutingTable routes(topo);
+  NetSchedule ns(g, routes);
+  ns.tasks().place(0, 0, 0);
+  ns.commit_message(0, 3, 2);  // two hops
+  ns.commit_message(0, 1, 0);  // co-located: no message
+  ns.commit_message(0, 2, 1);  // one hop
+  ASSERT_EQ(ns.messages().size(), 2u);
+  EXPECT_EQ(ns.messages()[0].dst, 3u);
+  EXPECT_EQ(ns.messages()[1].dst, 2u);
   EXPECT_EQ(ns.find_message(0, 1), nullptr);
+  EXPECT_EQ(ns.find_message(0, 2), &ns.messages()[1]);
+  EXPECT_EQ(ns.hops(ns.messages()[0]).size(), 2u);
+  EXPECT_EQ(ns.hops(ns.messages()[1]).size(), 1u);
+  // Link reservations are owned by the message's index: both routes
+  // start on link 0-1 (0 -> 2 goes through 1), serialized in commit order.
+  const int link = topo.link_between(0, 1);
+  ASSERT_EQ(ns.link_timeline(link).size(), 2u);
+  EXPECT_EQ(ns.link_timeline(link).intervals()[0].owner, 0);
+  EXPECT_EQ(ns.link_timeline(link).intervals()[1].owner, 1);
+  // A second commit of the same edge throws and changes nothing.
+  EXPECT_THROW(ns.commit_message(0, 2, 1), std::logic_error);
+  EXPECT_EQ(ns.messages().size(), 2u);
+  EXPECT_EQ(ns.link_timeline(link).size(), 2u);
+  EXPECT_THROW(ns.commit_message(1, 2, 1), std::logic_error);  // no edge
+  // The hop arena is addressed by offset, so a copy reads the same hops.
+  const NetSchedule copy = ns;
+  EXPECT_EQ(copy.hops(copy.messages()[0])[1].end,
+            ns.hops(ns.messages()[0])[1].end);
 }
 
 TEST(NetSchedule, MessageHopsAndContention) {
@@ -229,7 +308,7 @@ TEST(NetSchedule, MultiHopStoreAndForward) {
   ns.tasks().place(1, 3, arrival);
   EXPECT_TRUE(validate_net_schedule(ns).ok);
   ASSERT_EQ(ns.messages().size(), 1u);
-  EXPECT_EQ(ns.messages()[0].hops.size(), 3u);
+  EXPECT_EQ(ns.hops(ns.messages()[0]).size(), 3u);
 }
 
 TEST(NetSchedule, ProbeMatchesCommitWhenUncontended) {
@@ -238,23 +317,9 @@ TEST(NetSchedule, ProbeMatchesCommitWhenUncontended) {
   const RoutingTable routes(topo);
   NetSchedule ns(g, routes);
   ns.tasks().place(0, 0, 0);
-  const Time probe = ns.probe_arrival(0, 3, 6, 10);
+  const Time probe = reference::probe_arrival(ns, 0, 3, 6, 10);
   const Time commit = ns.commit_message(0, 1, 3);
   EXPECT_EQ(probe, commit);
-}
-
-TEST(NetSchedule, ReleaseMessageFreesLinks) {
-  const TaskGraph g = chain_graph(2, 10, 6);
-  const Topology topo = Topology::ring(4);
-  const RoutingTable routes(topo);
-  NetSchedule ns(g, routes);
-  ns.tasks().place(0, 0, 0);
-  ns.commit_message(0, 1, 1);
-  EXPECT_EQ(ns.messages().size(), 1u);
-  ns.release_message(0, 1);
-  EXPECT_TRUE(ns.messages().empty());
-  const int link = topo.link_between(0, 1);
-  EXPECT_TRUE(ns.link_timeline(link).empty());
 }
 
 TEST(NetValidate, CatchesMissingMessage) {
@@ -278,6 +343,34 @@ TEST(NetValidate, CatchesEarlyStart) {
   const Time arrival = ns.commit_message(0, 1, 1);
   ns.tasks().place(1, 1, arrival - 1);  // starts before the message lands
   EXPECT_FALSE(validate_net_schedule(ns).ok);
+}
+
+// A message committed toward one processor whose consumer then lands on
+// the producer's processor is a stray: the edge needs no message.
+TEST(NetValidate, CatchesStrayMessageOnSameProcEdge) {
+  const TaskGraph g = chain_graph(2, 10, 6);
+  const RoutingTable routes{Topology::ring(4)};
+  NetSchedule ns(g, routes);
+  ns.tasks().place(0, 0, 0);
+  ns.commit_message(0, 1, 1);
+  ns.tasks().place(1, 0, 10);
+  const auto v = validate_net_schedule(ns);
+  EXPECT_FALSE(v.ok);
+  EXPECT_NE(v.error.find("same-proc edge"), std::string::npos) << v.error;
+}
+
+// Routed toward P3, consumed on P1: both one hop from P0 on ring4, so
+// only the hop-by-hop comparison against the route tells them apart.
+TEST(NetValidate, CatchesMessageRoutedToWrongProc) {
+  const TaskGraph g = chain_graph(2, 10, 6);
+  const RoutingTable routes{Topology::ring(4)};
+  NetSchedule ns(g, routes);
+  ns.tasks().place(0, 0, 0);
+  const Time arrival = ns.commit_message(0, 1, 3);
+  ns.tasks().place(1, 1, arrival);
+  const auto v = validate_net_schedule(ns);
+  EXPECT_FALSE(v.ok);
+  EXPECT_NE(v.error.find("off its route"), std::string::npos) << v.error;
 }
 
 TEST(NetValidate, SameProcNeedsNoMessage) {
