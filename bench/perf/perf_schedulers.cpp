@@ -2,7 +2,9 @@
 // behind -DTGS_BUILD_PERF=ON (needs a system libbenchmark).
 //
 // The *_Naive benchmarks run the retired exhaustive pair-selection loops
-// kept in tests/reference_schedulers.h, BM_Net_ProbePerDestination the
+// kept in tests/reference_schedulers.h, BM_BestEstProc_Scan the exhaustive
+// processor scan of tests/reference_proc_choice.h,
+// BM_Net_ProbePerDestination the
 // per-destination route probe of tests/reference_net.h, BM_Ez_Reference
 // the frozen EZ
 // of tests/reference_named.h and BM_GraphFromString_Reference the frozen
@@ -21,11 +23,13 @@
 #include "reference_graph_io.h"
 #include "reference_named.h"
 #include "reference_net.h"
+#include "reference_proc_choice.h"
 #include "reference_schedulers.h"
 #include "reference_timeline.h"
 #include "tgs/apn/bsa.h"
 #include "tgs/apn/dls_apn.h"
 #include "tgs/apn/mh.h"
+#include "tgs/bnp/bnp_common.h"
 #include "tgs/exec/jsonl.h"
 #include "tgs/gen/rgnos.h"
 #include "tgs/gen/structured.h"
@@ -171,6 +175,72 @@ void BM_Ez_Reference(benchmark::State& state) {
     benchmark::DoNotOptimize(reference::original_ez(g).makespan());
 }
 BENCHMARK(BM_Ez_Reference)->Arg(500);
+
+// ------------------------------------------------------- processor choice --
+
+// A half-placed schedule on Arg processors: the first 1000 nodes of a
+// v = 2000 bench graph, each put where insertion best_est_proc puts it (so
+// the timelines hold holes), and the nodes ready next with their frozen
+// arrivals in both forms. Every iteration chooses a processor for each
+// ready node under append and under insertion placement.
+struct ProcChoiceBench {
+  explicit ProcChoiceBench(int procs)
+      : g(bench_graph(2000)), sched(g, procs), scanner(sched, procs, ends) {
+    ReadyList rl(g);
+    while (sched.placed_count() < 1000) {
+      const NodeId n = rl.ready().front();
+      const ProcChoice c = best_est_proc(scanner, n, arrival_of(sched, n),
+                                         /*insertion=*/true);
+      sched.place(n, c.proc, c.start);
+      scanner.note_placement(c.proc);
+      rl.mark_scheduled(n);
+    }
+    for (NodeId n : rl.ready()) {
+      ready.push_back(n);
+      arrival.push_back(arrival_of(sched, n));
+      ref.emplace_back();
+      reference::arrival_into(sched, n, ref.back());
+    }
+  }
+
+  TaskGraph g;
+  Schedule sched;
+  std::vector<Time> ends;
+  ProcScanner scanner;
+  std::vector<NodeId> ready;
+  std::vector<ArrivalInfo> arrival;
+  std::vector<reference::Arrival> ref;
+};
+
+void BM_BestEstProc(benchmark::State& state) {
+  const ProcChoiceBench b(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    Time acc = 0;
+    for (std::size_t i = 0; i < b.ready.size(); ++i)
+      for (const bool insertion : {false, true})
+        acc += best_est_proc(b.scanner, b.ready[i], b.arrival[i], insertion)
+                   .start;
+    benchmark::DoNotOptimize(acc);
+  }
+  state.counters["ready"] = static_cast<double>(b.ready.size());
+}
+BENCHMARK(BM_BestEstProc)->Arg(64);
+
+void BM_BestEstProc_Scan(benchmark::State& state) {
+  const ProcChoiceBench b(static_cast<int>(state.range(0)));
+  const int count = b.scanner.scan_count();
+  for (auto _ : state) {
+    Time acc = 0;
+    for (std::size_t i = 0; i < b.ready.size(); ++i)
+      for (const bool insertion : {false, true})
+        acc += reference::best_est_proc_scan(b.sched, b.ready[i], count,
+                                             insertion, b.ref[i])
+                   .start;
+    benchmark::DoNotOptimize(acc);
+  }
+  state.counters["ready"] = static_cast<double>(b.ready.size());
+}
+BENCHMARK(BM_BestEstProc_Scan)->Arg(64);
 
 // ------------------------------------------------------------ graph ingest --
 

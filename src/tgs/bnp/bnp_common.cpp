@@ -1,47 +1,83 @@
 #include "tgs/bnp/bnp_common.h"
 
+#include <stdexcept>
+
 namespace tgs {
 
-void compute_arrival_into(const Schedule& s, NodeId n, ArrivalInfo& info) {
-  const TaskGraph& g = s.graph();
-  info.max1 = 0;
-  info.proc1 = kNoProc;
-  info.max2 = 0;
-  info.local_ft.clear();
-  for (const Adj& par : g.parents(n)) {
-    const ProcId q = s.proc(par.node);
-    const Time ft = s.finish(par.node);
-    const Time with_comm = ft + par.cost;
-    if (with_comm > info.max1) {
-      info.max1 = with_comm;
-      info.proc1 = q;
-    }
-    // local finish per processor
-    auto it = std::lower_bound(
-        info.local_ft.begin(), info.local_ft.end(), q,
-        [](const std::pair<ProcId, Time>& e, ProcId pid) { return e.first < pid; });
-    if (it != info.local_ft.end() && it->first == q) {
-      it->second = std::max(it->second, ft);
-    } else {
-      info.local_ft.insert(it, {q, ft});
-    }
-  }
-  // Second pass for max2 (needs final proc1).
-  for (const Adj& par : g.parents(n)) {
-    if (s.proc(par.node) == info.proc1) continue;
-    info.max2 = std::max(info.max2, s.finish(par.node) + par.cost);
-  }
+ProcScanner::ProcScanner(const Schedule& s, int limit, std::vector<Time>& ends)
+    : sched_(&s), limit_(limit) {
+  if (s.num_procs() < limit)
+    throw std::logic_error("ProcScanner: schedule has fewer than limit procs");
+  ends_.init(limit, ends);
 }
 
-ProcChoice best_est_proc(const Schedule& s, NodeId n, const ProcScanner& scanner,
-                         bool insertion, ArrivalInfo& scratch) {
-  compute_arrival_into(s, n, scratch);
+ArrivalInfo arrival_of(const Schedule& s, NodeId n) {
+  const TaskGraph& g = s.graph();
+  ArrivalInfo a;
+  for (const Adj& par : g.parents(n)) {
+    const Time with_comm = s.finish(par.node) + par.cost;
+    if (with_comm > a.max1) {
+      a.max1 = with_comm;
+      a.proc1 = s.proc(par.node);
+    }
+  }
+  a.r1 = a.max1;
+  if (a.proc1 == kNoProc) return a;
+  // Second pass for r1 (needs the final proc1).
+  a.r1 = 0;
+  for (const Adj& par : g.parents(n)) {
+    const Time ft = s.finish(par.node);
+    a.r1 = std::max(a.r1, s.proc(par.node) == a.proc1 ? ft : ft + par.cost);
+  }
+  return a;
+}
+
+Time append_est(const ProcScanner& scanner, const ArrivalInfo& a) {
+  // min_end() spans every processor, but it is the window's: a window
+  // narrower than the limit holds a fresh processor, which ends at 0.
+  const ProcEndIndex& ends = scanner.ends();
+  const Time g = std::max(a.max1, ends.min_end());
+  if (a.proc1 == kNoProc) return g;
+  return std::min(g, std::max(a.r1, ends.end_of(a.proc1)));
+}
+
+ProcChoice best_est_proc(const ProcScanner& scanner, NodeId n,
+                         const ArrivalInfo& a, bool insertion) {
+  const Schedule& s = scanner.schedule();
+  const ProcEndIndex& ends = scanner.ends();
   const Cost dur = s.graph().weight(n);
-  ProcChoice best{0, kTimeInf};
   const int count = scanner.scan_count();
-  for (ProcId p = 0; p < count; ++p) {
-    const Time t = s.earliest_start_on(p, scratch.ready_on(p), dur, insertion);
-    if (t < best.start) best = {p, t};
+  // Off proc1 the data is ready at max1, so no processor but proc1 starts
+  // before max1, and the first processor idle by max1 starts exactly then.
+  // Under append placement every other processor starts at its end time,
+  // so the smallest end wins when none is idle.
+  const int idle = ends.first_at_most(a.max1, count);
+  ProcChoice best{kNoProc, kTimeInf};
+  if (idle >= 0) {
+    best = {static_cast<ProcId>(idle), a.max1};
+  } else if (!insertion) {
+    const int q = ends.min_end_proc(count);
+    best = {static_cast<ProcId>(q), ends.end_of(q)};
+  }
+  // proc1 exactly: its data-ready time r1 may undercut max1.
+  const auto offer = [&best](ProcId p, Time t) {
+    if (t < best.start || (t == best.start && p < best.proc)) best = {p, t};
+  };
+  if (a.proc1 != kNoProc)
+    offer(a.proc1, s.earliest_start_on(a.proc1, a.r1, dur, insertion));
+  if (!insertion) return best;
+  // Insertion: a processor busy past max1 may hold a gap at or after max1,
+  // so its start lies in [max1, end]. Only processors below the idle one
+  // can tie or win, and once max1 cannot beat the best (start, id) in id
+  // order no later one can either.
+  const int stop = idle >= 0 ? idle : count;
+  for (ProcId p = 0; p < stop; ++p) {
+    if (a.max1 > best.start || (a.max1 == best.start && p > best.proc)) break;
+    if (p == a.proc1) continue;
+    const Timeline& tl = s.timeline(p);
+    // No gap can hold the block: it appends at the end, past max1.
+    offer(p, tl.max_gap() < dur ? tl.end_time()
+                                : tl.earliest_fit(a.max1, dur, true));
   }
   return best;
 }
@@ -49,45 +85,51 @@ ProcChoice best_est_proc(const Schedule& s, NodeId n, const ProcScanner& scanner
 // ---------------------------------------------------- AppendPairSelector --
 
 // std::push_heap keeps the comparator-largest element on top, so "a < b"
-// means b is the better candidate. `value` holds each node's start in
-// this heap; nullptr marks a saturated heap, whose members share one.
+// means b is the better candidate. `key` is the frozen arrival field that
+// holds each node's start in this heap; nullptr marks a saturated heap,
+// whose members share one.
 struct AppendPairSelector::HeapCmp {
   const PairOrder& order;
-  const Time* value;
+  const ArrivalInfo* arr;
+  Key key;
   bool operator()(NodeId a, NodeId b) const {
-    if (value == nullptr) return order.better(b, 0, a, 0);
-    return order.better(b, value[b], a, value[a]);
+    if (key == nullptr) return order.better(b, 0, a, 0);
+    return order.better(b, arr[b].*key, a, arr[a].*key);
   }
 };
 
-AppendPairSelector::AppendPairSelector(const Schedule& s,
-                                       const ProcScanner& scanner,
+AppendPairSelector::AppendPairSelector(const ProcScanner& scanner,
                                        const PairOrder& order,
                                        PairScratch& scratch)
-    : sched_(&s), scanner_(&scanner), order_(order), scratch_(&scratch) {
+    : sched_(&scanner.schedule()),
+      scanner_(&scanner),
+      order_(order),
+      scratch_(&scratch) {
   const int limit = scanner.limit();
-  scratch.bind_append(s.graph().num_nodes(), static_cast<std::size_t>(limit));
+  scratch.bind_arrival(sched_->graph().num_nodes());
+  if (scratch.sat_a.size() < static_cast<std::size_t>(limit))
+    scratch.sat_a.resize(static_cast<std::size_t>(limit));
   scratch.pend_a.clear();
   scratch.pend_g.clear();
   scratch.sat_g.clear();
   for (int q = 0; q < limit; ++q) scratch.sat_a[q].clear();
-  index_.init(limit, scratch.seg);
-  scratch.tour.assign(static_cast<std::size_t>(index_.base()) * 2, -1);
+  scratch.tour.assign(static_cast<std::size_t>(scanner.ends().base()) * 2, -1);
 }
 
-void AppendPairSelector::push(std::vector<NodeId>& heap, const Time* value,
-                              NodeId m) {
+void AppendPairSelector::push(std::vector<NodeId>& heap, Key key, NodeId m) {
   heap.push_back(m);
-  std::push_heap(heap.begin(), heap.end(), HeapCmp{order_, value});
+  std::push_heap(heap.begin(), heap.end(),
+                 HeapCmp{order_, scratch_->arrival.data(), key});
 }
 
-void AppendPairSelector::pop(std::vector<NodeId>& heap, const Time* value) {
-  std::pop_heap(heap.begin(), heap.end(), HeapCmp{order_, value});
+void AppendPairSelector::pop(std::vector<NodeId>& heap, Key key) {
+  std::pop_heap(heap.begin(), heap.end(),
+                HeapCmp{order_, scratch_->arrival.data(), key});
   heap.pop_back();
 }
 
 void AppendPairSelector::push_sat_a(NodeId m) {
-  const ProcId q = scratch_->a_proc[m];
+  const ProcId q = arrival(m).proc1;
   std::vector<NodeId>& heap = scratch_->sat_a[q];
   push(heap, nullptr, m);
   if (heap.front() == m) refresh(q);
@@ -105,36 +147,31 @@ int AppendPairSelector::winner(int p, int q) const {
 
 void AppendPairSelector::refresh(ProcId q) {
   std::vector<int>& t = scratch_->tour;
-  int i = index_.base() + q;
+  int i = scanner_->ends().base() + q;
   t[i] = scratch_->sat_a[q].empty() ? -1 : q;
   for (i /= 2; i >= 1; i /= 2) t[i] = winner(t[2 * i], t[2 * i + 1]);
 }
 
 void AppendPairSelector::node_ready(NodeId n) {
   PairScratch& sc = *scratch_;
-  ArrivalInfo& arr = sc.probe;
-  compute_arrival_into(*sched_, n, arr);
-  sc.g_ready[n] = arr.max1;
-  sc.a_proc[n] = arr.proc1;
-  if (arr.max1 > index_.min_end())
-    push(sc.pend_g, sc.g_ready.data(), n);
+  const ArrivalInfo& a = sc.arrival[n] = arrival_of(*sched_, n);
+  if (a.max1 > scanner_->ends().min_end())
+    push(sc.pend_g, &ArrivalInfo::max1, n);
   else
     push(sc.sat_g, nullptr, n);
-  if (arr.proc1 == kNoProc) return;
-  sc.a_ready[n] = arr.ready_on(arr.proc1);
   // r1 <= max1 always; at equality A >= G (end[q] >= E), so the A term
-  // can never be the smaller one and is not tracked.
-  if (sc.a_ready[n] == arr.max1) return;
-  if (sc.a_ready[n] > end_of(arr.proc1))
-    push(sc.pend_a, sc.a_ready.data(), n);
+  // can never be the smaller one and is not tracked. Without a proc1 there
+  // is no A term, and r1 == max1.
+  if (a.r1 == a.max1) return;
+  if (a.r1 > end_of(a.proc1))
+    push(sc.pend_a, &ArrivalInfo::r1, n);
   else
     push_sat_a(n);
 }
 
 void AppendPairSelector::node_placed(ProcId p) {
-  const Time end = sched_->timeline(p).end_time();
-  if (end == end_of(p)) return;  // a hole fill leaves the end in place
-  index_.set(p, end);
+  // The scanner already holds p's new end; a hole fill leaves it in place,
+  // and then the refresh recomputes the same winners.
   if (!scratch_->sat_a[p].empty()) refresh(p);
 }
 
@@ -144,16 +181,16 @@ NodeId AppendPairSelector::pick() {
   while (!sc.pend_a.empty()) {
     const NodeId m = sc.pend_a.front();
     const bool live = !placed(m);
-    if (live && sc.a_ready[m] > end_of(sc.a_proc[m])) break;
-    pop(sc.pend_a, sc.a_ready.data());
+    if (live && arrival(m).r1 > end_of(arrival(m).proc1)) break;
+    pop(sc.pend_a, &ArrivalInfo::r1);
     if (live) push_sat_a(m);
   }
-  const Time e = index_.min_end();
+  const Time e = scanner_->ends().min_end();
   while (!sc.pend_g.empty()) {
     const NodeId m = sc.pend_g.front();
     const bool live = !placed(m);
-    if (live && sc.g_ready[m] > e) break;
-    pop(sc.pend_g, sc.g_ready.data());
+    if (live && arrival(m).max1 > e) break;
+    pop(sc.pend_g, &ArrivalInfo::max1);
     if (live) push(sc.sat_g, nullptr, m);
   }
   while (!sc.sat_g.empty() && placed(sc.sat_g.front())) pop(sc.sat_g, nullptr);
@@ -175,44 +212,18 @@ NodeId AppendPairSelector::pick() {
       best_t = t;
     }
   };
-  if (!sc.pend_a.empty()) offer(sc.pend_a.front(), sc.a_ready[sc.pend_a.front()]);
-  if (!sc.pend_g.empty()) offer(sc.pend_g.front(), sc.g_ready[sc.pend_g.front()]);
+  if (!sc.pend_a.empty())
+    offer(sc.pend_a.front(), arrival(sc.pend_a.front()).r1);
+  if (!sc.pend_g.empty())
+    offer(sc.pend_g.front(), arrival(sc.pend_g.front()).max1);
   if (!sc.sat_g.empty()) offer(sc.sat_g.front(), e);
   if (const int q = sc.tour[1]; q >= 0)
     offer(sc.sat_a[q].front(), end_of(static_cast<ProcId>(q)));
   return best;
 }
 
-Time AppendPairSelector::est(NodeId n) const {
-  const PairScratch& sc = *scratch_;
-  const Time g = std::max(sc.g_ready[n], index_.min_end());
-  if (sc.a_proc[n] == kNoProc) return g;
-  return std::min(g, std::max(sc.a_ready[n], end_of(sc.a_proc[n])));
-}
-
 ProcChoice AppendPairSelector::best(NodeId n) const {
-  const PairScratch& sc = *scratch_;
-  const int count = scanner_->scan_count();
-  // Candidate 1: proc1, the only processor whose data-ready time can
-  // undercut max1.
-  ProcChoice pc{kNoProc, kTimeInf};
-  if (sc.a_proc[n] != kNoProc)
-    pc = {sc.a_proc[n], std::max(sc.a_ready[n], end_of(sc.a_proc[n]))};
-  // Candidate 2: best of the generic EST max(max1, end[p]). For proc1 the
-  // generic value only over-estimates, so including it is harmless
-  // (candidate 1 wins any such tie at the same processor).
-  const Time max1 = sc.g_ready[n];
-  ProcChoice gen;
-  if (const int idle = index_.first_at_most(max1, count); idle >= 0) {
-    gen = {static_cast<ProcId>(idle), max1};
-  } else {
-    const int p = index_.min_end_proc(count);
-    gen = {static_cast<ProcId>(p), end_of(p)};
-  }
-  if (pc.proc == kNoProc || gen.start < pc.start ||
-      (gen.start == pc.start && gen.proc < pc.proc))
-    pc = gen;
-  return pc;
+  return best_est_proc(*scanner_, n, arrival(n), /*insertion=*/false);
 }
 
 }  // namespace tgs

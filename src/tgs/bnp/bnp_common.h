@@ -3,22 +3,19 @@
 //
 //  * ProcScanner -- keeps processor usage dense (a new processor is only
 //    considered once all lower-numbered ones hold work), which both bounds
-//    the scan and makes processor choice deterministic.
+//    the scan and makes processor choice deterministic, and indexes the
+//    processors' end times so a choice need not visit every processor.
 //  * ArrivalInfo -- O(1) data-ready queries per (node, processor) pair.
-//    Once a node is ready, all its parents are placed and never move, so
-//    the arrival profile can be summarized as: the two largest comm-paid
-//    arrivals (with the processor of the largest) plus per-processor local
-//    finish maxima. This turns the O(parents) inner loop of ETF/DLS into
-//    O(1), which matters at the paper's 500-node / 250-graph scale.
-//  * AppendPairSelector -- ETF/DLS pair selection for append placement.
-//    There a ready node's EST has a closed form in two frozen arrival
-//    values and two monotone thresholds, so a scheduling step is a few
-//    heap operations: no step touches the whole ready set or every
-//    processor.
-//  * IncrementalPairSelector -- the insertion-mode counterpart. Gaps break
-//    the closed form, so it caches each ready node's best (processor, EST)
-//    pair and, after a placement, re-scores only what the placement could
-//    have changed.
+//    Once a node is ready, all its parents are placed and never move, and
+//    edge costs are >= 0, so the node's data is ready at one time max1 on
+//    every processor but one, proc1, where it is ready at r1 <= max1.
+//  * best_est_proc -- the processor a node starts earliest on (ties: the
+//    smaller id), exact, for append and insertion placement, in
+//    O(log procs) plus a scan of only the processors busy past max1 that
+//    could still tie or win.
+//  * AppendPairSelector / IncrementalPairSelector -- ETF/DLS
+//    (ready node, processor) pair selection for append and for insertion
+//    placement.
 //
 // ETF and DLS are the paper's slow BNP algorithms precisely because they
 // re-evaluate every (ready node, processor) pair at every step; both
@@ -27,7 +24,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "tgs/sched/schedule.h"
@@ -36,145 +32,12 @@
 
 namespace tgs {
 
-/// Tracks how many processors hold at least one task, assuming algorithms
-/// always pick the lowest-numbered empty processor when opening a new one.
-class ProcScanner {
- public:
-  explicit ProcScanner(int limit) : limit_(limit) {}
-
-  /// Number of processors worth scanning: every used one plus one fresh,
-  /// capped by the machine size.
-  int scan_count() const { return std::min(limit_, used_ + 1); }
-
-  int limit() const { return limit_; }
-  int used() const { return used_; }
-
-  void note_placement(ProcId p) {
-    used_ = std::max(used_, static_cast<int>(p) + 1);
-  }
-
- private:
-  int limit_;
-  int used_ = 0;
-};
-
-/// Arrival summary of a ready node (all parents placed).
-struct ArrivalInfo {
-  Time max1 = 0;            // largest FT(parent) + c over all parents
-  ProcId proc1 = kNoProc;   // processor of that parent
-  Time max2 = 0;            // largest FT + c over parents NOT on proc1
-  // Per-processor max FT(parent) for parents on that processor, sorted.
-  std::vector<std::pair<ProcId, Time>> local_ft;
-
-  /// Data-ready time of the node on processor p.
-  Time ready_on(ProcId p) const {
-    Time ready = (p == proc1) ? max2 : max1;
-    auto it = std::lower_bound(
-        local_ft.begin(), local_ft.end(), p,
-        [](const std::pair<ProcId, Time>& e, ProcId q) { return e.first < q; });
-    if (it != local_ft.end() && it->first == p)
-      ready = std::max(ready, it->second);
-    return ready;
-  }
-};
-
-/// Build the arrival summary for `n` from the placed parents in `s`,
-/// reusing `info`'s local_ft capacity.
-void compute_arrival_into(const Schedule& s, NodeId n, ArrivalInfo& info);
-
-/// Scan processors [0, scanner.scan_count()) and return the one minimizing
-/// the earliest start time of `n` (ties: smaller processor id). `scratch`
-/// holds the arrival summary, so a warm caller allocates nothing.
-struct ProcChoice {
-  ProcId proc;
-  Time start;
-};
-ProcChoice best_est_proc(const Schedule& s, NodeId n, const ProcScanner& scanner,
-                         bool insertion, ArrivalInfo& scratch);
-
-/// The pair policies' selection order over (node, start) candidates. ETF
-/// takes the earliest start, ties to the smaller rank; DLS the largest
-/// key - start, ties to the earlier start, then the smaller node id. Both
-/// are strict total orders over distinct nodes (rank is a permutation),
-/// and for a fixed node a later start is always strictly worse.
-struct PairOrder {
-  const Time* key;  // DLS: the metric scalar, larger = more urgent
-  const int* rank;  // ETF: the total priority order, 0 = first
-  bool dls;
-
-  bool better(NodeId a, Time ta, NodeId b, Time tb) const {
-    if (!dls) return ta != tb ? ta < tb : rank[a] < rank[b];
-    const Time da = key[a] - ta;
-    const Time db = key[b] - tb;
-    if (da != db) return da > db;
-    if (ta != tb) return ta < tb;
-    return a < b;
-  }
-};
-
-/// Reusable pools of the pair selectors, owned by a SchedWorkspace. Flat
-/// per-node vectors replace per-run maps, and every buffer keeps its
-/// capacity across runs, so starting a run is O(procs) and steady-state
-/// runs allocate nothing. Stale entries are never erased: each selector
-/// rewrites a node's slots when it admits the node.
-struct PairScratch {
-  // IncrementalPairSelector and the DLS(APN) lazy selector.
-  std::vector<std::uint64_t> stamp;       // DLS(APN) only: commit count at
-                                          //   the node's last probe
-  std::vector<ArrivalInfo> arrival;       // per-node arrival summary
-  std::vector<ProcChoice> best;           // per-node best (proc, EST)
-  std::vector<NodeId> tracked;            // nodes currently ready
-
-  // Tracked membership is position-indexed so untracking is O(1), and
-  // tracked nodes are bucketed by their cached best processor so a
-  // placement on p rescores only bucket[p] -- the exact stale set.
-  std::vector<std::uint32_t> tracked_pos;  // node -> index in tracked
-  std::vector<std::uint32_t> bucket_pos;   // node -> index in its bucket
-  std::vector<std::vector<NodeId>> bucket; // proc -> nodes with best.proc==p
-  std::vector<NodeId> bucket_snap;         // node_placed iteration snapshot
-
-  // AppendPairSelector: per-node frozen arrival values, and heaps of node
-  // ids whose keys are read from those arrays.
-  std::vector<Time> a_ready;    // ready_on(a_proc): the proc1 data-ready time
-  std::vector<Time> g_ready;    // max1: the data-ready time anywhere else
-  std::vector<ProcId> a_proc;   // proc1 (kNoProc: no parent pays comm)
-  std::vector<NodeId> pend_a;   // A terms pending when last checked
-  std::vector<NodeId> pend_g;   // G terms pending when last checked
-  std::vector<NodeId> sat_g;    // G terms saturated: start E
-  std::vector<std::vector<NodeId>> sat_a;  // proc q -> A saturated: end[q]
-  std::vector<int> tour;        // tournament over the sat_a tops
-  std::vector<Time> seg;        // proc end-time segment tree
-
-  ArrivalInfo probe;  // one-shot arrival summary (admissions, best_est_proc)
-
-  /// Size the cached-best pools for `num_nodes` nodes (grow-only).
-  void bind(std::size_t num_nodes) {
-    if (stamp.size() < num_nodes) {
-      stamp.resize(num_nodes, 0);
-      arrival.resize(num_nodes);
-      best.resize(num_nodes);
-      tracked_pos.resize(num_nodes, 0);
-      bucket_pos.resize(num_nodes, 0);
-    }
-  }
-
-  /// Size the AppendPairSelector pools (grow-only).
-  void bind_append(std::size_t num_nodes, std::size_t num_procs) {
-    if (a_ready.size() < num_nodes) {
-      a_ready.resize(num_nodes);
-      g_ready.resize(num_nodes);
-      a_proc.resize(num_nodes);
-    }
-    if (sat_a.size() < num_procs) sat_a.resize(num_procs);
-  }
-};
-
-/// Min segment tree over per-processor timeline end times. Non-insertion
-/// EST against processor p is max(ready, end_time(p)), so "the best
-/// processor for arrival time X" reduces to two ordered queries answered
-/// in O(log P): the smallest-id processor already idle by X (its EST is
+/// Min segment tree over per-processor timeline end times. Append EST
+/// against processor p is max(ready, end_time(p)), so "the best processor
+/// for arrival time X" reduces to two ordered queries answered in
+/// O(log P): the smallest-id processor already idle by X (its EST is
 /// exactly X, and lower-id processors all end later), else the processor
-/// ending first. Backed by a PairScratch buffer so reruns do not allocate.
+/// ending first. Backed by a caller-owned buffer so reruns do not allocate.
 class ProcEndIndex {
  public:
   void init(int nprocs, std::vector<Time>& storage) {
@@ -240,17 +103,152 @@ class ProcEndIndex {
   std::vector<Time>* seg_ = nullptr;
 };
 
+/// Tracks how many processors hold at least one task, assuming algorithms
+/// always pick the lowest-numbered empty processor when opening a new one,
+/// and keeps a ProcEndIndex of every processor's timeline end.
+class ProcScanner {
+ public:
+  /// `s` must hold at least `limit` timelines and have nothing placed;
+  /// `ends` backs the end-time index. Both must outlive the scanner.
+  ProcScanner(const Schedule& s, int limit, std::vector<Time>& ends);
+
+  /// Number of processors worth scanning: every used one plus one fresh,
+  /// capped by the machine size.
+  int scan_count() const { return std::min(limit_, used_ + 1); }
+
+  int limit() const { return limit_; }
+  int used() const { return used_; }
+  const Schedule& schedule() const { return *sched_; }
+  const ProcEndIndex& ends() const { return ends_; }
+
+  /// Report a placement on `p`, after Schedule::place.
+  void note_placement(ProcId p) {
+    used_ = std::max(used_, static_cast<int>(p) + 1);
+    const Time end = sched_->timeline(p).end_time();
+    if (end != ends_.end_of(p)) ends_.set(p, end);  // a hole fill keeps it
+  }
+
+ private:
+  const Schedule* sched_;
+  int limit_;
+  int used_ = 0;
+  ProcEndIndex ends_;
+};
+
+/// Frozen arrival summary of a ready node (all parents placed). A parent's
+/// finish without communication never exceeds its finish plus a cost
+/// >= 0, so the data-ready time is max1 on every processor except proc1,
+/// the host of the first parent reaching max1, where it is r1 <= max1.
+struct ArrivalInfo {
+  Time max1 = 0;           // largest FT(parent) + c over all parents
+  Time r1 = 0;             // data-ready time on proc1 (max1 if kNoProc)
+  ProcId proc1 = kNoProc;  // kNoProc: no parent reaches past t = 0
+
+  /// Data-ready time of the node on processor p.
+  Time ready_on(ProcId p) const { return p == proc1 ? r1 : max1; }
+};
+
+/// The arrival summary of ready node `n`, in O(parents).
+ArrivalInfo arrival_of(const Schedule& s, NodeId n);
+
+/// Append-placement earliest start of a node with arrival `a` over the
+/// scan window, in O(1): min(max(r1, end[proc1]), max(max1, E)), where E
+/// is the smallest end time in the window.
+Time append_est(const ProcScanner& scanner, const ArrivalInfo& a);
+
+/// Processor in [0, scanner.scan_count()) minimizing the earliest start of
+/// node `n` with arrival `a` (ties: smaller processor id), and that start.
+struct ProcChoice {
+  ProcId proc;
+  Time start;
+};
+ProcChoice best_est_proc(const ProcScanner& scanner, NodeId n,
+                         const ArrivalInfo& a, bool insertion);
+
+/// The pair policies' selection order over (node, start) candidates. ETF
+/// takes the earliest start, ties to the smaller rank; DLS the largest
+/// key - start, ties to the earlier start, then the smaller node id. Both
+/// are strict total orders over distinct nodes (rank is a permutation),
+/// and for a fixed node a later start is always strictly worse.
+struct PairOrder {
+  const Time* key;  // DLS: the metric scalar, larger = more urgent
+  const int* rank;  // ETF: the total priority order, 0 = first
+  bool dls;
+
+  bool better(NodeId a, Time ta, NodeId b, Time tb) const {
+    if (!dls) return ta != tb ? ta < tb : rank[a] < rank[b];
+    const Time da = key[a] - ta;
+    const Time db = key[b] - tb;
+    if (da != db) return da > db;
+    if (ta != tb) return ta < tb;
+    return a < b;
+  }
+};
+
+/// Reusable pools of the BNP list phases and the pair selectors, owned by
+/// a SchedWorkspace. Flat per-node vectors replace per-run maps, and every
+/// buffer keeps its capacity across runs, so starting a run is O(procs)
+/// and steady-state runs allocate nothing. Stale entries are never erased:
+/// each user rewrites a node's slots when it admits the node.
+struct PairScratch {
+  // The one frozen-arrival store: written when a node becomes ready, read
+  // by the selectors, the dynamic list key and the hole-filling pass.
+  std::vector<ArrivalInfo> arrival;
+  std::vector<Time> proc_ends;  // ProcScanner's end-time index
+
+  // IncrementalPairSelector and the DLS(APN) lazy selector.
+  std::vector<std::uint64_t> stamp;       // DLS(APN) only: commit count at
+                                          //   the node's last probe
+  std::vector<ProcChoice> best;           // per-node best (proc, EST)
+  std::vector<NodeId> tracked;            // nodes currently ready
+
+  // Tracked membership is position-indexed so untracking is O(1), and
+  // tracked nodes are bucketed by their cached best processor so a
+  // placement on p rescores only bucket[p] -- the exact stale set.
+  std::vector<std::uint32_t> tracked_pos;  // node -> index in tracked
+  std::vector<std::uint32_t> bucket_pos;   // node -> index in its bucket
+  std::vector<std::vector<NodeId>> bucket; // proc -> nodes with best.proc==p
+  std::vector<NodeId> bucket_snap;         // node_placed iteration snapshot
+
+  // AppendPairSelector: heaps of node ids whose keys are read from the
+  // frozen arrivals (A terms: r1, G terms: max1).
+  std::vector<NodeId> pend_a;   // A terms pending when last checked
+  std::vector<NodeId> pend_g;   // G terms pending when last checked
+  std::vector<NodeId> sat_g;    // G terms saturated: start E
+  std::vector<std::vector<NodeId>> sat_a;  // proc q -> A saturated: end[q]
+  std::vector<int> tour;        // tournament over the sat_a tops
+
+  /// Size the frozen arrivals for `num_nodes` nodes (grow-only). Every
+  /// BNP list run sizes them, so growing frees the old buffer first rather
+  /// than holding both while the stale contents are copied.
+  void bind_arrival(std::size_t num_nodes) {
+    if (arrival.size() < num_nodes) {
+      arrival = {};
+      arrival.resize(num_nodes);
+    }
+  }
+
+  /// Size the cached-best pools for `num_nodes` nodes (grow-only).
+  void bind(std::size_t num_nodes) {
+    if (stamp.size() < num_nodes) {
+      stamp.resize(num_nodes, 0);
+      best.resize(num_nodes);
+      tracked_pos.resize(num_nodes, 0);
+      bucket_pos.resize(num_nodes, 0);
+    }
+  }
+};
+
 /// Append-mode (ready node, processor) pair selection in closed form.
 ///
 /// With append placement EST(m, p) = max(ready_on(m, p), end[p]), and
-/// ready_on(m, p) is the arrival maximum max1 on every processor except
-/// proc1, the one hosting the dominant parent (a parent's finish without
-/// communication never exceeds its finish plus communication). So
+/// ready_on(m, p) is max1 on every processor except proc1 (ArrivalInfo).
+/// So, as append_est computes it,
 ///
 ///   EST(m) = min(A_m, G_m),  A_m = max(r1_m, end[proc1_m]),
 ///                            G_m = max(max1_m, E),
 ///
-/// where r1_m = ready_on(m, proc1_m) and max1_m freeze at admission and E
+/// where r1_m and max1_m freeze at admission and E
 /// is the smallest end time in the scan window. E is 0 while a fresh
 /// processor is in the window, so E, like every end[q], never decreases.
 ///
@@ -276,15 +274,15 @@ class ProcEndIndex {
 /// the union of terms sits at a node's smaller term, its EST.
 ///
 /// best(n) then chooses the processor by the scan's rule (smallest id
-/// among the earliest starts) through ProcEndIndex in O(log procs).
+/// among the earliest starts): best_est_proc in append mode.
 class AppendPairSelector {
  public:
-  /// Starts on a schedule with nothing placed. `scratch` and the arrays
-  /// behind `order` must outlive the selector.
-  AppendPairSelector(const Schedule& s, const ProcScanner& scanner,
-                     const PairOrder& order, PairScratch& scratch);
+  /// Starts on the scanner's schedule with nothing placed. `scratch` and
+  /// the arrays behind `order` must outlive the selector.
+  AppendPairSelector(const ProcScanner& scanner, const PairOrder& order,
+                     PairScratch& scratch);
 
-  /// Admit a node whose parents are all placed.
+  /// Admit a node whose parents are all placed; freezes its arrival.
   void node_ready(NodeId n);
 
   /// Report a placement on `p` (after Schedule::place and
@@ -296,19 +294,19 @@ class AppendPairSelector {
   /// Ready set must be non-empty.
   NodeId pick();
 
-  /// Earliest start of ready node `n` over the scan window, in O(1).
-  Time est(NodeId n) const;
-
   /// Processor and start the scan would choose for ready node `n`.
   ProcChoice best(NodeId n) const;
 
  private:
   struct HeapCmp;  // max-heap order: the better candidate on top
 
+  using Key = Time ArrivalInfo::*;  // nullptr: a saturated heap
+
   bool placed(NodeId m) const { return sched_->proc(m) != kNoProc; }
-  Time end_of(ProcId q) const { return index_.end_of(q); }
-  void push(std::vector<NodeId>& heap, const Time* value, NodeId m);
-  void pop(std::vector<NodeId>& heap, const Time* value);
+  Time end_of(ProcId q) const { return scanner_->ends().end_of(q); }
+  const ArrivalInfo& arrival(NodeId m) const { return scratch_->arrival[m]; }
+  void push(std::vector<NodeId>& heap, Key key, NodeId m);
+  void pop(std::vector<NodeId>& heap, Key key);
   void push_sat_a(NodeId m);
   int winner(int p, int q) const;
   void refresh(ProcId q);
@@ -317,7 +315,6 @@ class AppendPairSelector {
   const ProcScanner* scanner_;
   PairOrder order_;
   PairScratch* scratch_;
-  ProcEndIndex index_;
 };
 
 /// Insertion-mode incremental (ready node, processor) pair selection.
@@ -339,29 +336,29 @@ class AppendPairSelector {
 /// O(ready) argmin over best() instead of O(ready x procs) EST probes.
 class IncrementalPairSelector {
  public:
-  /// `scratch` must outlive the selector.
-  IncrementalPairSelector(const Schedule& s, const ProcScanner& scanner,
-                          PairScratch& scratch)
-      : sched_(&s),
+  /// Runs on the scanner's schedule. `scratch` must outlive the selector.
+  IncrementalPairSelector(const ProcScanner& scanner, PairScratch& scratch)
+      : sched_(&scanner.schedule()),
         scanner_(&scanner),
         scratch_(&scratch),
         scanned_(scanner.scan_count()) {
-    scratch.bind(s.graph().num_nodes());
+    scratch.bind_arrival(sched_->graph().num_nodes());
+    scratch.bind(sched_->graph().num_nodes());
     if (scratch.bucket.size() < static_cast<std::size_t>(scanner.limit()))
       scratch.bucket.resize(static_cast<std::size_t>(scanner.limit()));
     scratch.tracked.clear();
     for (std::vector<NodeId>& b : scratch.bucket) b.clear();
   }
 
-  /// Admit a node whose parents are all placed: compute its arrival
+  /// Admit a node whose parents are all placed: freeze its arrival
   /// summary and score processors [0, scan_count). Membership is the
   /// tracked list; this selector does not use PairScratch::stamp.
   void node_ready(NodeId n) {
-    compute_arrival_into(*sched_, n, scratch_->arrival[n]);
+    scratch_->arrival[n] = arrival_of(*sched_, n);
     scratch_->tracked_pos[n] =
         static_cast<std::uint32_t>(scratch_->tracked.size());
     scratch_->tracked.push_back(n);
-    rescore(n, scanned_, /*fresh=*/true);
+    rescore(n, /*fresh=*/true);
   }
 
   /// Report that `n` (previously ready) was placed on `p`. Call after
@@ -387,7 +384,7 @@ class IncrementalPairSelector {
       const TaskGraph& g = sched_->graph();
       for (NodeId m : sc.tracked) {
         if (sc.best[m].proc == p) {
-          rescore(m, count, /*fresh=*/false);
+          rescore(m, /*fresh=*/false);
           continue;
         }
         const ArrivalInfo& arr = sc.arrival[m];
@@ -403,7 +400,7 @@ class IncrementalPairSelector {
     } else {
       // Snapshot: rescoring moves nodes between buckets mid-iteration.
       sc.bucket_snap.assign(sc.bucket[p].begin(), sc.bucket[p].end());
-      for (NodeId m : sc.bucket_snap) rescore(m, count, /*fresh=*/false);
+      for (NodeId m : sc.bucket_snap) rescore(m, /*fresh=*/false);
     }
     scanned_ = count;
   }
@@ -436,8 +433,9 @@ class IncrementalPairSelector {
     bucket_insert(m);
   }
 
-  void rescore(NodeId m, int count, bool fresh) {
-    const ProcChoice pc = score(m, count);
+  void rescore(NodeId m, bool fresh) {
+    const ProcChoice pc =
+        best_est_proc(*scanner_, m, scratch_->arrival[m], /*insertion=*/true);
     if (fresh) {
       scratch_->best[m] = pc;
       bucket_insert(m);
@@ -445,17 +443,6 @@ class IncrementalPairSelector {
                pc.start != scratch_->best[m].start) {
       set_best(m, pc);
     }
-  }
-
-  ProcChoice score(NodeId m, int count) const {
-    const ArrivalInfo& arr = scratch_->arrival[m];
-    const Cost dur = sched_->graph().weight(m);
-    ProcChoice pc{0, kTimeInf};
-    for (ProcId q = 0; q < count; ++q) {
-      const Time t = sched_->earliest_start_on(q, arr.ready_on(q), dur, true);
-      if (t < pc.start) pc = {q, t};
-    }
-    return pc;
   }
 
   const Schedule* sched_;

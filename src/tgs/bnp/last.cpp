@@ -23,9 +23,9 @@ Schedule LastScheduler::do_run(const TaskGraph& g, const SchedOptions& opt,
   std::vector<Cost> to_scheduled(g.num_nodes(), 0);
 
   Schedule sched(g, effective_procs(g, opt));
-  ProcScanner scanner(effective_procs(g, opt));
+  ProcScanner scanner(sched, effective_procs(g, opt),
+                      ws.pair_scratch().proc_ends);
   ReadyList ready(g);
-  ArrivalInfo& probe = ws.pair_scratch().probe;
 
   while (!ready.empty()) {
     // Highest D_NODE = to_scheduled / incident, compared exactly via cross
@@ -41,8 +41,8 @@ Schedule LastScheduler::do_run(const TaskGraph& g, const SchedOptions& opt,
       if (lhs > rhs || (lhs == rhs && sl[m] > sl[best])) best = m;
     }
 
-    const ProcChoice choice = best_est_proc(sched, best, scanner,
-                                           /*insertion=*/false, probe);
+    const ProcChoice choice = best_est_proc(
+        scanner, best, arrival_of(sched, best), /*insertion=*/false);
     sched.place(best, choice.proc, choice.start);
     scanner.note_placement(choice.proc);
     ready.mark_scheduled(best);

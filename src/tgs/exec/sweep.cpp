@@ -37,13 +37,8 @@ Sweep& Sweep::axis(std::string name, std::vector<double> values,
   return *this;
 }
 
-Sweep& Sweep::replications(int n) {
-  reps_ = std::max(1, n);
-  return *this;
-}
-
 std::size_t Sweep::size() const {
-  std::size_t n = static_cast<std::size_t>(reps_);
+  std::size_t n = 1;
   for (const Axis& a : axes_) n *= a.values.size();
   return n;
 }
@@ -51,9 +46,8 @@ std::size_t Sweep::size() const {
 std::vector<SweepPoint> Sweep::expand() const {
   std::vector<SweepPoint> points;
   points.reserve(size());
-  // Odometer over axis value indices; the last axis advances fastest and
-  // replications fastest of all, so adding a replication or extending the
-  // final axis keeps earlier points' indices (and seeds) stable.
+  // Odometer over axis value indices; the last axis advances fastest, so
+  // extending it keeps earlier points' indices (and seeds) stable.
   std::vector<std::size_t> digit(axes_.size(), 0);
   const auto exhausted = [&] {
     for (const Axis& a : axes_)
@@ -63,18 +57,15 @@ std::vector<SweepPoint> Sweep::expand() const {
   std::uint64_t index = 0;
   bool done = exhausted;
   while (!done) {
-    for (int rep = 0; rep < reps_; ++rep) {
-      SweepPoint p;
-      p.index = index++;
-      p.replication = rep;
-      p.params.reserve(axes_.size());
-      for (std::size_t a = 0; a < axes_.size(); ++a) {
-        p.params.emplace_back(axes_[a].name, axes_[a].values[digit[a]]);
-        if (!axes_[a].labels.empty())
-          p.labels.emplace_back(axes_[a].name, axes_[a].labels[digit[a]]);
-      }
-      points.push_back(std::move(p));
+    SweepPoint p;
+    p.index = index++;
+    p.params.reserve(axes_.size());
+    for (std::size_t a = 0; a < axes_.size(); ++a) {
+      p.params.emplace_back(axes_[a].name, axes_[a].values[digit[a]]);
+      if (!axes_[a].labels.empty())
+        p.labels.emplace_back(axes_[a].name, axes_[a].labels[digit[a]]);
     }
+    points.push_back(std::move(p));
     done = true;
     for (std::size_t a = axes_.size(); a-- > 0;) {
       if (++digit[a] < axes_[a].values.size()) {

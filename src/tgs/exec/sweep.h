@@ -1,12 +1,11 @@
 // Sweep expansion and execution: the top half of the experiment engine.
 //
-// A Sweep declares a parameter grid (named axes) and a replication count;
-// expand() flattens it into a deterministic list of SweepPoints, one per
-// job, indexed densely in row-major order (last axis fastest, replication
-// fastest of all). Each point's seed is derive_seed(master_seed, index),
-// so every (axes..., replication) combination owns a private RNG stream:
-// replications never collide with each other or with neighbouring grid
-// cells, and the mapping is stable under thread count.
+// A Sweep declares a parameter grid (named axes); expand() flattens it
+// into a deterministic list of SweepPoints, one per job, indexed densely in
+// row-major order (last axis fastest). Each point's seed is
+// derive_seed(master_seed, index), so every grid cell owns a private RNG
+// stream -- repetitions are one more axis -- and the mapping is stable
+// under thread count.
 //
 // run_sweep()/run_jobs() execute the points on a ThreadPool and deliver
 // results to a ResultSink; with the sink's ordered folding this makes the
@@ -27,7 +26,6 @@ namespace tgs {
 /// One point of the expanded grid.
 struct SweepPoint {
   std::uint64_t index = 0;
-  int replication = 0;
   std::vector<std::pair<std::string, double>> params;  // axis order
   std::vector<std::pair<std::string, std::string>> labels;  // labelled axes
 
@@ -51,10 +49,7 @@ class Sweep {
   Sweep& axis(std::string name, std::vector<double> values,
               std::vector<std::string> labels);
 
-  /// Independent repetitions per grid cell (default 1, clamped to >= 1).
-  Sweep& replications(int n);
-
-  /// Product of axis sizes and replications. Empty axes contribute 0.
+  /// Product of axis sizes. Empty axes contribute 0.
   std::size_t size() const;
 
   std::vector<SweepPoint> expand() const;
@@ -66,7 +61,6 @@ class Sweep {
     std::vector<std::string> labels;  // empty, or one per value
   };
   std::vector<Axis> axes_;
-  int reps_ = 1;
 };
 
 /// Run pre-built jobs on `threads` workers, delivering into `sink`

@@ -33,10 +33,7 @@ void ThreadPool::stop(bool drain) {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_ && workers_.empty()) return;
     stopping_ = true;
-    if (!drain) {
-      discarded_ += queue_.size();
-      std::queue<std::function<void()>>().swap(queue_);
-    }
+    if (!drain) std::queue<std::function<void()>>().swap(queue_);
   }
   work_cv_.notify_all();
   for (auto& w : workers_) w.join();
@@ -44,11 +41,6 @@ void ThreadPool::stop(bool drain) {
   // Everything is done (or dropped): release wait_idle() callers, who would
   // otherwise sleep forever if the queue was discarded under them.
   idle_cv_.notify_all();
-}
-
-std::size_t ThreadPool::pending() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
 }
 
 std::size_t ThreadPool::queue_depth() const {
@@ -59,11 +51,6 @@ std::size_t ThreadPool::queue_depth() const {
 std::size_t ThreadPool::tasks_failed() const {
   std::lock_guard<std::mutex> lock(mu_);
   return failed_;
-}
-
-std::size_t ThreadPool::tasks_discarded() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return discarded_;
 }
 
 void ThreadPool::worker_loop() {

@@ -42,16 +42,12 @@ class ThreadPool {
   void shutdown() { stop(/*drain=*/true); }
 
   /// Graceful shutdown with a load-shedding option. drain=true behaves like
-  /// shutdown(); drain=false discards tasks that no worker has started yet
-  /// (counted by tasks_discarded()), finishes only the in-flight ones, and
-  /// joins. A serving daemon uses drain=false so a long backlog cannot
-  /// stall its exit. Idempotent.
+  /// shutdown(); drain=false discards tasks that no worker has started yet,
+  /// finishes only the in-flight ones, and joins. A serving daemon uses
+  /// drain=false so a long backlog cannot stall its exit. Idempotent.
   void stop(bool drain);
 
   int size() const { return static_cast<int>(workers_.size()); }
-
-  /// Tasks queued but not yet picked up by a worker.
-  std::size_t pending() const;
 
   /// Tasks admitted but not yet finished: queued + currently running. The
   /// honest backpressure figure a server should report.
@@ -59,9 +55,6 @@ class ThreadPool {
 
   /// Tasks whose thunk threw (the exception is dropped).
   std::size_t tasks_failed() const;
-
-  /// Tasks dropped unstarted by stop(drain=false).
-  std::size_t tasks_discarded() const;
 
  private:
   void worker_loop();
@@ -72,7 +65,6 @@ class ThreadPool {
   std::queue<std::function<void()>> queue_;
   std::size_t active_ = 0;
   std::size_t failed_ = 0;
-  std::size_t discarded_ = 0;
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 };

@@ -18,11 +18,4 @@ TaskGraph rgbos_graph(double ccr, NodeId num_nodes, std::uint64_t seed) {
   return random_fanout_dag(params);
 }
 
-std::vector<TaskGraph> rgbos_suite(double ccr, std::uint64_t seed) {
-  std::vector<TaskGraph> out;
-  for (NodeId v = kRgbosMinNodes; v <= kRgbosMaxNodes; v += kRgbosStep)
-    out.push_back(rgbos_graph(ccr, v, seed));
-  return out;
-}
-
 }  // namespace tgs

@@ -23,7 +23,4 @@ inline constexpr NodeId kRgbosStep = 2;
 /// One RGBOS graph (deterministic in (ccr, num_nodes, seed)).
 TaskGraph rgbos_graph(double ccr, NodeId num_nodes, std::uint64_t seed);
 
-/// The full 12-graph subset for one CCR.
-std::vector<TaskGraph> rgbos_suite(double ccr, std::uint64_t seed);
-
 }  // namespace tgs

@@ -5,19 +5,6 @@
 
 namespace tgs {
 
-TaskGraph chain_graph(NodeId length, Cost node_cost, Cost edge_cost) {
-  TaskGraphBuilder b("chain" + std::to_string(length));
-  for (NodeId i = 0; i < length; ++i) b.add_node(node_cost);
-  for (NodeId i = 0; i + 1 < length; ++i) b.add_edge(i, i + 1, edge_cost);
-  return b.finalize();
-}
-
-TaskGraph independent_tasks(NodeId count, Cost node_cost) {
-  TaskGraphBuilder b("indep" + std::to_string(count));
-  for (NodeId i = 0; i < count; ++i) b.add_node(node_cost);
-  return b.finalize();
-}
-
 TaskGraph fork_join(NodeId width, Cost node_cost, Cost edge_cost) {
   TaskGraphBuilder b("forkjoin" + std::to_string(width));
   const NodeId src = b.add_node(node_cost, "fork");

@@ -1,17 +1,11 @@
 // Deterministic structured DAG generators: the classic shapes the paper's
 // §4 mentions earlier algorithms were specialized to (trees, fork-join),
-// plus a few more used in tests and the peer-set suite.
+// plus the diamond lattice of the peer-set suite.
 #pragma once
 
 #include "tgs/graph/task_graph.h"
 
 namespace tgs {
-
-/// Single chain n0 -> n1 -> ... (serial program).
-TaskGraph chain_graph(NodeId length, Cost node_cost = 10, Cost edge_cost = 5);
-
-/// n independent tasks (embarrassingly parallel).
-TaskGraph independent_tasks(NodeId count, Cost node_cost = 10);
 
 /// Fork-join: source -> `width` parallel tasks -> sink.
 TaskGraph fork_join(NodeId width, Cost node_cost = 10, Cost edge_cost = 5);

@@ -29,19 +29,6 @@ Table PivotStats::render(int precision) const {
   return t;
 }
 
-std::vector<std::string> PivotStats::overall_means(int precision) const {
-  std::vector<std::string> out{"Avg."};
-  for (const auto& c : columns_) {
-    StatAccumulator acc;
-    for (const auto& [key, row] : cells_) {
-      auto it = row.find(c);
-      if (it != row.end()) acc.add(it->second.mean());
-    }
-    out.push_back(acc.count() == 0 ? "-" : Table::fmt(acc.mean(), precision));
-  }
-  return out;
-}
-
 const StatAccumulator* PivotStats::cell(double row_key,
                                         const std::string& column) const {
   auto rit = cells_.find(row_key);

@@ -23,10 +23,6 @@ class PivotStats {
   /// Mean per cell; missing cells render "-". Rows sorted ascending.
   Table render(int precision = 2) const;
 
-  /// Render a row of per-column means over ALL rows ("Avg." line of the
-  /// paper's tables).
-  std::vector<std::string> overall_means(int precision = 2) const;
-
   const StatAccumulator* cell(double row_key, const std::string& column) const;
 
  private:

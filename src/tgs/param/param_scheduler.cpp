@@ -37,13 +37,18 @@ class ListPhase {
         g_(g),
         ws_(ws),
         ps_(ps),
+        pair_(ws.pair_scratch()),
         clustered_(spec.cluster != ParamCluster::kNone),
         fit_(spec.insertion == ParamInsertion::kInsert),
         hole_(spec.insertion == ParamInsertion::kHole),
         dynamic_(spec.ready == ParamReady::kDynamic),
         sched_(g, clustered_ ? 0 : effective_procs(g, opt)),
-        scanner_(effective_procs(g, opt)),
-        ready_(g) {}
+        // A cluster map fixes every processor, so the scanner goes unused.
+        scanner_(sched_, clustered_ ? 0 : effective_procs(g, opt),
+                 pair_.proc_ends),
+        ready_(g) {
+    pair_.bind_arrival(g.num_nodes());
+  }
 
   Schedule run() {
     switch (spec_.ready) {
@@ -65,7 +70,7 @@ class ListPhase {
  private:
   // kStatic picks the highest-priority ready node (= smallest rank; rank
   // encodes the smallest-id tie-break). kDynamic orders by the frozen
-  // arrival time -- the earliest moment the node's data is available
+  // arrival time max1 -- the earliest moment the node's data is available
   // anywhere -- with the metric rank as tie-break. Both keys freeze at
   // admission, so the pick is a lazy min-heap pop: each node carries one
   // entry, and entries whose node left the ready set another way (the
@@ -73,7 +78,8 @@ class ListPhase {
   // per-step scan that dominated giant FFT-class graphs (ready width in
   // the thousands).
   void push_list(NodeId n) {
-    ps_.list_heap.push_back({dynamic_ ? ps_.arrival[n] : 0, ps_.rank[n], n});
+    ps_.list_heap.push_back(
+        {dynamic_ ? pair_.arrival[n].max1 : 0, ps_.rank[n], n});
     std::push_heap(ps_.list_heap.begin(), ps_.list_heap.end(), ListPickCmp{});
   }
 
@@ -89,9 +95,8 @@ class ListPhase {
 
   void run_list() {
     list_heap_live_ = true;
-    if (dynamic_) ps_.arrival.assign(g_.num_nodes(), 0);  // entry: t=0
     ps_.list_heap.clear();
-    for (NodeId n : ready_.ready()) push_list(n);
+    admit_all();
     while (!ready_.empty()) {
       ws_.deadline().poll();
       const NodeId n = pick_list();
@@ -99,10 +104,9 @@ class ListPhase {
       Time start;
       if (clustered_) {
         p = ps_.assign[n];
-        start = sched_.est(n, p, fit_);
+        start = est_on(n, p);
       } else {
-        const ProcChoice c = best_est_proc(sched_, n, scanner_, fit_,
-                                           ws_.pair_scratch().probe);
+        const ProcChoice c = best_est_proc(scanner_, n, pair_.arrival[n], fit_);
         p = c.proc;
         start = c.start;
       }
@@ -119,9 +123,9 @@ class ListPhase {
   // feed a linear argmin over the ready set.
   void run_pair_selector() {
     if (!fit_) {
-      AppendPairSelector& sel = append_sel_.emplace(
-          sched_, scanner_, pair_order(), ws_.pair_scratch());
-      for (NodeId n : ready_.ready()) sel.node_ready(n);
+      AppendPairSelector& sel =
+          append_sel_.emplace(scanner_, pair_order(), pair_);
+      admit_all();
       while (!ready_.empty()) {
         ws_.deadline().poll();
         const NodeId n = sel.pick();
@@ -130,9 +134,8 @@ class ListPhase {
       }
       return;
     }
-    IncrementalPairSelector& sel =
-        insert_sel_.emplace(sched_, scanner_, ws_.pair_scratch());
-    for (NodeId n : ready_.ready()) sel.node_ready(n);
+    IncrementalPairSelector& sel = insert_sel_.emplace(scanner_, pair_);
+    admit_all();
     while (!ready_.empty()) {
       ws_.deadline().poll();
       const NodeId n = scan_pick([&](NodeId m) { return sel.best(m).start; });
@@ -144,12 +147,19 @@ class ListPhase {
   // of EST on each node's forced processor (the selectors assume free
   // processor choice, so they do not apply here).
   void run_pair_clustered() {
+    admit_all();
     while (!ready_.empty()) {
       ws_.deadline().poll();
-      const NodeId n = scan_pick(
-          [&](NodeId m) { return sched_.est(m, ps_.assign[m], fit_); });
-      place(n, ps_.assign[n], sched_.est(n, ps_.assign[n], fit_));
+      const NodeId n =
+          scan_pick([&](NodeId m) { return est_on(m, ps_.assign[m]); });
+      place(n, ps_.assign[n], est_on(n, ps_.assign[n]));
     }
+  }
+
+  /// Earliest start of ready node `m` on `p` under the run's placement.
+  Time est_on(NodeId m, ProcId p) const {
+    return sched_.earliest_start_on(p, pair_.arrival[m].ready_on(p),
+                                    g_.weight(m), fit_);
   }
 
   PairOrder pair_order() const {
@@ -194,32 +204,35 @@ class ListPhase {
     admit_children(n);
   }
 
-  /// Children of `n` that just became ready enter the policy's incremental
-  /// state: the pair selector, or the list heap (with the frozen arrival
-  /// times of the dynamic list policy).
+  /// Children of `n` that just became ready are admitted.
   void admit_children(NodeId n) {
-    for (const Adj& c : g_.children(n)) {
-      if (!ready_.is_ready(c.node)) continue;
-      if (append_sel_) {
-        append_sel_->node_ready(c.node);
-      } else if (insert_sel_) {
-        insert_sel_->node_ready(c.node);
-      } else if (list_heap_live_) {
-        if (dynamic_) {
-          Time arr = 0;
-          for (const Adj& par : g_.parents(c.node))
-            arr = std::max(arr, sched_.finish(par.node) + par.cost);
-          ps_.arrival[c.node] = arr;
-        }
-        push_list(c.node);
-      }
+    for (const Adj& c : g_.children(n))
+      if (ready_.is_ready(c.node)) admit(c.node);
+  }
+
+  void admit_all() {
+    for (NodeId n : ready_.ready()) admit(n);
+  }
+
+  /// A node that just became ready freezes its arrival summary (the pair
+  /// selectors freeze it themselves) and enters the policy's incremental
+  /// state: the pair selector, or the list heap.
+  void admit(NodeId n) {
+    if (append_sel_) {
+      append_sel_->node_ready(n);
+    } else if (insert_sel_) {
+      insert_sel_->node_ready(n);
+    } else {
+      pair_.arrival[n] = arrival_of(sched_, n);
+      if (list_heap_live_) push_list(n);
     }
   }
 
   /// ISH-style back-filling of [gap_from, gap_to) on `proc`, generalized
   /// to the run's metric: fill with the highest-priority ready task that
   /// fits entirely and (without a cluster map) would not have started
-  /// strictly earlier on any other processor.
+  /// strictly earlier on any other processor. Both tests read the frozen
+  /// arrival in O(1): the data-ready time on `proc` and the append EST.
   void fill_hole(ProcId proc, Time gap_from, Time gap_to) {
     while (gap_from < gap_to && !ready_.empty()) {
       ws_.deadline().poll();
@@ -227,16 +240,11 @@ class ListPhase {
       Time best_start = 0;
       for (NodeId m : ready_.ready()) {
         if (clustered_ && ps_.assign[m] != proc) continue;
-        const Time st = std::max(sched_.data_ready(m, proc), gap_from);
+        const ArrivalInfo& a = pair_.arrival[m];
+        const Time st = std::max(a.ready_on(proc), gap_from);
         if (st + g_.weight(m) > gap_to) continue;
-        if (!clustered_) {
-          const Time alt = append_sel_
-                               ? append_sel_->est(m)
-                               : best_est_proc(sched_, m, scanner_, false,
-                                               ws_.pair_scratch().probe)
-                                     .start;
-          if (alt < st) continue;  // the hole is not this task's best slot
-        }
+        // The hole is not this task's best slot.
+        if (!clustered_ && append_est(scanner_, a) < st) continue;
         if (best_fill == kNoNode || ps_.rank[m] < ps_.rank[best_fill]) {
           best_fill = m;
           best_start = st;
@@ -253,6 +261,7 @@ class ListPhase {
   const TaskGraph& g_;
   SchedWorkspace& ws_;
   ParamScratch& ps_;
+  PairScratch& pair_;  // frozen arrivals and the scanner's end index
   const bool clustered_;
   const bool fit_;
   const bool hole_;

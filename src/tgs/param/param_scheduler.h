@@ -39,7 +39,6 @@ struct ParamScratch {
   std::vector<Time> key;      // metric scalar, larger = more urgent
   std::vector<int> rank;      // total priority order, 0 = first
   std::vector<NodeId> order;  // scratch for building rank
-  std::vector<Time> arrival;  // kDynamic: frozen arrival time per node
   std::vector<ProcId> assign; // cluster pre-pass: node -> processor
 
   // Lazy selection heap of the list phase (see param_scheduler.cpp). It
@@ -47,7 +46,7 @@ struct ParamScratch {
   // policies with a log-time pop; entries whose node left the ready set
   // another way (hole filling) go stale and are discarded on pop.
   struct ListPick {
-    Time primary;  // kDynamic: frozen arrival; kStatic: 0
+    Time primary;  // kDynamic: frozen arrival max1; kStatic: 0
     int rank;
     NodeId node;
   };

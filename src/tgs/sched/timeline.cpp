@@ -142,7 +142,8 @@ int Timeline::tree_query(std::size_t node, std::size_t l, std::size_t r,
   return tree_query(2 * node + 1, mid, r, lo, dur);
 }
 
-Time Timeline::earliest_fit(Time ready, Cost dur, bool insertion) const {
+[[gnu::aligned(64)]] Time Timeline::earliest_fit(Time ready, Cost dur,
+                                                bool insertion) const {
   if (size_ == 0) return ready;
   if (!insertion) return std::max(ready, end_time_);
   if (dur == 0) return ready;  // a zero-length block fits anywhere

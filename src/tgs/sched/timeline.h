@@ -19,6 +19,7 @@
 // (tests/test_timeline.cpp churns both against each other).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -41,7 +42,8 @@ class Timeline {
   /// insertion=false: returns max(ready, end-of-last-interval).
   /// insertion=true : first gap (including before the first interval and
   /// after the last) that can hold dur starting no earlier than ready.
-  /// dur == 0 fits anywhere >= ready.
+  /// dur == 0 fits anywhere >= ready. The definition is aligned to a
+  /// cache line so its speed does not swing with unrelated code layout.
   Time earliest_fit(Time ready, Cost dur, bool insertion) const;
 
   /// True if [start, start+dur) does not overlap any existing interval.
@@ -68,6 +70,14 @@ class Timeline {
 
   /// End of the last interval (0 when empty).
   Time end_time() const { return end_time_; }
+
+  /// Largest idle stretch before end_time(), counting the one from time 0
+  /// to the first interval, in O(1). When it is below `dur`, an insertion
+  /// fit at any ready >= 0 is max(ready, end_time()): no gap holds the
+  /// block.
+  Time max_gap() const {
+    return size_ == 0 ? 0 : std::max(chunks_.front().first_start(), tree_[1]);
+  }
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }

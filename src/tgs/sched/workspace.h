@@ -9,9 +9,10 @@
 //    most once per graph and shared by every algorithm run with this
 //    workspace (HLFET, ISH, LAST, ETF, DLS and DLS-APN all want static
 //    levels; MCP wants ALAP; DSC wants b-levels).
-//  * PairScratch -- the flat per-node pools of the incremental
-//    (ready node, processor) pair selectors (bnp/bnp_common.h). Stored
-//    behind a pointer so sched/ does not include bnp/ headers.
+//  * PairScratch -- the frozen per-node arrivals, the processor end-time
+//    index and the pools of the (ready node, processor) pair selectors
+//    (bnp/bnp_common.h). Stored behind a pointer so sched/ does not include
+//    bnp/ headers.
 //  * ApnSweepScratch -- the per-processor buffers of the one-to-all APN
 //    probes (apn/apn_common.h), so the per-step sweeps of MH / DLS(APN) /
 //    BSA allocate nothing in steady state.
@@ -126,7 +127,7 @@ class SchedWorkspace {
   ApnSweepScratch& apn_scratch() { return apn_; }
 
   /// Per-run buffers of the parameterized scheduler core (priority keys,
-  /// static ranks, arrival times, cluster assignment); sized by
+  /// static ranks, list heap, cluster assignment); sized by
   /// ParamScheduler per run.
   ParamScratch& param_scratch() { return *param_; }
 

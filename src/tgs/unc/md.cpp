@@ -49,7 +49,7 @@ Schedule MdScheduler::do_run(const TaskGraph& g, const SchedOptions& opt,
                              SchedWorkspace& ws) const {
   const int limit = effective_procs(g, opt);
   Schedule sched(g, limit);
-  ProcScanner scanner(limit);
+  ProcScanner scanner(sched, limit, ws.pair_scratch().proc_ends);
   ReadyList ready(g);
 
   std::vector<Time> t, b;
@@ -75,14 +75,15 @@ Schedule MdScheduler::do_run(const TaskGraph& g, const SchedOptions& opt,
 
     const Time window_end = L - b[n];  // latest CP-preserving start
     const Time dur = g.weight(n);
+    const ArrivalInfo arrival = arrival_of(sched, n);
 
     // First processor whose earliest feasible slot lies inside the window.
     ProcId chosen = kNoProc;
     Time chosen_start = 0;
     const int count = scanner.scan_count();
     for (ProcId p = 0; p < count; ++p) {
-      const Time dr = sched.data_ready(n, p);
-      const Time st = sched.earliest_start_on(p, dr, dur, /*insertion=*/true);
+      const Time st = sched.earliest_start_on(p, arrival.ready_on(p), dur,
+                                              /*insertion=*/true);
       if (st <= window_end) {
         chosen = p;
         chosen_start = st;
@@ -91,8 +92,8 @@ Schedule MdScheduler::do_run(const TaskGraph& g, const SchedOptions& opt,
     }
     if (chosen == kNoProc) {
       // No window fit anywhere: fall back to globally earliest start.
-      const ProcChoice c = best_est_proc(sched, n, scanner, /*insertion=*/true,
-                                         ws.pair_scratch().probe);
+      const ProcChoice c =
+          best_est_proc(scanner, n, arrival, /*insertion=*/true);
       chosen = c.proc;
       chosen_start = c.start;
     }

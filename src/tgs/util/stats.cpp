@@ -5,31 +5,9 @@
 
 namespace tgs {
 
-void StatAccumulator::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  sum_ += x;
-  sum_sq_ += x * x;
-}
-
 double StatAccumulator::mean() const {
   return n_ == 0 ? 0.0 : sum_ / static_cast<double>(n_);
 }
-
-double StatAccumulator::stddev() const {
-  if (n_ < 2) return 0.0;
-  const double n = static_cast<double>(n_);
-  const double var = (sum_sq_ - sum_ * sum_ / n) / (n - 1.0);
-  return var <= 0.0 ? 0.0 : std::sqrt(var);
-}
-
-double StatAccumulator::min() const { return n_ == 0 ? 0.0 : min_; }
-double StatAccumulator::max() const { return n_ == 0 ? 0.0 : max_; }
 
 double median(std::vector<double> xs) {
   if (xs.empty()) return 0.0;

@@ -6,25 +6,21 @@
 
 namespace tgs {
 
-/// Streaming accumulator: count, mean, population/sample stddev, min, max.
+/// Streaming accumulator: count, sum and mean.
 class StatAccumulator {
  public:
-  void add(double x);
+  void add(double x) {
+    ++n_;
+    sum_ += x;
+  }
 
   std::size_t count() const { return n_; }
   double mean() const;
-  /// Sample standard deviation (n-1 denominator); 0 when n < 2.
-  double stddev() const;
-  double min() const;
-  double max() const;
   double sum() const { return sum_; }
 
  private:
   std::size_t n_ = 0;
   double sum_ = 0.0;
-  double sum_sq_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 /// Median of a copy of `xs` (average of middle two for even n); 0 if empty.

@@ -5,7 +5,9 @@
 // param re-expressions to reproduce these schedules byte-for-byte -- the
 // same contract reference_schedulers.h enforces for the incremental
 // ETF/DLS (whose pre-refactor selection loops naive_etf/naive_dls already
-// serve as the frozen references).
+// serve as the frozen references). Processor choice goes through the
+// exhaustive scan of reference_proc_choice.h, not the library's pruned
+// best_est_proc.
 //
 // Deliberately straight-line copies -- do not refactor or "optimize";
 // byte-fidelity to the retired code is the point.
@@ -15,6 +17,7 @@
 #include <numeric>
 #include <vector>
 
+#include "reference_proc_choice.h"
 #include "tgs/bnp/bnp_common.h"
 #include "tgs/graph/attributes.h"
 #include "tgs/list/priorities.h"
@@ -30,14 +33,15 @@ namespace tgs::reference {
 inline Schedule original_hlfet(const TaskGraph& g, const SchedOptions& opt) {
   const std::vector<Time> sl = static_levels(g);
   Schedule sched(g, effective_procs(g, opt));
-  ProcScanner scanner(effective_procs(g, opt));
+  std::vector<Time> ends;
+  ProcScanner scanner(sched, effective_procs(g, opt), ends);
   ReadyList ready(g);
-  ArrivalInfo probe;
+  Arrival probe;
 
   while (!ready.empty()) {
     const NodeId n = argmax_priority(ready.ready(), sl);
     const ProcChoice choice =
-        best_est_proc(sched, n, scanner, /*insertion=*/false, probe);
+        best_est_proc_scan(sched, n, scanner, /*insertion=*/false, probe);
     sched.place(n, choice.proc, choice.start);
     scanner.note_placement(choice.proc);
     ready.mark_scheduled(n);
@@ -49,14 +53,15 @@ inline Schedule original_hlfet(const TaskGraph& g, const SchedOptions& opt) {
 inline Schedule original_ish(const TaskGraph& g, const SchedOptions& opt) {
   const std::vector<Time> sl = static_levels(g);
   Schedule sched(g, effective_procs(g, opt));
-  ProcScanner scanner(effective_procs(g, opt));
+  std::vector<Time> ends;
+  ProcScanner scanner(sched, effective_procs(g, opt), ends);
   ReadyList ready(g);
-  ArrivalInfo probe;
+  Arrival probe;
 
   while (!ready.empty()) {
     const NodeId n = argmax_priority(ready.ready(), sl);
     const ProcChoice choice =
-        best_est_proc(sched, n, scanner, /*insertion=*/false, probe);
+        best_est_proc_scan(sched, n, scanner, /*insertion=*/false, probe);
     const Time hole_start = sched.earliest_start_on(choice.proc, 0, 0, false);
     sched.place(n, choice.proc, choice.start);
     scanner.note_placement(choice.proc);
@@ -71,7 +76,8 @@ inline Schedule original_ish(const TaskGraph& g, const SchedOptions& opt) {
         const Time dr = sched.data_ready(m, choice.proc);
         const Time st = std::max(dr, gap_from);
         if (st + g.weight(m) > gap_to) continue;
-        const ProcChoice alt = best_est_proc(sched, m, scanner, false, probe);
+        const ProcChoice alt =
+            best_est_proc_scan(sched, m, scanner, false, probe);
         if (alt.start < st) continue;
         if (best_fill == kNoNode || sl[m] > sl[best_fill] ||
             (sl[m] == sl[best_fill] && m < best_fill)) {
@@ -107,11 +113,12 @@ inline Schedule original_mcp(const TaskGraph& g, const SchedOptions& opt) {
   });
 
   Schedule sched(g, effective_procs(g, opt));
-  ProcScanner scanner(effective_procs(g, opt));
-  ArrivalInfo probe;
+  std::vector<Time> ends;
+  ProcScanner scanner(sched, effective_procs(g, opt), ends);
+  Arrival probe;
   for (NodeId n : order) {
     const ProcChoice choice =
-        best_est_proc(sched, n, scanner, /*insertion=*/true, probe);
+        best_est_proc_scan(sched, n, scanner, /*insertion=*/true, probe);
     sched.place(n, choice.proc, choice.start);
     scanner.note_placement(choice.proc);
   }

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "reference_net.h"
+#include "reference_proc_choice.h"
 #include "tgs/apn/apn_common.h"
 #include "tgs/net/topology.h"
 #include "tgs/bnp/bnp_common.h"
@@ -29,7 +30,8 @@ inline Schedule naive_etf(const TaskGraph& g, const SchedOptions& opt,
                           bool insertion = false) {
   const std::vector<Time> sl = static_levels(g);
   Schedule sched(g, effective_procs(g, opt));
-  ProcScanner scanner(effective_procs(g, opt));
+  std::vector<Time> ends;
+  ProcScanner scanner(sched, effective_procs(g, opt), ends);
   ReadyList ready(g);
 
   while (!ready.empty()) {
@@ -38,8 +40,8 @@ inline Schedule naive_etf(const TaskGraph& g, const SchedOptions& opt,
     Time best_t = kTimeInf;
     const int nprocs = scanner.scan_count();
     for (NodeId m : ready.ready()) {
-      ArrivalInfo arr;
-      compute_arrival_into(sched, m, arr);
+      Arrival arr;
+      arrival_into(sched, m, arr);
       for (ProcId p = 0; p < nprocs; ++p) {
         const Time t =
             sched.earliest_start_on(p, arr.ready_on(p), g.weight(m), insertion);
@@ -67,7 +69,8 @@ inline Schedule naive_dls(const TaskGraph& g, const SchedOptions& opt,
                           bool insertion = false) {
   const std::vector<Time> sl = static_levels(g);
   Schedule sched(g, effective_procs(g, opt));
-  ProcScanner scanner(effective_procs(g, opt));
+  std::vector<Time> ends;
+  ProcScanner scanner(sched, effective_procs(g, opt), ends);
   ReadyList ready(g);
 
   while (!ready.empty()) {
@@ -77,8 +80,8 @@ inline Schedule naive_dls(const TaskGraph& g, const SchedOptions& opt,
     Time best_dl = 0;
     const int nprocs = scanner.scan_count();
     for (NodeId m : ready.ready()) {
-      ArrivalInfo arr;
-      compute_arrival_into(sched, m, arr);
+      Arrival arr;
+      arrival_into(sched, m, arr);
       for (ProcId p = 0; p < nprocs; ++p) {
         const Time est =
             sched.earliest_start_on(p, arr.ready_on(p), g.weight(m), insertion);
@@ -146,9 +149,10 @@ inline Schedule incremental_etf(const TaskGraph& g, const SchedOptions& opt,
                                 SchedWorkspace& ws) {
   const std::vector<Time> sl = static_levels(g);
   Schedule sched(g, effective_procs(g, opt));
-  ProcScanner scanner(effective_procs(g, opt));
+  std::vector<Time> ends;
+  ProcScanner scanner(sched, effective_procs(g, opt), ends);
   ReadyList ready(g);
-  IncrementalPairSelector sel(sched, scanner, ws.pair_scratch());
+  IncrementalPairSelector sel(scanner, ws.pair_scratch());
   for (NodeId n : ready.ready()) sel.node_ready(n);
 
   while (!ready.empty()) {
@@ -181,9 +185,10 @@ inline Schedule incremental_dls(const TaskGraph& g, const SchedOptions& opt,
                                 SchedWorkspace& ws) {
   const std::vector<Time> sl = static_levels(g);
   Schedule sched(g, effective_procs(g, opt));
-  ProcScanner scanner(effective_procs(g, opt));
+  std::vector<Time> ends;
+  ProcScanner scanner(sched, effective_procs(g, opt), ends);
   ReadyList ready(g);
-  IncrementalPairSelector sel(sched, scanner, ws.pair_scratch());
+  IncrementalPairSelector sel(scanner, ws.pair_scratch());
   for (NodeId n : ready.ready()) sel.node_ready(n);
 
   while (!ready.empty()) {

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "fixture_graphs.h"
 #include "reference_net.h"
 #include "tgs/apn/bsa.h"
 #include "tgs/apn/bu.h"

@@ -2,6 +2,7 @@
 // peer-set graph (paper §3 attributes; values derived in the test bodies).
 #include <gtest/gtest.h>
 
+#include "fixture_graphs.h"
 #include "tgs/gen/psg.h"
 #include "tgs/gen/structured.h"
 #include "tgs/graph/attributes.h"

@@ -2,6 +2,7 @@
 // exact results on degenerate shapes, algorithm-specific behaviours.
 #include <gtest/gtest.h>
 
+#include "fixture_graphs.h"
 #include "tgs/bnp/last.h"
 #include "tgs/gen/psg.h"
 #include "tgs/gen/rgnos.h"

@@ -3,6 +3,7 @@
 // an invalid schedule here would poison the benchmark tables.
 #include <gtest/gtest.h>
 
+#include "fixture_graphs.h"
 #include "tgs/gen/rgnos.h"
 #include "tgs/gen/structured.h"
 #include "tgs/harness/registry.h"

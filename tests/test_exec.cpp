@@ -28,7 +28,7 @@ TEST(ThreadPool, RunsEveryTaskPastExhaustion) {
     pool.submit([&done] { done.fetch_add(1, std::memory_order_relaxed); });
   pool.wait_idle();
   EXPECT_EQ(done.load(), 1000);
-  EXPECT_EQ(pool.pending(), 0u);
+  EXPECT_EQ(pool.queue_depth(), 0u);
 }
 
 TEST(ThreadPool, SingleWorkerPreservesFifoOrder) {
@@ -80,12 +80,13 @@ TEST(ThreadPool, StopWithoutDrainDiscardsUnstartedTasks) {
   std::atomic<bool> started{false};
   std::atomic<bool> queued_all{false};
   // First task holds the single worker until (a) the 50 tasks behind it are
-  // all queued and (b) the queue has been emptied -- which, with the worker
-  // parked here, only stop(drain=false)'s discard can do. That makes the
-  // discard deterministic: no queued task can ever start.
+  // all queued and (b) the queue has been emptied, leaving only this task
+  // in flight -- which, with the worker parked here, only
+  // stop(drain=false)'s discard can do. That makes the discard
+  // deterministic: no queued task can ever start.
   pool.submit([&pool, &started, &queued_all] {
     started.store(true);
-    while (!queued_all.load() || pool.pending() != 0)
+    while (!queued_all.load() || pool.queue_depth() != 1)
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
   });
   // Wait until the blocker is *running* (off the queue), so exactly the 50
@@ -96,7 +97,6 @@ TEST(ThreadPool, StopWithoutDrainDiscardsUnstartedTasks) {
   queued_all.store(true);
   pool.stop(/*drain=*/false);
   EXPECT_EQ(done.load(), 0);
-  EXPECT_EQ(pool.tasks_discarded(), 50u);
   EXPECT_EQ(pool.queue_depth(), 0u);
   EXPECT_THROW(pool.submit([] {}), std::runtime_error);
   pool.stop(false);  // idempotent
@@ -109,7 +109,6 @@ TEST(ThreadPool, StopWithDrainMatchesShutdown) {
     pool.submit([&done] { done.fetch_add(1, std::memory_order_relaxed); });
   pool.stop(/*drain=*/true);
   EXPECT_EQ(done.load(), 100);
-  EXPECT_EQ(pool.tasks_discarded(), 0u);
 }
 
 TEST(ThreadPool, QueueDepthCountsQueuedAndRunning) {
@@ -120,11 +119,9 @@ TEST(ThreadPool, QueueDepthCountsQueuedAndRunning) {
     while (!release.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
   });
   pool.submit([] {});
-  // Wait for the steady state: blocker running + one task queued. pending()
-  // alone under-reports backpressure (it misses the running task).
-  while (pool.pending() != 1) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  // Two admitted tasks, whether or not the worker has picked up the
+  // blocker yet: queued + running, so a running task is never missed.
   EXPECT_EQ(pool.queue_depth(), 2u);
-  EXPECT_EQ(pool.pending(), 1u);
   release.store(true);
   pool.wait_idle();
   EXPECT_EQ(pool.queue_depth(), 0u);
@@ -132,17 +129,17 @@ TEST(ThreadPool, QueueDepthCountsQueuedAndRunning) {
 
 TEST(Sweep, ExpansionCountsAndOrder) {
   Sweep sweep;
-  sweep.axis("a", {1, 2}).axis("b", {10, 20, 30}).replications(4);
+  sweep.axis("a", {1, 2}).axis("b", {10, 20, 30}).axis("r", {0, 1, 2, 3});
   EXPECT_EQ(sweep.size(), 24u);
   const auto points = sweep.expand();
   ASSERT_EQ(points.size(), 24u);
   for (std::size_t i = 0; i < points.size(); ++i)
     EXPECT_EQ(points[i].index, i);
-  // Replication varies fastest, then the last axis.
+  // The last axis varies fastest, then the one before it.
   EXPECT_EQ(points[0].param("a"), 1);
   EXPECT_EQ(points[0].param("b"), 10);
-  EXPECT_EQ(points[0].replication, 0);
-  EXPECT_EQ(points[3].replication, 3);
+  EXPECT_EQ(points[0].param("r"), 0);
+  EXPECT_EQ(points[3].param("r"), 3);
   EXPECT_EQ(points[4].param("b"), 20);
   EXPECT_EQ(points[12].param("a"), 2);
   EXPECT_THROW(points[0].param("missing"), std::invalid_argument);
@@ -155,16 +152,18 @@ TEST(Sweep, EmptyAxisExpandsToNothing) {
   EXPECT_TRUE(sweep.expand().empty());
 }
 
-TEST(Sweep, NoAxesIsOnePointPerReplication) {
-  Sweep sweep;
-  sweep.replications(3);
-  EXPECT_EQ(sweep.size(), 3u);
-  EXPECT_EQ(sweep.expand().size(), 3u);
+TEST(Sweep, NoAxesIsOnePoint) {
+  const Sweep sweep;
+  EXPECT_EQ(sweep.size(), 1u);
+  EXPECT_EQ(sweep.expand().size(), 1u);
 }
 
 TEST(Sweep, DerivedSeedsAreDistinctPerJob) {
   Sweep sweep;
-  sweep.axis("v", {1, 2, 3, 4}).replications(50);
+  std::vector<double> reps(50);
+  for (std::size_t r = 0; r < reps.size(); ++r)
+    reps[r] = static_cast<double>(r);
+  sweep.axis("v", {1, 2, 3, 4}).axis("rep", reps);
   std::set<std::uint64_t> seeds;
   for (const SweepPoint& p : sweep.expand())
     seeds.insert(derive_seed(123, p.index));
@@ -334,7 +333,7 @@ struct MiniSweepOutput {
 
 MiniSweepOutput run_mini_sweep(int threads, std::uint64_t seed) {
   Sweep sweep;
-  sweep.axis("v", {20, 30, 40}).replications(3);
+  sweep.axis("v", {20, 30, 40}).axis("rep", {0, 1, 2});
   std::ostringstream os;
   JsonlWriter writer(os);
   ResultSink sink("mini", &writer);

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "fixture_graphs.h"
 #include "tgs/gen/random_core.h"
 #include "tgs/gen/rgbos.h"
 #include "tgs/gen/rgnos.h"
@@ -74,13 +75,12 @@ TEST(RandomCore, FanoutMeanRoughlyHonored) {
 }
 
 TEST(Rgbos, SuiteShape) {
-  const auto suite = rgbos_suite(1.0, 42);
-  ASSERT_EQ(suite.size(), 12u);  // 10..32 step 2
-  NodeId v = 10;
-  for (const auto& g : suite) {
-    EXPECT_EQ(g.num_nodes(), v);
-    v += 2;
+  std::size_t graphs = 0;
+  for (NodeId v = kRgbosMinNodes; v <= kRgbosMaxNodes; v += kRgbosStep) {
+    EXPECT_EQ(rgbos_graph(1.0, v, 42).num_nodes(), v);
+    ++graphs;
   }
+  EXPECT_EQ(graphs, 12u);  // 10..32 step 2
 }
 
 TEST(Rgbos, DeterministicPerCell) {

@@ -146,10 +146,6 @@ TEST(PivotStats, RendersMeansByRowAndColumn) {
   EXPECT_NE(ascii.find("2.0"), std::string::npos);  // mean of 1, 3
   EXPECT_NE(ascii.find("5.0"), std::string::npos);
   EXPECT_NE(ascii.find("-"), std::string::npos);  // missing (100, B)
-  const auto avg = stats.overall_means(1);
-  ASSERT_EQ(avg.size(), 3u);
-  EXPECT_EQ(avg[0], "Avg.");
-  EXPECT_EQ(avg[1], "3.0");  // mean of row means (2, 4)
 }
 
 TEST(PivotStats, CellAccess) {

@@ -1,6 +1,7 @@
 // Unit tests for list/priorities.h and list/ready_list.h.
 #include <gtest/gtest.h>
 
+#include "fixture_graphs.h"
 #include "tgs/gen/psg.h"
 #include "tgs/gen/structured.h"
 #include "tgs/list/priorities.h"

@@ -1,6 +1,7 @@
 // Unit tests for sched/metrics.h (paper §6 performance measures).
 #include <gtest/gtest.h>
 
+#include "fixture_graphs.h"
 #include "tgs/gen/psg.h"
 #include "tgs/gen/structured.h"
 #include "tgs/graph/attributes.h"

@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "fixture_graphs.h"
 #include "reference_net.h"
 #include "tgs/gen/structured.h"
 #include "tgs/net/net_schedule.h"

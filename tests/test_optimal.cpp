@@ -1,6 +1,7 @@
 // Tests for the branch-and-bound optimal scheduler.
 #include <gtest/gtest.h>
 
+#include "fixture_graphs.h"
 #include "tgs/gen/psg.h"
 #include "tgs/gen/rgbos.h"
 #include "tgs/gen/rgpos.h"

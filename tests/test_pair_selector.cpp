@@ -242,11 +242,12 @@ TEST(PairSelector, AllPairPointsMatchFrozenDigests) {
 // The naive pick under `order`: the exhaustive scan over the ready set.
 NodeId naive_pick(const Schedule& sched, const ProcScanner& scanner,
                   const ReadyList& ready, const PairOrder& order) {
-  ArrivalInfo probe;
+  reference::Arrival probe;
   NodeId best = kNoNode;
   Time best_t = 0;
   for (NodeId m : ready.ready()) {
-    const Time t = best_est_proc(sched, m, scanner, false, probe).start;
+    const Time t =
+        reference::best_est_proc_scan(sched, m, scanner, false, probe).start;
     if (best == kNoNode || order.better(m, t, best, best_t)) {
       best = m;
       best_t = t;
@@ -269,7 +270,7 @@ std::vector<int> rank_of(const std::vector<Time>& key) {
 
 // Drive the selectors with an arbitrary deterministic placement policy
 // (not the ETF/DLS argmin) and, after every mutation, check each ready
-// node's best pair against the exhaustive best_est_proc scan -- and, for
+// node's best pair against the exhaustive processor scan -- and, for
 // the append selector, its ETF and DLS picks against the exhaustive
 // argmin. This covers invalidation and saturation paths the
 // algorithm-shaped runs may never hit on a given graph.
@@ -286,14 +287,15 @@ TEST(PairSelector, CachedBestsStayExactUnderArbitraryPlacements) {
         SchedOptions opt;
         opt.num_procs = procs;
         Schedule sched(g, effective_procs(g, opt));
-        ProcScanner scanner(effective_procs(g, opt));
+        std::vector<Time> ends;
+        ProcScanner scanner(sched, effective_procs(g, opt), ends);
         ReadyList ready(g);
         PairScratch etf_scratch, dls_scratch, insert_scratch;
         const PairOrder etf_order{sl.data(), rank.data(), false};
         const PairOrder dls_order{sl.data(), rank.data(), true};
-        AppendPairSelector etf(sched, scanner, etf_order, etf_scratch);
-        AppendPairSelector dls(sched, scanner, dls_order, dls_scratch);
-        IncrementalPairSelector incr(sched, scanner, insert_scratch);
+        AppendPairSelector etf(scanner, etf_order, etf_scratch);
+        AppendPairSelector dls(scanner, dls_order, dls_scratch);
+        IncrementalPairSelector incr(scanner, insert_scratch);
         const auto admit = [&](NodeId n) {
           if (insertion) {
             incr.node_ready(n);
@@ -306,18 +308,19 @@ TEST(PairSelector, CachedBestsStayExactUnderArbitraryPlacements) {
 
         const std::string tag = g.name() + " procs=" + std::to_string(procs) +
                                 " insertion=" + std::to_string(insertion);
-        ArrivalInfo probe;
+        reference::Arrival probe;
         std::uint64_t h = static_cast<std::uint64_t>(procs + 7) *
                           0x9E3779B97F4A7C15ull;
         while (!ready.empty()) {
           for (NodeId m : ready.ready()) {
-            const ProcChoice want =
-                best_est_proc(sched, m, scanner, insertion, probe);
+            const ProcChoice want = reference::best_est_proc_scan(
+                sched, m, scanner, insertion, probe);
             const ProcChoice got = insertion ? incr.best(m) : etf.best(m);
             ASSERT_EQ(got.proc, want.proc) << tag << " node " << m;
             ASSERT_EQ(got.start, want.start) << tag << " node " << m;
             if (!insertion) {
-              ASSERT_EQ(etf.est(m), want.start) << tag << " node " << m;
+              ASSERT_EQ(append_est(scanner, arrival_of(sched, m)), want.start)
+                  << tag << " node " << m;
               ASSERT_EQ(dls.best(m).proc, want.proc) << tag << " node " << m;
             }
           }
@@ -366,13 +369,14 @@ TEST(PairSelector, NewlyOpenedProcessorInvalidatesCachedPair) {
 
   for (const bool insertion : {false, true}) {
     Schedule sched(g, 3);
-    ProcScanner scanner(3);
+    std::vector<Time> ends;
+    ProcScanner scanner(sched, 3, ends);
     ReadyList ready(g);
     PairScratch scratch;
-    AppendPairSelector append(sched, scanner, {key.data(), rank.data(), false},
+    AppendPairSelector append(scanner, {key.data(), rank.data(), false},
                               scratch);
     PairScratch insert_scratch;
-    IncrementalPairSelector incr(sched, scanner, insert_scratch);
+    IncrementalPairSelector incr(scanner, insert_scratch);
     const auto best = [&](NodeId n) {
       return insertion ? incr.best(n) : append.best(n);
     };
@@ -419,11 +423,94 @@ TEST(PairSelector, NewlyOpenedProcessorInvalidatesCachedPair) {
     EXPECT_EQ(best(2).proc, 2);
     EXPECT_EQ(best(2).start, 0);
     if (!insertion) {
-      EXPECT_EQ(append.est(2), 0);
+      EXPECT_EQ(append_est(scanner, arrival_of(sched, 2)), 0);
     }
-    ArrivalInfo probe;
-    EXPECT_EQ(best_est_proc(sched, 2, scanner, insertion, probe).proc, 2);
+    reference::Arrival probe;
+    EXPECT_EQ(
+        reference::best_est_proc_scan(sched, 2, scanner, insertion, probe).proc,
+        2);
+    EXPECT_EQ(
+        best_est_proc(scanner, 2, arrival_of(sched, 2), insertion).proc, 2);
   }
+}
+
+// best_est_proc against the exhaustive scan of reference_proc_choice.h, in
+// both placement modes, for every ready node after every placement of an
+// arbitrary policy that leaves holes: a random ready node goes to a random
+// processor of the window, either into the first gap that fits or past
+// the end after a short delay. Unit weights and zero costs tie starts
+// across processors, and bounded machines keep the window narrower than
+// the limit until every processor is used. The counters check that each
+// case the pruned choice treats apart was reached.
+TEST(BestEstProc, MatchesExhaustiveScanOnSchedulesWithHoles) {
+  std::vector<TaskGraph> graphs;
+  graphs.push_back(rgnos_graph(rgnos(60, 1.0, 3, 71)));
+  graphs.push_back(rgnos_graph(rgnos(60, 10.0, 5, 72)));
+  graphs.push_back(rgnos_graph(rgnos(60, 0.1, 1, 73)));
+  graphs.push_back(fft_graph(16));
+  graphs.push_back(zero_cost(rgnos_graph(rgnos(50, 1.0, 4, 74))));
+  graphs.push_back(entry_only(24));
+  std::size_t no_proc1 = 0, proc1_idle = 0, narrow = 0, ties = 0, in_gap = 0;
+  for (const TaskGraph& g : graphs) {
+    for (const int procs : {2, 3, 8, 64}) {
+      Schedule sched(g, procs);
+      std::vector<Time> ends;
+      ProcScanner scanner(sched, procs, ends);
+      ReadyList ready(g);
+      reference::Arrival ref;
+      std::uint64_t h =
+          static_cast<std::uint64_t>(procs) * 0x9E3779B97F4A7C15ull;
+      const auto draw = [&h](std::uint64_t bound) {
+        h = h * 6364136223846793005ull + 1442695040888963407ull;
+        return (h >> 33) % bound;
+      };
+      const std::string tag = g.name() + " procs=" + std::to_string(procs);
+      while (!ready.empty()) {
+        const int count = scanner.scan_count();
+        for (NodeId m : ready.ready()) {
+          const ArrivalInfo a = arrival_of(sched, m);
+          reference::arrival_into(sched, m, ref);
+          for (const bool insertion : {false, true}) {
+            const ProcChoice want = reference::best_est_proc_scan(
+                sched, m, count, insertion, ref);
+            const ProcChoice got = best_est_proc(scanner, m, a, insertion);
+            ASSERT_EQ(got.proc, want.proc)
+                << tag << " node " << m << " insertion " << insertion;
+            ASSERT_EQ(got.start, want.start)
+                << tag << " node " << m << " insertion " << insertion;
+            int at_best = 0;
+            for (ProcId p = 0; p < count; ++p)
+              at_best += sched.earliest_start_on(p, ref.ready_on(p),
+                                                 g.weight(m), insertion) ==
+                         want.start;
+            ties += at_best > 1;
+            in_gap += insertion && want.proc != a.proc1 &&
+                      want.start < sched.timeline(want.proc).end_time();
+          }
+          no_proc1 += a.proc1 == kNoProc;
+          proc1_idle += a.proc1 != kNoProc &&
+                        scanner.ends().first_at_most(a.max1, count) == a.proc1;
+          narrow += count < procs;
+        }
+        const NodeId n = ready.ready()[draw(ready.size())];
+        const ProcId q = static_cast<ProcId>(draw(count));
+        const Time dr = sched.data_ready(n, q);
+        const Time t =
+            draw(2) == 0
+                ? sched.earliest_start_on(q, dr, g.weight(n), true)
+                : sched.earliest_start_on(q, dr, g.weight(n), false) +
+                      static_cast<Time>(draw(4));
+        sched.place(n, q, t);
+        scanner.note_placement(q);
+        ready.mark_scheduled(n);
+      }
+    }
+  }
+  EXPECT_GT(no_proc1, 0u);
+  EXPECT_GT(proc1_idle, 0u);
+  EXPECT_GT(narrow, 0u);
+  EXPECT_GT(ties, 0u);
+  EXPECT_GT(in_gap, 0u);
 }
 
 TEST(PairSelector, DlsApnMatchesNaiveUnderLinkContention) {

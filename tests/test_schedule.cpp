@@ -1,6 +1,7 @@
 // Unit tests for sched/schedule.h and sched/validate.h.
 #include <gtest/gtest.h>
 
+#include "fixture_graphs.h"
 #include "tgs/gen/psg.h"
 #include "tgs/gen/structured.h"
 #include "tgs/sched/gantt.h"

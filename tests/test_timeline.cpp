@@ -180,6 +180,17 @@ TEST(Timeline, ManyIntervalsCrossChunkBoundaries) {
   EXPECT_EQ(tl.earliest_fit(0, 3, true), 4998);
 }
 
+// Largest idle stretch of a flat interval list before its last end,
+// counting the one from time 0 to the first interval.
+Time flat_max_gap(const FlatTimeline& ref) {
+  const std::vector<Interval>& ivs = ref.intervals();
+  if (ivs.empty()) return 0;
+  Time gap = ivs.front().start;
+  for (std::size_t i = 1; i < ivs.size(); ++i)
+    gap = std::max(gap, ivs[i].start - ivs[i - 1].end);
+  return gap;
+}
+
 TEST(Timeline, GapIndexMatchesFlatReferenceUnderChurn) {
   // Random occupy/release/query churn (the BSA-migration and B&B
   // backtracking pattern) on both stores; every query must agree and the
@@ -219,6 +230,7 @@ TEST(Timeline, GapIndexMatchesFlatReferenceUnderChurn) {
                   ref.earliest_fit(ready, dur, false));
         EXPECT_EQ(tl.fits(ready, dur), ref.fits(ready, dur));
       }
+      ASSERT_EQ(tl.max_gap(), flat_max_gap(ref)) << "step " << step;
       if (step % 256 == 0) {
         ASSERT_EQ(tl.intervals(), ref.intervals());
         ASSERT_EQ(tl.size(), ref.intervals().size());

@@ -1,6 +1,7 @@
 // Tests for the five UNC algorithms and the clustering substrate.
 #include <gtest/gtest.h>
 
+#include "fixture_graphs.h"
 #include "tgs/gen/psg.h"
 #include "tgs/gen/rgnos.h"
 #include "tgs/gen/structured.h"

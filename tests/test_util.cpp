@@ -96,9 +96,7 @@ TEST(Stats, AccumulatorBasics) {
   acc.add(6.0);
   EXPECT_EQ(acc.count(), 3u);
   EXPECT_DOUBLE_EQ(acc.mean(), 4.0);
-  EXPECT_DOUBLE_EQ(acc.min(), 2.0);
-  EXPECT_DOUBLE_EQ(acc.max(), 6.0);
-  EXPECT_NEAR(acc.stddev(), 2.0, 1e-12);
+  EXPECT_DOUBLE_EQ(acc.sum(), 12.0);
 }
 
 TEST(Stats, MedianOddEven) {
