@@ -102,7 +102,7 @@ void BM_DlsApn(benchmark::State& state) {
     benchmark::DoNotOptimize(
         DlsApnScheduler().run(g, routes, ws).makespan());
 }
-BENCHMARK(BM_DlsApn)->Arg(100);
+BENCHMARK(BM_DlsApn)->Arg(100)->Arg(500);
 
 void BM_DlsApn_Naive(benchmark::State& state) {
   const TaskGraph g = bench_graph(static_cast<NodeId>(state.range(0)));
@@ -378,8 +378,8 @@ NetSchedule contended_net(const TaskGraph& g, const RoutingTable& routes) {
 
 // One-to-all routing-tree sweep vs probing every destination separately:
 // the sweep touches each of the 7 tree links once; the per-destination
-// loop re-walks 12 route hops (the rescore loops of MH / DLS(APN) / BSA
-// are exactly this access pattern).
+// loop re-walks 12 route hops (the probes of MH / DLS(APN) / BSA are
+// exactly this access pattern).
 void BM_Net_ProbeArrivalAll(benchmark::State& state) {
   const TaskGraph g = fork_join(400, 10, 9);
   const RoutingTable routes{Topology::hypercube(3)};

@@ -51,8 +51,9 @@ void apn_probe_ready_all(const NetSchedule& ns, NodeId n,
 /// processor: fills scratch.est[p] on top of apn_probe_ready_all, probing
 /// message routes against current link reservations without committing
 /// them. Concurrent parent messages do not see each other in the probe
-/// (exactness is restored at commit time). The full processor scans (MH,
-/// DLS(APN) rescore) read one sweep.
+/// (exactness is restored at commit time). MH's full processor scan reads
+/// one sweep; DLS(APN) composes the same parent sweeps itself, one parent
+/// at a time (apn/dls_apn.cpp).
 void apn_probe_est_all(const NetSchedule& ns, NodeId n, bool insertion,
                        ApnSweepScratch& scratch);
 

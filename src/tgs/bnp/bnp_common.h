@@ -196,9 +196,7 @@ struct PairScratch {
   std::vector<ArrivalInfo> arrival;
   std::vector<Time> proc_ends;  // ProcScanner's end-time index
 
-  // IncrementalPairSelector and the DLS(APN) lazy selector.
-  std::vector<std::uint64_t> stamp;       // DLS(APN) only: commit count at
-                                          //   the node's last probe
+  // IncrementalPairSelector.
   std::vector<ProcChoice> best;           // per-node best (proc, EST)
   std::vector<NodeId> tracked;            // nodes currently ready
 
@@ -230,8 +228,7 @@ struct PairScratch {
 
   /// Size the cached-best pools for `num_nodes` nodes (grow-only).
   void bind(std::size_t num_nodes) {
-    if (stamp.size() < num_nodes) {
-      stamp.resize(num_nodes, 0);
+    if (best.size() < num_nodes) {
       best.resize(num_nodes);
       tracked_pos.resize(num_nodes, 0);
       bucket_pos.resize(num_nodes, 0);
@@ -352,7 +349,7 @@ class IncrementalPairSelector {
 
   /// Admit a node whose parents are all placed: freeze its arrival
   /// summary and score processors [0, scan_count). Membership is the
-  /// tracked list; this selector does not use PairScratch::stamp.
+  /// tracked list.
   void node_ready(NodeId n) {
     scratch_->arrival[n] = arrival_of(*sched_, n);
     scratch_->tracked_pos[n] =

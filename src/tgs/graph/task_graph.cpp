@@ -18,7 +18,7 @@ std::size_t TaskGraph::edge_slot(NodeId u, NodeId v) const {
 
 Cost TaskGraph::edge_cost(NodeId u, NodeId v) const {
   const std::size_t slot = edge_slot(u, v);
-  return slot == kNoSlot ? kNoEdge : succ_[slot].cost;
+  return slot == kNoSlot ? kNoEdge : slot_cost(slot);
 }
 
 const std::string& TaskGraph::label(NodeId n) const {

@@ -68,6 +68,9 @@ class TaskGraph {
   static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
   std::size_t edge_slot(NodeId u, NodeId v) const;
 
+  /// Edge cost of the edge in CSR slot `slot` (a valid edge_slot result).
+  Cost slot_cost(std::size_t slot) const { return succ_[slot].cost; }
+
   bool has_edge(NodeId u, NodeId v) const { return edge_cost(u, v) >= 0; }
 
   /// Nodes with no parents / no children.

@@ -22,7 +22,7 @@ Time NetSchedule::commit_message(NodeId u, NodeId v, int dst_proc) {
     throw std::logic_error("message already committed");
 
   const auto id = static_cast<std::uint32_t>(messages_.size());
-  const Cost size = graph().edge_cost(u, v);
+  const Cost size = graph().slot_cost(slot);
   Message msg{u, v, size, depart, depart,
               static_cast<std::uint32_t>(hops_.size()), 0};
   if (size > 0) {

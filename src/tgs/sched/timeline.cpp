@@ -148,16 +148,22 @@ int Timeline::tree_query(std::size_t node, std::size_t l, std::size_t r,
   if (!insertion) return std::max(ready, end_time_);
   if (dur == 0) return ready;  // a zero-length block fits anywhere
   if (ready >= end_time_) return ready;
+  // No idle stretch before end_time() can hold the block.
+  if (max_gap() < dur) return end_time_;
 
-  // Scan the chunk holding `ready` the way the flat store would: intervals
-  // ending at or before `ready` cannot constrain the placement.
+  // In the chunk holding `ready`, intervals ending at or before `ready`
+  // cannot constrain the placement. The block fits at `ready` or in a
+  // later gap of the chunk; every later gap is one of the chunk's internal
+  // gaps, so they are scanned only when the chunk's largest one can hold
+  // the block.
   const std::size_t r = chunk_by_end(ready);
   {
-    const std::vector<Interval>& ivs = chunks_[r].ivs;
-    Time candidate = ready;
-    for (auto it = lower_by_end(ivs, ready); it != ivs.end(); ++it) {
-      if (candidate + dur <= it->start) return candidate;
-      candidate = std::max(candidate, it->end);
+    const Chunk& ch = chunks_[r];
+    auto it = lower_by_end(ch.ivs, ready);
+    if (ready + dur <= it->start) return ready;
+    if (ch.max_gap >= dur) {
+      for (auto prev = it++; it != ch.ivs.end(); prev = it++)
+        if (it->start - prev->end >= dur) return prev->end;
     }
   }
   // No fit by the end of chunk r; the cursor sits at its last end. Descend

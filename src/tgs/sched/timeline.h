@@ -89,6 +89,8 @@ class Timeline {
   Time busy_time() const;
 
  private:
+  friend struct TimelineInspector;  // tests/test_timeline.cpp reads chunks
+
   // Chunk capacity: split at > kSplit into two halves. Bounds the in-chunk
   // scan of every query and the memmove of every occupy/release.
   static constexpr std::size_t kSplit = 48;

@@ -96,10 +96,35 @@ class RunDeadline {
 /// (apn_probe_est_all): one arrival sweep, the running data-ready maxima,
 /// and the per-processor EST output. Capacity-only state -- contents never
 /// outlive one probe.
+///
+/// The rest belongs to DLS(APN)'s resumable probes (apn/dls_apn.cpp) and
+/// lives for one run: per node, a lower bound on its EST and the slot it
+/// holds while ready; per slot, the probe state below and `num_procs`
+/// partial data-ready maxima in `partial`. Slots are recycled through
+/// `free_slots` as nodes are committed, so the partials take
+/// O(peak ready x procs), not O(nodes x procs).
 struct ApnSweepScratch {
   std::vector<Time> arrival;
   std::vector<Time> ready;
   std::vector<Time> est;
+
+  struct ProbeSlot {
+    std::vector<std::uint32_t> order;  // sweep order: indices into parents()
+    std::uint32_t next = 0;            // next position of `order` to sweep
+    std::uint64_t stamp = 0;           // commit count of the partial maxima
+    ProcId proc = kNoProc;             // argmin of the last bound
+  };
+  std::vector<Time> lb;                   // per node
+  std::vector<std::uint32_t> slot_of;     // per node
+  std::vector<ProbeSlot> slots;
+  std::vector<Time> partial;              // slot * num_procs + proc
+  std::vector<std::uint32_t> free_slots;
+
+  // Work counters of DLS(APN), accumulated over runs (reset them to
+  // measure): parents swept (one one-to-all probe each) and ready-set
+  // scans (picks, including the re-picks after a stopped probe).
+  std::uint64_t parent_sweeps = 0;
+  std::uint64_t picks = 0;
 };
 
 class SchedWorkspace {

@@ -33,14 +33,21 @@ std::vector<ProcId> ez_clusters(const TaskGraph& g, RunDeadline& deadline) {
   std::vector<NodeId> label(v);
   std::iota(label.begin(), label.end(), NodeId{0});
   const std::vector<NodeId> order = blevel_order(g);
+  const std::vector<Time> sl = static_levels(g);
   std::vector<Time> finish(v), avail(v);
+  // Total weight of each cluster, kept under its label: the tasks of a
+  // cluster run one after another, so the makespan is at least its load.
+  std::vector<Time> load(v);
+  for (NodeId n = 0; n < v; ++n) load[n] = g.weight(n);
 
   // assignment_makespan of the clustering with cluster `hi` merged into
   // `lo`, evaluated without copying any state. It stops as soon as the
-  // running makespan exceeds `limit`: the running maximum only grows, so
-  // the tail cannot bring it back under and the caller rejects the merge
-  // either way. A merge that is accepted (len <= best) therefore always
-  // ran to the end and returns the exact makespan.
+  // makespan provably exceeds `limit` and returns a value above `limit`:
+  // the running maximum only grows, and n's descendants on its static
+  // path run one after another after FT(n), so the makespan is at least
+  // FT(n) + SL(n) - w(n). The caller rejects the merge either way. A merge
+  // that is accepted (len <= best) therefore always ran to the end and
+  // returns the exact makespan.
   const auto evaluate = [&](NodeId lo, NodeId hi, Time limit) {
     std::fill(avail.begin(), avail.end(), Time{0});
     Time makespan = 0;
@@ -55,10 +62,9 @@ std::vector<ProcId> ez_clusters(const TaskGraph& g, RunDeadline& deadline) {
       const Time ft = std::max(ready, avail[c]) + g.weight(n);
       finish[n] = ft;
       avail[c] = ft;
-      if (ft > makespan) {
-        makespan = ft;
-        if (makespan > limit) break;
-      }
+      makespan = std::max(makespan, ft);
+      const Time tail_bound = ft + (sl[n] - g.weight(n));
+      if (tail_bound > limit) return tail_bound;
     }
     return makespan;
   };
@@ -69,9 +75,11 @@ std::vector<ProcId> ez_clusters(const TaskGraph& g, RunDeadline& deadline) {
     deadline.poll();
     const NodeId lo = std::min(label[e.u], label[e.v]);
     const NodeId hi = std::max(label[e.u], label[e.v]);
+    if (load[lo] + load[hi] > best) continue;  // the merged load alone is worse
     const Time len = evaluate(lo, hi, best);
     if (len <= best) {  // commit (Sarkar: accept when not worse)
       best = len;
+      load[lo] += load[hi];
       for (NodeId& l : label)
         if (l == hi) l = lo;
     }

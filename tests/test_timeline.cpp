@@ -191,24 +191,55 @@ Time flat_max_gap(const FlatTimeline& ref) {
   return gap;
 }
 
+}  // namespace
+
+// Classifies an insertion-mode query by the exit of earliest_fit that
+// answers it, from the chunk layout the timeline keeps private.
+struct TimelineInspector {
+  enum class Exit { kOther, kNoGap, kAtReady, kLaterChunk };
+
+  static Exit classify(const Timeline& tl, Time ready, Cost dur, Time at) {
+    if (tl.empty() || dur == 0 || ready >= tl.end_time()) return Exit::kOther;
+    if (tl.max_gap() < dur) return Exit::kNoGap;
+    if (at == ready) return Exit::kAtReady;
+    const Timeline::Chunk& ch = tl.chunks_[tl.chunk_by_end(ready)];
+    if (ch.max_gap < dur && at >= ch.last_end() && at < tl.end_time())
+      return Exit::kLaterChunk;
+    return Exit::kOther;
+  }
+};
+
+namespace {
+
 TEST(Timeline, GapIndexMatchesFlatReferenceUnderChurn) {
   // Random occupy/release/query churn (the BSA-migration and B&B
   // backtracking pattern) on both stores; every query must agree and the
   // interval sequences must stay identical. Durations include zero-width
   // blocks; starts collide on purpose (dense value range).
+  using Exit = TimelineInspector::Exit;
+  int exits[4] = {};
   for (std::uint64_t seed : {1ull, 7ull, 1998ull}) {
     Rng rng(seed);
     Timeline tl;
     FlatTimeline ref;
     std::vector<std::pair<std::int64_t, Time>> live;  // owner -> start
     std::int64_t next_owner = 0;
+    // Every insertion query goes through `fit`, which checks it against
+    // the flat store and tallies which early exit answered it.
+    const auto fit = [&](Time ready, Cost dur) {
+      const Time at = tl.earliest_fit(ready, dur, true);
+      EXPECT_EQ(at, ref.earliest_fit(ready, dur, true))
+          << "ready " << ready << " dur " << dur;
+      ++exits[static_cast<int>(
+          TimelineInspector::classify(tl, ready, dur, at))];
+      return at;
+    };
     for (int step = 0; step < 4000; ++step) {
       const int op = static_cast<int>(rng.uniform_int(0, 9));
       if (op < 5 || live.empty()) {  // occupy at the earliest fitting slot
         const Time ready = rng.uniform_int(0, 3000);
         const Cost dur = rng.uniform_int(1, 40);
-        const Time at = tl.earliest_fit(ready, dur, true);
-        ASSERT_EQ(at, ref.earliest_fit(ready, dur, true));
+        const Time at = fit(ready, dur);
         tl.occupy(next_owner, at, dur);
         ref.occupy(next_owner, at, dur);
         live.emplace_back(next_owner, at);
@@ -224,8 +255,7 @@ TEST(Timeline, GapIndexMatchesFlatReferenceUnderChurn) {
       } else {  // probe-only round
         const Time ready = rng.uniform_int(0, 4000);
         const Cost dur = rng.uniform_int(0, 60);
-        EXPECT_EQ(tl.earliest_fit(ready, dur, true),
-                  ref.earliest_fit(ready, dur, true));
+        fit(ready, dur);
         EXPECT_EQ(tl.earliest_fit(ready, dur, false),
                   ref.earliest_fit(ready, dur, false));
         EXPECT_EQ(tl.fits(ready, dur), ref.fits(ready, dur));
@@ -243,6 +273,12 @@ TEST(Timeline, GapIndexMatchesFlatReferenceUnderChurn) {
       return t;
     }());
   }
+  // Each O(1) exit answered queries, and every answer matched the flat
+  // store: no gap long enough anywhere, a fit at `ready` itself, and a
+  // chunk too fragmented to hold the block with a fit in a later chunk.
+  EXPECT_GT(exits[static_cast<int>(Exit::kNoGap)], 0);
+  EXPECT_GT(exits[static_cast<int>(Exit::kAtReady)], 0);
+  EXPECT_GT(exits[static_cast<int>(Exit::kLaterChunk)], 0);
 }
 
 TEST(Timeline, ReleaseEverythingThenReuse) {
