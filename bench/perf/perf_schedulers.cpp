@@ -7,7 +7,8 @@
 // BM_Net_ProbePerDestination the
 // per-destination route probe of tests/reference_net.h, BM_Ez_Reference
 // the frozen EZ
-// of tests/reference_named.h and BM_GraphFromString_Reference the frozen
+// of tests/reference_named.h, BM_Bsa_Reference the frozen BSA of
+// tests/reference_bsa.h and BM_GraphFromString_Reference the frozen
 // istream tgs1 reader of tests/reference_graph_io.h, so each speedup over
 // the retired code is measured inside one binary; the committed
 // BENCH_schedulers.json at the repo root is the baseline CI compares
@@ -20,6 +21,7 @@
 
 #include <vector>
 
+#include "reference_bsa.h"
 #include "reference_graph_io.h"
 #include "reference_named.h"
 #include "reference_net.h"
@@ -144,7 +146,7 @@ void BM_Mh_Apn(benchmark::State& state) {
 }
 BENCHMARK(BM_Mh_Apn)->Arg(100)->Arg(300);
 
-// BSA: one apn_build_with_assignment from scratch per tentative migration.
+// BSA: each tentative migration rebuilds into a reset spare schedule.
 void BM_Bsa_Apn(benchmark::State& state) {
   const TaskGraph g = bench_graph(static_cast<NodeId>(state.range(0)));
   const RoutingTable routes{Topology::hypercube(3)};
@@ -155,8 +157,18 @@ void BM_Bsa_Apn(benchmark::State& state) {
 }
 BENCHMARK(BM_Bsa_Apn)->Arg(100)->Arg(300)->Arg(500);
 
-// EZ: edge zeroing with each tentative merge evaluated through a label
-// remap that stops once the running makespan exceeds the best so far.
+// The frozen BSA (tests/reference_bsa.h): a fresh schedule per migration.
+void BM_Bsa_Reference(benchmark::State& state) {
+  const TaskGraph g = bench_graph(static_cast<NodeId>(state.range(0)));
+  const RoutingTable routes{Topology::hypercube(3)};
+  for (auto _ : state)
+    benchmark::DoNotOptimize(reference::original_bsa(g, routes).makespan());
+}
+BENCHMARK(BM_Bsa_Reference)->Arg(300);
+
+// EZ: edge zeroing with each tentative merge evaluated over per-edge costs
+// under the current clustering, stopping once the running makespan
+// exceeds the best so far.
 void BM_Ez(benchmark::State& state) {
   const TaskGraph g = bench_graph(static_cast<NodeId>(state.range(0)));
   const SchedulerPtr algo = make_scheduler("EZ");
@@ -372,7 +384,7 @@ NetSchedule contended_net(const TaskGraph& g, const RoutingTable& routes) {
   ns.tasks().place(0, 0, 0);
   const int p = routes.topology().num_procs();
   for (NodeId w = 1; w < g.num_nodes() - 1; ++w)
-    ns.commit_message(0, w, static_cast<int>(w * 5 % p));
+    reference::commit_message(ns, 0, w, static_cast<int>(w * 5 % p));
   return ns;
 }
 

@@ -55,15 +55,22 @@ Time apn_commit_node(NetSchedule& ns, NodeId n, int p, bool insertion) {
   const TaskGraph& g = ns.graph();
   Schedule& s = ns.tasks();
   Time ready = 0;
-  for (const Adj& par : g.parents(n)) {
-    const int q = s.proc(par.node);
-    const Time arrival = q == p ? s.finish(par.node)
-                                : ns.commit_message(par.node, n, p);
+  const std::span<const Adj> pars = g.parents(n);
+  for (std::size_t i = 0; i < pars.size(); ++i) {
+    const NodeId u = pars[i].node;
+    const Time arrival = s.proc(u) == p ? s.finish(u)
+                                        : ns.commit_parent_message(n, i, p);
     ready = std::max(ready, arrival);
   }
   const Time start = s.earliest_start_on(p, ready, g.weight(n), insertion);
   s.place(n, p, start);
   return start;
+}
+
+void apn_build_into(NetSchedule& ns, const std::vector<NodeId>& order,
+                    const std::vector<ProcId>& assign, bool insertion) {
+  ns.reset();
+  for (NodeId n : order) apn_commit_node(ns, n, assign[n], insertion);
 }
 
 NetSchedule apn_build_with_assignment(const TaskGraph& g,
@@ -74,8 +81,7 @@ NetSchedule apn_build_with_assignment(const TaskGraph& g,
     throw std::invalid_argument(
         "apn_build_with_assignment: assignment size != graph node count");
   NetSchedule ns(g, routes);
-  for (NodeId n : blevel_order(g))
-    apn_commit_node(ns, n, assign[n], insertion);
+  apn_build_into(ns, blevel_order(g), assign, insertion);
   return ns;
 }
 

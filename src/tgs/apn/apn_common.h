@@ -62,6 +62,13 @@ void apn_probe_est_all(const NetSchedule& ns, NodeId n, bool insertion,
 /// earliest feasible start. Returns the start time.
 Time apn_commit_node(NetSchedule& ns, NodeId n, int p, bool insertion);
 
+/// Rebuild `ns` from a fixed node -> processor assignment: reset() it, then
+/// commit the tasks in `order` (blevel_order of the graph) as above. The
+/// reset keeps every buffer, so repeated rebuilds into one schedule stop
+/// allocating once it is warm. `assign` must hold one entry per node.
+void apn_build_into(NetSchedule& ns, const std::vector<NodeId>& order,
+                    const std::vector<ProcId>& assign, bool insertion);
+
 /// Deterministically materialize a complete NetSchedule from a fixed
 /// node -> processor assignment: tasks in descending b-level order,
 /// messages committed per node as above. Throws std::invalid_argument

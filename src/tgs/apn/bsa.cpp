@@ -4,6 +4,8 @@
 #include <utility>
 #include <vector>
 
+#include "tgs/unc/cluster_schedule.h"
+
 namespace tgs {
 
 NetSchedule BsaScheduler::do_run(const TaskGraph& g, const RoutingTable& routes,
@@ -11,9 +13,13 @@ NetSchedule BsaScheduler::do_run(const TaskGraph& g, const RoutingTable& routes,
   const Topology& topo = routes.topology();
   const int pivot0 = topo.max_degree_proc();
 
-  // Serial injection: everything on the first pivot.
+  // Serial injection: everything on the first pivot. Every tentative
+  // migration rebuilds into `spare` and swaps it in on accept, so after
+  // warm-up a rebuild reuses the buffers of the schedule it replaces.
+  const std::vector<NodeId> order = blevel_order(g);
   std::vector<ProcId> assign(g.num_nodes(), static_cast<ProcId>(pivot0));
-  NetSchedule ns = apn_build_with_assignment(g, routes, assign, /*insertion=*/true);
+  NetSchedule ns(g, routes), spare(g, routes);
+  apn_build_into(ns, order, assign, /*insertion=*/true);
 
   // Breadth-first pivot order from pivot0 (neighbours ascend by id).
   std::vector<int> pivots;
@@ -77,10 +83,9 @@ NetSchedule BsaScheduler::do_run(const TaskGraph& g, const RoutingTable& routes,
       // changing <= to < is a behaviour change, not a cleanup.
       const Time before = ns.makespan();
       assign[n] = static_cast<ProcId>(best_p);
-      NetSchedule rebuilt =
-          apn_build_with_assignment(g, routes, assign, /*insertion=*/true);
-      if (rebuilt.makespan() <= before) {
-        ns = std::move(rebuilt);
+      apn_build_into(spare, order, assign, /*insertion=*/true);
+      if (spare.makespan() <= before) {
+        std::swap(ns, spare);
       } else {
         assign[n] = static_cast<ProcId>(pivot);
       }

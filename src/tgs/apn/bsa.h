@@ -11,11 +11,16 @@
 // messages", which the explicit link re-routing reproduces.
 //
 // Implementation note: every tentative migration rebuilds the whole
-// NetSchedule from the updated assignment (apn_build_with_assignment) and
-// keeps it iff the makespan does not grow. An exact incremental engine
-// that released and recommitted only the affected region was measured
-// 2.7-3.5x slower than this rebuild and deleted: a migration off BSA's
-// packed pivot shifts 70-80% of the schedule, so an in-place update
+// NetSchedule from the updated assignment and keeps it iff the makespan
+// does not grow. The run holds two schedules: the current one and a spare
+// that each rebuild resets and fills (apn_build_into, over a b-level order
+// computed once per run). An accepted rebuild is swapped in and the old
+// schedule becomes the spare; a rejected one stays the spare. Reset keeps
+// every timeline's chunk buffers and every message array, so after the
+// first few rebuilds a migration allocates nothing. An exact incremental
+// engine that released and recommitted only the affected region was
+// measured 2.7-3.5x slower than rebuilding and deleted: a migration off
+// BSA's packed pivot shifts 70-80% of the schedule, so an in-place update
 // touches most of it twice (docs/perf.md).
 #pragma once
 

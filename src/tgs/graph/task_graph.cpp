@@ -6,19 +6,13 @@
 
 namespace tgs {
 
-std::size_t TaskGraph::edge_slot(NodeId u, NodeId v) const {
+Cost TaskGraph::edge_cost(NodeId u, NodeId v) const {
   const auto kids = children(u);
   // Children are sorted by id: binary search.
   auto it = std::lower_bound(
       kids.begin(), kids.end(), v,
       [](const Adj& a, NodeId id) { return a.node < id; });
-  if (it == kids.end() || it->node != v) return kNoSlot;
-  return succ_off_[u] + static_cast<std::size_t>(it - kids.begin());
-}
-
-Cost TaskGraph::edge_cost(NodeId u, NodeId v) const {
-  const std::size_t slot = edge_slot(u, v);
-  return slot == kNoSlot ? kNoEdge : slot_cost(slot);
+  return it == kids.end() || it->node != v ? kNoEdge : it->cost;
 }
 
 const std::string& TaskGraph::label(NodeId n) const {

@@ -60,16 +60,14 @@ class TaskGraph {
   static constexpr Cost kNoEdge = -1;
   Cost edge_cost(NodeId u, NodeId v) const;
 
-  /// Dense id of edge (u, v) in [0, num_edges()): its slot in the CSR
-  /// successor array, found by binary search over u's children. kNoSlot
-  /// when the edge does not exist. Slots number the edges in the order
-  /// children(0), children(1), ... list them, so a walk over all
-  /// children can count them instead. Per-edge side tables index by it.
-  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-  std::size_t edge_slot(NodeId u, NodeId v) const;
-
-  /// Edge cost of the edge in CSR slot `slot` (a valid edge_slot result).
-  Cost slot_cost(std::size_t slot) const { return succ_[slot].cost; }
+  /// Dense id in [0, num_edges()) of the edge from n's i-th parent
+  /// (parents(n)[i]) to n: its slot in the CSR predecessor array. Slots
+  /// number the edges in the order parents(0), parents(1), ... list them,
+  /// so a walk over all parents can count them instead. Per-edge side
+  /// tables filled while walking parents index by it.
+  std::size_t parent_slot(NodeId n, std::size_t i) const {
+    return pred_off_[n] + i;
+  }
 
   bool has_edge(NodeId u, NodeId v) const { return edge_cost(u, v) >= 0; }
 

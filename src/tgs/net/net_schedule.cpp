@@ -11,10 +11,20 @@ NetSchedule::NetSchedule(const TaskGraph& g, const RoutingTable& routes)
       links_(routes.topology().num_links()),
       msg_of_(g.num_edges(), kNoMessage) {}
 
-Time NetSchedule::commit_message(NodeId u, NodeId v, int dst_proc) {
+void NetSchedule::reset() {
+  tasks_.reset();
+  for (Timeline& link : links_) link.clear();
+  messages_.clear();
+  hops_.clear();
+  std::fill(msg_of_.begin(), msg_of_.end(), kNoMessage);
+}
+
+Time NetSchedule::commit_parent_message(NodeId v, std::size_t i,
+                                        int dst_proc) {
+  const Adj& par = graph().parents(v)[i];
+  const NodeId u = par.node;
   if (!tasks_.is_placed(u)) throw std::logic_error("message src not placed");
-  const std::size_t slot = graph().edge_slot(u, v);
-  if (slot == TaskGraph::kNoSlot) throw std::logic_error("no such edge");
+  const std::size_t slot = graph().parent_slot(v, i);
   const int src_proc = tasks_.proc(u);
   const Time depart = tasks_.finish(u);
   if (src_proc == dst_proc) return depart;
@@ -22,7 +32,7 @@ Time NetSchedule::commit_message(NodeId u, NodeId v, int dst_proc) {
     throw std::logic_error("message already committed");
 
   const auto id = static_cast<std::uint32_t>(messages_.size());
-  const Cost size = graph().slot_cost(slot);
+  const Cost size = par.cost;
   Message msg{u, v, size, depart, depart,
               static_cast<std::uint32_t>(hops_.size()), 0};
   if (size > 0) {
@@ -33,9 +43,9 @@ Time NetSchedule::commit_message(NodeId u, NodeId v, int dst_proc) {
         routes_->distance(src_proc, dst_proc));
     hops_.resize(hops_.size() + msg.hop_count);
     MsgHop* route = hops_.data() + msg.hop_begin;
-    for (int cur = dst_proc, i = static_cast<int>(msg.hop_count); i > 0;) {
+    for (int cur = dst_proc, h = static_cast<int>(msg.hop_count); h > 0;) {
       const RoutingTable::SweepStep& st = routes_->tree_edge(src_proc, cur);
-      route[--i].link = st.link;
+      route[--h].link = st.link;
       cur = st.parent;
     }
     Time t = depart;

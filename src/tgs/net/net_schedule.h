@@ -9,10 +9,11 @@
 // child may start only after the last hop completes.
 //
 // Messages are kept in three flat arrays: the messages in commit order
-// (append-only: nothing un-routes a message), one arena of all hops that
-// each message addresses by offset and count, and a per-edge index keyed
-// by TaskGraph::edge_slot. A link reservation's owner is the index of its
-// message in messages().
+// (append-only until reset(): nothing un-routes a message), one arena of
+// all hops that each message addresses by offset and count, and a
+// per-edge index keyed by TaskGraph::parent_slot, which a commit walking
+// the child's parents already holds. A link reservation's owner is the
+// index of its message in messages().
 #pragma once
 
 #include <cstdint>
@@ -52,12 +53,20 @@ class NetSchedule {
   Schedule& tasks() { return tasks_; }
   const Schedule& tasks() const { return tasks_; }
 
-  /// Route the message of edge (u, v) (u placed, v's processor given) and
-  /// commit the link reservations. Returns the arrival time at dst_proc.
-  /// Co-located endpoints produce no message and arrive at FT(u). Throws
-  /// std::logic_error if u is unplaced, (u, v) is not an edge, or the
-  /// edge's message was already committed.
-  Time commit_message(NodeId u, NodeId v, int dst_proc);
+  /// Unplace every task and drop every message, keeping the capacity of
+  /// every array and timeline, so a rebuild into a reset schedule
+  /// allocates nothing once it has been warmed up. Afterwards the
+  /// schedule equals a freshly constructed one.
+  void reset();
+
+  /// Route the message of the edge from v's i-th parent u = parents(v)[i]
+  /// (u placed, v's processor given) and commit the link reservations.
+  /// Returns the arrival time at dst_proc. The edge is named by its parent
+  /// index because every caller is walking v's parents. Co-located
+  /// endpoints produce no message and arrive at FT(u). Throws
+  /// std::logic_error if u is unplaced or the edge's message was already
+  /// committed.
+  Time commit_parent_message(NodeId v, std::size_t i, int dst_proc);
 
   /// One-to-all probe: fills out[p] (out.size() == num_procs) with the
   /// arrival time a message of `size` leaving src_proc no earlier than
@@ -79,18 +88,11 @@ class NetSchedule {
     return {hops_.data() + m.hop_begin, m.hop_count};
   }
 
-  /// The committed message of the edge in CSR slot `slot`
-  /// (TaskGraph::edge_slot; kNoSlot finds nothing), or nullptr: an array
-  /// lookup. The pointer is invalidated by the next commit.
+  /// The committed message of the edge in parent-CSR slot `slot`
+  /// (TaskGraph::parent_slot), or nullptr: an array lookup. The pointer is
+  /// invalidated by the next commit.
   const Message* find_message(std::size_t slot) const {
-    if (slot == TaskGraph::kNoSlot || msg_of_[slot] == kNoMessage)
-      return nullptr;
-    return &messages_[msg_of_[slot]];
-  }
-
-  /// The committed message of edge (u, v), or nullptr.
-  const Message* find_message(NodeId u, NodeId v) const {
-    return find_message(graph().edge_slot(u, v));
+    return msg_of_[slot] == kNoMessage ? nullptr : &messages_[msg_of_[slot]];
   }
 
   const Timeline& link_timeline(int link) const { return links_[link]; }
@@ -107,7 +109,7 @@ class NetSchedule {
   std::vector<Timeline> links_;
   std::vector<Message> messages_;       // commit order
   std::vector<MsgHop> hops_;            // arena of all messages' hops
-  std::vector<std::uint32_t> msg_of_;   // per edge slot: index or kNoMessage
+  std::vector<std::uint32_t> msg_of_;   // per parent slot: index or kNoMessage
 };
 
 }  // namespace tgs

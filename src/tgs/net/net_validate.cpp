@@ -45,15 +45,15 @@ ValidationResult validate_net_schedule(const NetSchedule& ns) {
   }
 
   // Exactly one message per cross-proc edge and none for a same-proc
-  // edge. commit_message records at most one message per edge, so
+  // edge. commit_parent_message records at most one message per edge, so
   // checking every edge accounts for every committed message. The walk
-  // visits edges in CSR slot order, so it counts slots instead of
+  // visits edges in parent-CSR slot order, so it counts slots instead of
   // searching for each one.
   const RoutingTable& routes = ns.routes();
   std::size_t slot = 0;
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    for (const Adj& e : g.children(u)) {
-      const NodeId v = e.node;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (const Adj& e : g.parents(v)) {
+      const NodeId u = e.node;
       const Message* m = ns.find_message(slot++);
       const int src = s.proc(u), dst = s.proc(v);
       if (src == dst) {

@@ -36,6 +36,13 @@ void Schedule::unplace(NodeId n) {
   --placed_count_;
 }
 
+void Schedule::reset() {
+  for (Timeline& tl : timelines_) tl.clear();
+  std::fill(proc_.begin(), proc_.end(), kNoProc);
+  std::fill(start_.begin(), start_.end(), Time{0});
+  placed_count_ = 0;
+}
+
 int Schedule::procs_used() const {
   int used = 0;
   for (const Timeline& tl : timelines_)

@@ -30,6 +30,10 @@ class Schedule {
   /// Remove a placed task (used by migrating / backtracking algorithms).
   void unplace(NodeId n);
 
+  /// Unplace every task. The timelines stay allocated (num_procs() does
+  /// not shrink) and keep their capacity for the next round of place().
+  void reset();
+
   bool is_placed(NodeId n) const { return proc_[n] != kNoProc; }
   ProcId proc(NodeId n) const { return proc_[n]; }
   Time start(NodeId n) const { return start_[n]; }

@@ -86,8 +86,15 @@ void Timeline::recompute_chunk(std::size_t c) {
   if (c + 1 < chunks_.size()) update_leaf(c + 1);
 }
 
+std::vector<Interval> Timeline::take_buffer() {
+  if (spare_.empty()) return {};
+  std::vector<Interval> buf = std::move(spare_.back());
+  spare_.pop_back();
+  return buf;
+}
+
 void Timeline::split_chunk(std::size_t c) {
-  Chunk right;
+  Chunk right{take_buffer()};
   std::vector<Interval>& left = chunks_[c].ivs;
   const std::size_t half = left.size() / 2;
   right.ivs.assign(left.begin() + static_cast<std::ptrdiff_t>(half),
@@ -191,7 +198,8 @@ bool Timeline::fits(Time start, Cost dur) const {
 
 void Timeline::occupy(std::int64_t owner, Time start, Cost dur) {
   if (chunks_.empty()) {
-    chunks_.push_back(Chunk{{Interval{start, start + dur, owner}}, 0});
+    chunks_.push_back(Chunk{take_buffer()});
+    chunks_.back().ivs.push_back(Interval{start, start + dur, owner});
     size_ = 1;
     end_time_ = start + dur;
     rebuild_tree();
@@ -285,6 +293,10 @@ bool Timeline::release(std::int64_t owner, Time start_hint) {
 }
 
 void Timeline::clear() {
+  for (Chunk& c : chunks_) {
+    c.ivs.clear();
+    spare_.push_back(std::move(c.ivs));
+  }
   chunks_.clear();
   tree_.clear();
   tree_base_ = 0;

@@ -65,7 +65,9 @@ class Timeline {
   /// the linear scan if no interval with this owner sits at `start_hint`.
   bool release(std::int64_t owner, Time start_hint);
 
-  /// Remove all intervals.
+  /// Remove all intervals. The chunk buffers go to a spare pool that the
+  /// next occupy() or chunk split takes from, so refilling a cleared
+  /// timeline reuses them instead of allocating.
   void clear();
 
   /// End of the last interval (0 when empty).
@@ -131,12 +133,16 @@ class Timeline {
   void split_chunk(std::size_t c);           // kSplit overflow
   void erase_interval(std::size_t c, std::size_t pos);
 
+  /// An empty interval buffer: a spare one when the pool has any.
+  std::vector<Interval> take_buffer();
+
   /// First chunk index >= lo whose leaf key can hold `dur`; -1 if none.
   int first_chunk_with_gap(std::size_t lo, Cost dur) const;
   int tree_query(std::size_t node, std::size_t l, std::size_t r,
                  std::size_t lo, Cost dur) const;
 
   std::vector<Chunk> chunks_;  // non-empty, ordered
+  std::vector<std::vector<Interval>> spare_;  // empty buffers, for reuse
   std::vector<Time> tree_;     // max segment tree over leaf_key(c)
   std::size_t tree_base_ = 0;  // leaf offset (power of two >= chunk count)
   std::size_t size_ = 0;       // total interval count

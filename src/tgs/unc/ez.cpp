@@ -3,6 +3,7 @@
 // the ParamScheduler's ClusterStep invokes.
 #include <algorithm>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "tgs/sched/workspace.h"
@@ -28,10 +29,14 @@ std::vector<ProcId> ez_clusters(const TaskGraph& g, RunDeadline& deadline) {
   // Each cluster is labelled by its smallest member id -- the
   // representative dense_assignment numbers before densifying. The
   // makespan depends only on which nodes share a cluster, not on the
-  // numbering, so the labels serve as processor ids directly.
+  // numbering, so the labels serve as processor ids directly. A cluster's
+  // members form an intrusive list from its label: next[] links them and
+  // tail[] / size[] are kept under the label.
   const NodeId v = g.num_nodes();
-  std::vector<NodeId> label(v);
+  std::vector<NodeId> label(v), next(v, kNoNode), tail(v);
   std::iota(label.begin(), label.end(), NodeId{0});
+  std::iota(tail.begin(), tail.end(), NodeId{0});
+  std::vector<NodeId> size(v, 1);
   const std::vector<NodeId> order = blevel_order(g);
   const std::vector<Time> sl = static_levels(g);
   std::vector<Time> finish(v), avail(v);
@@ -40,25 +45,50 @@ std::vector<ProcId> ez_clusters(const TaskGraph& g, RunDeadline& deadline) {
   std::vector<Time> load(v);
   for (NodeId n = 0; n < v; ++n) load[n] = g.weight(n);
 
-  // assignment_makespan of the clustering with cluster `hi` merged into
-  // `lo`, evaluated without copying any state. It stops as soon as the
-  // makespan provably exceeds `limit` and returns a value above `limit`:
-  // the running maximum only grows, and n's descendants on its static
-  // path run one after another after FT(n), so the makespan is at least
-  // FT(n) + SL(n) - w(n). The caller rejects the merge either way. A merge
-  // that is accepted (len <= best) therefore always ran to the end and
-  // returns the exact makespan.
-  const auto evaluate = [&](NodeId lo, NodeId hi, Time limit) {
+  // A mutable copy of the parent CSR (TaskGraph::parent_slot order), parent
+  // ids and costs in separate arrays, whose costs are the costs under the
+  // current clustering: 0 inside a cluster, c(u, v) across clusters.
+  // out_slot lists, in children() order, the parent slot of each of a
+  // node's outgoing edges.
+  std::vector<std::size_t> first(v + 1, 0), out_first(v + 1, 0);
+  for (NodeId n = 0; n < v; ++n) {
+    first[n + 1] = first[n] + g.num_parents(n);
+    out_first[n + 1] = out_first[n] + g.num_children(n);
+  }
+  std::vector<NodeId> pnode;
+  std::vector<Cost> pcost;
+  pnode.reserve(g.num_edges());
+  pcost.reserve(g.num_edges());
+  std::vector<std::size_t> out_slot(g.num_edges());
+  {
+    std::vector<std::size_t> fill(out_first.begin(), out_first.end() - 1);
+    // Nodes ascend and children() is sorted by id, so each parent's
+    // outgoing edges are met in children() order.
+    for (NodeId n = 0; n < v; ++n)
+      for (const Adj& p : g.parents(n)) {
+        out_slot[fill[p.node]++] = pnode.size();
+        pnode.push_back(p.node);
+        pcost.push_back(p.cost);
+      }
+  }
+  std::vector<std::pair<std::size_t, Cost>> zeroed;  // slot, cost to restore
+
+  // assignment_makespan of the current labels and edge costs, evaluated
+  // without copying any state. It stops as soon as the makespan provably
+  // exceeds `limit` and returns a value above `limit`: the running maximum
+  // only grows, and n's descendants on its static path run one after
+  // another after FT(n), so the makespan is at least FT(n) + SL(n) - w(n).
+  // The caller rejects the merge either way. A merge that is accepted
+  // (len <= best) therefore always ran to the end and returns the exact
+  // makespan.
+  const auto evaluate = [&](Time limit) {
     std::fill(avail.begin(), avail.end(), Time{0});
     Time makespan = 0;
     for (NodeId n : order) {
-      const NodeId c = label[n] == hi ? lo : label[n];
       Time ready = 0;
-      for (const Adj& par : g.parents(n)) {
-        const NodeId pc = label[par.node] == hi ? lo : label[par.node];
-        const Time ft = finish[par.node];
-        ready = std::max(ready, pc == c ? ft : ft + par.cost);
-      }
+      for (std::size_t s = first[n]; s < first[n + 1]; ++s)
+        ready = std::max(ready, finish[pnode[s]] + pcost[s]);
+      const NodeId c = label[n];
       const Time ft = std::max(ready, avail[c]) + g.weight(n);
       finish[n] = ft;
       avail[c] = ft;
@@ -69,19 +99,42 @@ std::vector<ProcId> ez_clusters(const TaskGraph& g, RunDeadline& deadline) {
     return makespan;
   };
 
-  Time best = evaluate(0, kNoNode, kTimeInf);
+  Time best = evaluate(kTimeInf);
   for (const EdgeRef& e : edges) {
     if (label[e.u] == label[e.v]) continue;  // already zeroed transitively
     deadline.poll();
     const NodeId lo = std::min(label[e.u], label[e.v]);
     const NodeId hi = std::max(label[e.u], label[e.v]);
     if (load[lo] + load[hi] > best) continue;  // the merged load alone is worse
-    const Time len = evaluate(lo, hi, best);
+
+    // Tentatively merge hi into lo: zero every lo-hi edge, found from the
+    // smaller cluster's side, then relabel hi's members.
+    const NodeId from = size[lo] <= size[hi] ? lo : hi;
+    const NodeId to = from == lo ? hi : lo;
+    zeroed.clear();
+    const auto zero = [&](std::size_t slot) {
+      zeroed.emplace_back(slot, pcost[slot]);
+      pcost[slot] = 0;
+    };
+    for (NodeId m = from; m != kNoNode; m = next[m]) {
+      for (std::size_t s = first[m]; s < first[m + 1]; ++s)
+        if (label[pnode[s]] == to) zero(s);
+      const std::span<const Adj> kids = g.children(m);
+      for (std::size_t j = 0; j < kids.size(); ++j)
+        if (label[kids[j].node] == to) zero(out_slot[out_first[m] + j]);
+    }
+    for (NodeId m = hi; m != kNoNode; m = next[m]) label[m] = lo;
+
+    const Time len = evaluate(best);
     if (len <= best) {  // commit (Sarkar: accept when not worse)
       best = len;
       load[lo] += load[hi];
-      for (NodeId& l : label)
-        if (l == hi) l = lo;
+      size[lo] += size[hi];
+      next[tail[lo]] = hi;
+      tail[lo] = tail[hi];
+    } else {
+      for (const auto& [slot, cost] : zeroed) pcost[slot] = cost;
+      for (NodeId m = hi; m != kNoNode; m = next[m]) label[m] = hi;
     }
   }
 

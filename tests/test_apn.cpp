@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "fixture_graphs.h"
+#include "reference_bsa.h"
 #include "reference_net.h"
 #include "tgs/apn/bsa.h"
 #include "tgs/apn/bu.h"
@@ -431,6 +432,168 @@ TEST(Bsa, EqualMakespanMigrationIsAccepted) {
   EXPECT_EQ(apn_build_with_assignment(g, routes, stay, /*insertion=*/true)
                 .makespan(),
             ns.makespan());
+}
+
+// Two network schedules are the same schedule: every task, every message
+// in commit order with every hop, and every processor's and link's
+// reservations in order.
+void expect_same_net(const NetSchedule& a, const NetSchedule& b,
+                     const std::string& what) {
+  const TaskGraph& g = a.graph();
+  ASSERT_EQ(g.num_nodes(), b.graph().num_nodes()) << what;
+  for (NodeId n = 0; n < g.num_nodes(); ++n) {
+    ASSERT_EQ(a.tasks().proc(n), b.tasks().proc(n)) << what << " node " << n;
+    ASSERT_EQ(a.tasks().start(n), b.tasks().start(n)) << what << " node " << n;
+  }
+  ASSERT_EQ(a.tasks().num_procs(), b.tasks().num_procs()) << what;
+  for (int p = 0; p < a.tasks().num_procs(); ++p)
+    ASSERT_EQ(a.tasks().timeline(p).intervals(),
+              b.tasks().timeline(p).intervals())
+        << what << " proc " << p;
+  ASSERT_EQ(a.messages().size(), b.messages().size()) << what;
+  for (std::size_t i = 0; i < a.messages().size(); ++i) {
+    const Message& x = a.messages()[i];
+    const Message& y = b.messages()[i];
+    const std::string at = what + " message " + std::to_string(i);
+    ASSERT_EQ(x.src, y.src) << at;
+    ASSERT_EQ(x.dst, y.dst) << at;
+    ASSERT_EQ(x.size, y.size) << at;
+    ASSERT_EQ(x.depart_after, y.depart_after) << at;
+    ASSERT_EQ(x.arrival, y.arrival) << at;
+    ASSERT_EQ(x.hop_count, y.hop_count) << at;
+    ASSERT_EQ(reference::find_message(a, x.src, x.dst), &x) << at;
+    ASSERT_EQ(reference::find_message(b, y.src, y.dst), &y) << at;
+    const std::span<const MsgHop> hx = a.hops(x);
+    const std::span<const MsgHop> hy = b.hops(y);
+    for (std::size_t h = 0; h < hx.size(); ++h) {
+      ASSERT_EQ(hx[h].link, hy[h].link) << at << " hop " << h;
+      ASSERT_EQ(hx[h].start, hy[h].start) << at << " hop " << h;
+      ASSERT_EQ(hx[h].end, hy[h].end) << at << " hop " << h;
+    }
+  }
+  for (int l = 0; l < a.topology().num_links(); ++l)
+    ASSERT_EQ(a.link_timeline(l).intervals(), b.link_timeline(l).intervals())
+        << what << " link " << l;
+}
+
+TaskGraph apn_rgnos(NodeId v, double ccr, std::uint64_t seed) {
+  RgnosParams p;
+  p.num_nodes = v;
+  p.ccr = ccr;
+  p.seed = seed;
+  return rgnos_graph(p);
+}
+
+// The double-buffered BSA (rebuild into a reset spare, swap on accept)
+// against the frozen BSA that builds a fresh schedule per migration: the
+// whole NetSchedule, on communication-light to -heavy graphs and four
+// topologies, with one workspace reused across every graph.
+TEST(Bsa, MatchesFreshScheduleReference) {
+  const std::vector<Topology> topos = {
+      Topology::ring(4), Topology::mesh(2, 3), Topology::hypercube(3),
+      Topology::fully_connected(5)};
+  SchedWorkspace ws;
+  std::uint64_t seed = 31;
+  for (const Topology& topo : topos) {
+    const RoutingTable routes(topo);
+    for (const NodeId v : {60u, 200u}) {
+      for (const double ccr : {0.1, 1.0, 10.0}) {
+        const TaskGraph g = apn_rgnos(v, ccr, seed++);
+        const std::string what = topo.name() + " v=" + std::to_string(v) +
+                                 " ccr=" + std::to_string(ccr);
+        ws.begin_graph(g);
+        const NetSchedule got = BsaScheduler().run(g, routes, ws);
+        std::size_t rebuilds = 0;
+        const NetSchedule want = reference::original_bsa(g, routes, &rebuilds);
+        EXPECT_GT(rebuilds, 0u) << what;
+        expect_same_net(got, want, what);
+        EXPECT_TRUE(validate_net_schedule(got).ok) << what;
+      }
+    }
+  }
+}
+
+// reset() returns a NetSchedule to the state of a fresh one: rebuilding a
+// used schedule from another assignment equals building that assignment
+// into a new schedule, whichever schedule it was used for before.
+TEST(ApnCommon, ResetThenRebuildEqualsFreshBuild) {
+  const TaskGraph g = apn_rgnos(120, 2.0, 5);
+  const RoutingTable routes{Topology::mesh(2, 3)};
+  const std::vector<NodeId> order = blevel_order(g);
+  std::vector<ProcId> a(g.num_nodes()), b(g.num_nodes());
+  for (NodeId n = 0; n < g.num_nodes(); ++n) {
+    a[n] = static_cast<ProcId>(n % 6);
+    b[n] = static_cast<ProcId>((n / 3) % 6);
+  }
+  NetSchedule ns(g, routes);
+  apn_build_into(ns, order, a, /*insertion=*/true);
+  expect_same_net(ns, apn_build_with_assignment(g, routes, a, true), "a");
+  apn_build_into(ns, order, b, /*insertion=*/true);
+  expect_same_net(ns, apn_build_with_assignment(g, routes, b, true), "b");
+  apn_build_into(ns, order, a, /*insertion=*/false);
+  expect_same_net(ns, apn_build_with_assignment(g, routes, a, false),
+                  "a append");
+  ASSERT_FALSE(ns.messages().empty());
+  const Message first = ns.messages()[0];
+  ns.reset();
+  EXPECT_EQ(ns.messages().size(), 0u);
+  EXPECT_EQ(reference::find_message(ns, first.src, first.dst), nullptr);
+  EXPECT_EQ(ns.tasks().placed_count(), 0u);
+  for (NodeId n = 0; n < g.num_nodes(); ++n) {
+    EXPECT_FALSE(ns.tasks().is_placed(n));
+    EXPECT_EQ(ns.tasks().start(n), 0);
+  }
+  EXPECT_EQ(ns.makespan(), 0);
+  for (int l = 0; l < routes.topology().num_links(); ++l)
+    EXPECT_TRUE(ns.link_timeline(l).empty());
+}
+
+// A BSA call rebuilds its schedule once per tentative migration, but
+// into a reset spare that keeps its buffers, so its allocation count is
+// bounded by the shape of the network schedule, not by the number of
+// rebuilds. The bound counts, for each of the two schedules:
+//  * one buffer per chunk: a chunk other than a timeline's first holds at
+//    least kSplit / 2 = 24 intervals, and there are v task intervals and
+//    at most diameter x E hops, so C <= P + L + (v + diameter x E) / 24
+//    chunks over the P processor and L link timelines;
+//  * per timeline, the doubling of its first chunk buffer (7 steps up to
+//    kSplit + 1) and of its chunk array, gap tree and spare pool (each at
+//    most log2(C) + 1 steps);
+//  * the doubling of the message and hop arrays.
+// Per run: the fixed arrays and, per pivot, its snapshot of tasks. The
+// frozen BSA, which builds a fresh schedule per migration, exceeds the
+// same bound many times over.
+TEST(Bsa, AllocationsDoNotGrowWithRebuilds) {
+  const TaskGraph g = apn_rgnos(300, 0.1, 17);
+  const RoutingTable routes{Topology::hypercube(3)};
+  const std::uint64_t procs = 8, links = 12, diameter = 3;
+  const std::uint64_t v = g.num_nodes(), hops = diameter * g.num_edges();
+  const std::uint64_t chunks = procs + links + (v + hops) / 24;
+  const auto log2_ceil = [](std::uint64_t x) {
+    std::uint64_t b = 0;
+    while ((std::uint64_t{1} << b) < x) ++b;
+    return b;
+  };
+  const std::uint64_t per_schedule =
+      chunks + (procs + links) * (7 + 3 * (log2_ceil(chunks) + 1)) +
+      2 * (log2_ceil(hops) + 1) + 8;
+  const std::uint64_t bound =
+      2 * per_schedule + 32 + procs * (log2_ceil(v) + 2);
+
+  SchedWorkspace ws;
+  ws.begin_graph(g);
+  AllocMeter meter;
+  const NetSchedule ns = BsaScheduler().run(g, routes, ws);
+  const std::uint64_t allocs = meter.count();
+  std::size_t rebuilds = 0;
+  meter.reset();
+  const NetSchedule ref = reference::original_bsa(g, routes, &rebuilds);
+  const std::uint64_t ref_allocs = meter.count();
+
+  EXPECT_GT(rebuilds, 100u);
+  EXPECT_LE(allocs, bound) << rebuilds << " rebuilds";
+  EXPECT_GT(ref_allocs, 4 * bound) << rebuilds << " rebuilds";
+  EXPECT_EQ(ns.makespan(), ref.makespan());
 }
 
 TEST(Bsa, SingleProcessorTopologyDegeneratesToSerial) {

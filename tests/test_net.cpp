@@ -212,7 +212,8 @@ TEST(NetSchedule, ProbeArrivalAllMatchesPerDestination) {
     for (NodeId w = 1; w <= 40; ++w) {
       const int dst = static_cast<int>(rng.uniform_int(0, p - 1));
       if (dst != 0) ++committed;
-      ns.commit_message(0, w, dst);  // co-located commits are no-ops
+      // co-located commits are no-ops
+      reference::commit_message(ns, 0, w, dst);
     }
     ASSERT_GT(committed, 0);
     std::vector<Time> all(static_cast<std::size_t>(p));
@@ -235,12 +236,12 @@ TEST(NetSchedule, FindMessageIsKeyed) {
   const RoutingTable routes{Topology::ring(4)};
   NetSchedule ns(g, routes);
   ns.tasks().place(0, 0, 0);
-  ns.commit_message(0, 1, 1);
-  ASSERT_NE(ns.find_message(0, 1), nullptr);
-  EXPECT_EQ(ns.find_message(0, 1)->src, 0u);
-  EXPECT_EQ(ns.find_message(0, 1)->dst, 1u);
-  EXPECT_EQ(ns.find_message(0, 2), nullptr);
-  EXPECT_EQ(ns.find_message(1, 0), nullptr);  // direction matters
+  reference::commit_message(ns, 0, 1, 1);
+  ASSERT_NE(reference::find_message(ns, 0, 1), nullptr);
+  EXPECT_EQ(reference::find_message(ns, 0, 1)->src, 0u);
+  EXPECT_EQ(reference::find_message(ns, 0, 1)->dst, 1u);
+  EXPECT_EQ(reference::find_message(ns, 0, 2), nullptr);
+  EXPECT_EQ(reference::find_message(ns, 1, 0), nullptr);  // direction matters
 }
 
 TEST(NetSchedule, MessagesAreOneFlatTableInCommitOrder) {
@@ -249,14 +250,14 @@ TEST(NetSchedule, MessagesAreOneFlatTableInCommitOrder) {
   const RoutingTable routes(topo);
   NetSchedule ns(g, routes);
   ns.tasks().place(0, 0, 0);
-  ns.commit_message(0, 3, 2);  // two hops
-  ns.commit_message(0, 1, 0);  // co-located: no message
-  ns.commit_message(0, 2, 1);  // one hop
+  reference::commit_message(ns, 0, 3, 2);  // two hops
+  reference::commit_message(ns, 0, 1, 0);  // co-located: no message
+  reference::commit_message(ns, 0, 2, 1);  // one hop
   ASSERT_EQ(ns.messages().size(), 2u);
   EXPECT_EQ(ns.messages()[0].dst, 3u);
   EXPECT_EQ(ns.messages()[1].dst, 2u);
-  EXPECT_EQ(ns.find_message(0, 1), nullptr);
-  EXPECT_EQ(ns.find_message(0, 2), &ns.messages()[1]);
+  EXPECT_EQ(reference::find_message(ns, 0, 1), nullptr);
+  EXPECT_EQ(reference::find_message(ns, 0, 2), &ns.messages()[1]);
   EXPECT_EQ(ns.hops(ns.messages()[0]).size(), 2u);
   EXPECT_EQ(ns.hops(ns.messages()[1]).size(), 1u);
   // Link reservations are owned by the message's index: both routes
@@ -266,10 +267,11 @@ TEST(NetSchedule, MessagesAreOneFlatTableInCommitOrder) {
   EXPECT_EQ(ns.link_timeline(link).intervals()[0].owner, 0);
   EXPECT_EQ(ns.link_timeline(link).intervals()[1].owner, 1);
   // A second commit of the same edge throws and changes nothing.
-  EXPECT_THROW(ns.commit_message(0, 2, 1), std::logic_error);
+  EXPECT_THROW(reference::commit_message(ns, 0, 2, 1), std::logic_error);
   EXPECT_EQ(ns.messages().size(), 2u);
   EXPECT_EQ(ns.link_timeline(link).size(), 2u);
-  EXPECT_THROW(ns.commit_message(1, 2, 1), std::logic_error);  // no edge
+  EXPECT_THROW(reference::commit_message(ns, 1, 2, 1),
+               std::logic_error);  // no edge
   // The hop arena is addressed by offset, so a copy reads the same hops.
   const NetSchedule copy = ns;
   EXPECT_EQ(copy.hops(copy.messages()[0])[1].end,
@@ -284,15 +286,15 @@ TEST(NetSchedule, MessageHopsAndContention) {
   NetSchedule ns(g, routes);
   ns.tasks().place(0, 0, 0);  // fork on P0, finishes at 10
   // Both workers on P1: two messages 0->1 over the same link.
-  const Time a1 = ns.commit_message(0, 1, 1);
-  const Time a2 = ns.commit_message(0, 2, 1);
+  const Time a1 = reference::commit_message(ns, 0, 1, 1);
+  const Time a2 = reference::commit_message(ns, 0, 2, 1);
   EXPECT_EQ(a1, 18);  // depart 10 + 8
   EXPECT_EQ(a2, 26);  // serialized behind the first
   ns.tasks().place(1, 1, a1);
   ns.tasks().place(2, 1, 28);
   // Join back on P0.
-  const Time a3 = ns.commit_message(1, 3, 0);
-  const Time a4 = ns.commit_message(2, 3, 0);
+  const Time a3 = reference::commit_message(ns, 1, 3, 0);
+  const Time a4 = reference::commit_message(ns, 2, 3, 0);
   ns.tasks().place(3, 0, std::max(a3, a4));
   const auto v = validate_net_schedule(ns);
   EXPECT_TRUE(v.ok) << v.error;
@@ -304,7 +306,7 @@ TEST(NetSchedule, MultiHopStoreAndForward) {
   const RoutingTable routes(topo);
   NetSchedule ns(g, routes);
   ns.tasks().place(0, 0, 0);
-  const Time arrival = ns.commit_message(0, 1, 3);
+  const Time arrival = reference::commit_message(ns, 0, 1, 3);
   EXPECT_EQ(arrival, 10 + 3 * 6);
   ns.tasks().place(1, 3, arrival);
   EXPECT_TRUE(validate_net_schedule(ns).ok);
@@ -319,7 +321,7 @@ TEST(NetSchedule, ProbeMatchesCommitWhenUncontended) {
   NetSchedule ns(g, routes);
   ns.tasks().place(0, 0, 0);
   const Time probe = reference::probe_arrival(ns, 0, 3, 6, 10);
-  const Time commit = ns.commit_message(0, 1, 3);
+  const Time commit = reference::commit_message(ns, 0, 1, 3);
   EXPECT_EQ(probe, commit);
 }
 
@@ -341,7 +343,7 @@ TEST(NetValidate, CatchesEarlyStart) {
   const RoutingTable routes(topo);
   NetSchedule ns(g, routes);
   ns.tasks().place(0, 0, 0);
-  const Time arrival = ns.commit_message(0, 1, 1);
+  const Time arrival = reference::commit_message(ns, 0, 1, 1);
   ns.tasks().place(1, 1, arrival - 1);  // starts before the message lands
   EXPECT_FALSE(validate_net_schedule(ns).ok);
 }
@@ -353,7 +355,7 @@ TEST(NetValidate, CatchesStrayMessageOnSameProcEdge) {
   const RoutingTable routes{Topology::ring(4)};
   NetSchedule ns(g, routes);
   ns.tasks().place(0, 0, 0);
-  ns.commit_message(0, 1, 1);
+  reference::commit_message(ns, 0, 1, 1);
   ns.tasks().place(1, 0, 10);
   const auto v = validate_net_schedule(ns);
   EXPECT_FALSE(v.ok);
@@ -367,7 +369,7 @@ TEST(NetValidate, CatchesMessageRoutedToWrongProc) {
   const RoutingTable routes{Topology::ring(4)};
   NetSchedule ns(g, routes);
   ns.tasks().place(0, 0, 0);
-  const Time arrival = ns.commit_message(0, 1, 3);
+  const Time arrival = reference::commit_message(ns, 0, 1, 3);
   ns.tasks().place(1, 1, arrival);
   const auto v = validate_net_schedule(ns);
   EXPECT_FALSE(v.ok);

@@ -188,6 +188,29 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0.1, 1.0, 10.0),
                        ::testing::Values(0, 2, 4), ::testing::Bool()));
 
+// EZ on two dense v = 200 graphs, communication-light and -heavy. Merges
+// here join clusters that already hold many members, both accepted and
+// rejected ones, so EZ's per-edge cluster costs are zeroed across whole
+// clusters and restored after a rejection, in both directions.
+TEST(NamedPointIdentity, EzMatchesOriginalOnDenseGraphs) {
+  for (const double ccr : {0.1, 10.0}) {
+    RgnosParams p;
+    p.num_nodes = 200;
+    p.ccr = ccr;
+    p.parallelism = 1;
+    p.seed = 4;
+    const TaskGraph g = rgnos_graph(p);
+    const Schedule got = make_scheduler("EZ")->run(g, {});
+    expect_same_schedule(got, reference::original_ez(g),
+                         "EZ ccr " + std::to_string(ccr));
+    std::map<ProcId, int> members;
+    for (NodeId n = 0; n < g.num_nodes(); ++n) ++members[got.proc(n)];
+    int largest = 0;
+    for (const auto& [proc, count] : members) largest = std::max(largest, count);
+    EXPECT_GE(largest, 5) << "ccr " << ccr;
+  }
+}
+
 // ------------------------------------------------- the full crossproduct ----
 
 class ComboProperty : public ::testing::TestWithParam<std::uint64_t> {};

@@ -8,6 +8,7 @@
 
 #include "reference_timeline.h"
 #include "tgs/sched/timeline.h"
+#include "tgs/util/mem.h"
 #include "tgs/util/rng.h"
 
 namespace tgs {
@@ -215,7 +216,9 @@ TEST(Timeline, GapIndexMatchesFlatReferenceUnderChurn) {
   // Random occupy/release/query churn (the BSA-migration and B&B
   // backtracking pattern) on both stores; every query must agree and the
   // interval sequences must stay identical. Durations include zero-width
-  // blocks; starts collide on purpose (dense value range).
+  // blocks; starts collide on purpose (dense value range). A second round
+  // churns the same timeline after clear(), which keeps its chunk buffers
+  // for reuse, against a fresh flat store.
   using Exit = TimelineInspector::Exit;
   int exits[4] = {};
   for (std::uint64_t seed : {1ull, 7ull, 1998ull}) {
@@ -234,44 +237,55 @@ TEST(Timeline, GapIndexMatchesFlatReferenceUnderChurn) {
           TimelineInspector::classify(tl, ready, dur, at))];
       return at;
     };
-    for (int step = 0; step < 4000; ++step) {
-      const int op = static_cast<int>(rng.uniform_int(0, 9));
-      if (op < 5 || live.empty()) {  // occupy at the earliest fitting slot
-        const Time ready = rng.uniform_int(0, 3000);
-        const Cost dur = rng.uniform_int(1, 40);
-        const Time at = fit(ready, dur);
-        tl.occupy(next_owner, at, dur);
-        ref.occupy(next_owner, at, dur);
-        live.emplace_back(next_owner, at);
-        ++next_owner;
-      } else if (op < 8) {  // release, hinted or not
-        const std::size_t i =
-            static_cast<std::size_t>(rng.uniform_int(0, live.size() - 1));
-        const auto [owner, start] = live[i];
-        live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
-        const bool hinted = rng.bernoulli(0.7);
-        ASSERT_TRUE(hinted ? tl.release(owner, start) : tl.release(owner));
-        ASSERT_TRUE(ref.release(owner));
-      } else {  // probe-only round
-        const Time ready = rng.uniform_int(0, 4000);
-        const Cost dur = rng.uniform_int(0, 60);
-        fit(ready, dur);
-        EXPECT_EQ(tl.earliest_fit(ready, dur, false),
-                  ref.earliest_fit(ready, dur, false));
-        EXPECT_EQ(tl.fits(ready, dur), ref.fits(ready, dur));
+    for (int round = 0; round < 2; ++round) {
+      if (round == 1) {
+        tl.clear();
+        ASSERT_TRUE(tl.empty());
+        ASSERT_EQ(tl.end_time(), 0);
+        ASSERT_EQ(tl.max_gap(), 0);
+        ASSERT_EQ(tl.earliest_fit(5, 10, true), 5);
+        ref = FlatTimeline();
+        live.clear();
       }
-      ASSERT_EQ(tl.max_gap(), flat_max_gap(ref)) << "step " << step;
-      if (step % 256 == 0) {
-        ASSERT_EQ(tl.intervals(), ref.intervals());
-        ASSERT_EQ(tl.size(), ref.intervals().size());
+      for (int step = 0; step < 4000; ++step) {
+        const int op = static_cast<int>(rng.uniform_int(0, 9));
+        if (op < 5 || live.empty()) {  // occupy at the earliest fitting slot
+          const Time ready = rng.uniform_int(0, 3000);
+          const Cost dur = rng.uniform_int(1, 40);
+          const Time at = fit(ready, dur);
+          tl.occupy(next_owner, at, dur);
+          ref.occupy(next_owner, at, dur);
+          live.emplace_back(next_owner, at);
+          ++next_owner;
+        } else if (op < 8) {  // release, hinted or not
+          const std::size_t i =
+              static_cast<std::size_t>(rng.uniform_int(0, live.size() - 1));
+          const auto [owner, start] = live[i];
+          live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+          const bool hinted = rng.bernoulli(0.7);
+          ASSERT_TRUE(hinted ? tl.release(owner, start) : tl.release(owner));
+          ASSERT_TRUE(ref.release(owner));
+        } else {  // probe-only round
+          const Time ready = rng.uniform_int(0, 4000);
+          const Cost dur = rng.uniform_int(0, 60);
+          fit(ready, dur);
+          EXPECT_EQ(tl.earliest_fit(ready, dur, false),
+                    ref.earliest_fit(ready, dur, false));
+          EXPECT_EQ(tl.fits(ready, dur), ref.fits(ready, dur));
+        }
+        ASSERT_EQ(tl.max_gap(), flat_max_gap(ref)) << "step " << step;
+        if (step % 256 == 0) {
+          ASSERT_EQ(tl.intervals(), ref.intervals());
+          ASSERT_EQ(tl.size(), ref.intervals().size());
+        }
       }
+      EXPECT_EQ(tl.intervals(), ref.intervals());
+      EXPECT_EQ(tl.busy_time(), [&] {
+        Time t = 0;
+        for (const Interval& iv : ref.intervals()) t += iv.end - iv.start;
+        return t;
+      }());
     }
-    EXPECT_EQ(tl.intervals(), ref.intervals());
-    EXPECT_EQ(tl.busy_time(), [&] {
-      Time t = 0;
-      for (const Interval& iv : ref.intervals()) t += iv.end - iv.start;
-      return t;
-    }());
   }
   // Each O(1) exit answered queries, and every answer matched the flat
   // store: no gap long enough anywhere, a fit at `ready` itself, and a
@@ -279,6 +293,28 @@ TEST(Timeline, GapIndexMatchesFlatReferenceUnderChurn) {
   EXPECT_GT(exits[static_cast<int>(Exit::kNoGap)], 0);
   EXPECT_GT(exits[static_cast<int>(Exit::kAtReady)], 0);
   EXPECT_GT(exits[static_cast<int>(Exit::kLaterChunk)], 0);
+}
+
+// clear() keeps the chunk buffers: once every pooled buffer has been
+// through a full chunk, refilling a cleared timeline to the same shape
+// allocates nothing.
+TEST(Timeline, ClearKeepsChunkBuffersForRefill) {
+  Timeline tl;
+  const auto fill = [&] {
+    for (int i = 0; i < 1000; ++i) {
+      const Time start = (i * 7919) % 1000 * 10;  // scattered inserts
+      tl.occupy(i, tl.earliest_fit(start, 4, true), 4);
+    }
+  };
+  fill();
+  const std::vector<Interval> first = tl.intervals();
+  tl.clear();
+  fill();
+  tl.clear();
+  AllocMeter meter;
+  fill();
+  EXPECT_EQ(meter.count(), 0u);
+  EXPECT_EQ(tl.intervals(), first);
 }
 
 TEST(Timeline, ReleaseEverythingThenReuse) {
