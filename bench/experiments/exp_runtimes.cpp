@@ -8,11 +8,11 @@
 //            benchmarks per graph size (paper §6.4.3). Paper shape
 //            (relative ranking; absolute numbers are machine-bound):
 //            BNP: MCP fastest; DLS and ETF were the slow BNP algorithms
-//            until the incremental pair selector (docs/perf.md). UNC: LC
-//            fastest, then DSC, EZ; DCP and MD slowest. APN: BU fastest;
-//            DLS slowest. --reps > 1 times each algorithm that many times
-//            per graph and keeps the minimum, making the cells robust to
-//            scheduler noise (the docs/perf.md speedups use --reps=5).
+//            until the pair selectors (docs/perf.md, "BNP pair
+//            selection"). UNC: LC fastest, then DSC, EZ; DCP and MD
+//            slowest. APN: BU fastest; DLS slowest. --reps > 1 times each
+//            algorithm that many times per graph and keeps the minimum,
+//            making the cells robust to scheduler noise.
 //  micro  -- per-call scheduling time of every algorithm on fixed RGNOS
 //            graphs: a warm-up run, then --reps timed runs, cell = the
 //            minimum (median and mean are recorded alongside in the
@@ -26,17 +26,10 @@
 #include "tgs/harness/runner.h"
 #include "tgs/net/routing.h"
 #include "tgs/util/rng.h"
+#include "tgs/util/stats.h"
 
 namespace tgs::bench {
 namespace {
-
-/// Median of an unsorted sample (empty -> 0).
-double median_of(std::vector<double> xs) {
-  if (xs.empty()) return 0.0;
-  std::sort(xs.begin(), xs.end());
-  const std::size_t mid = xs.size() / 2;
-  return xs.size() % 2 == 1 ? xs[mid] : (xs[mid - 1] + xs[mid]) / 2.0;
-}
 
 // -------------------------------------------------------------- table6 ----
 
@@ -194,8 +187,8 @@ void run_micro(const ExpContext& ctx) {
     rr.algo = pt.label("algo");
     Record rec = record_from_run(rr, "micro", v, ctx.time_value(best_ms));
     // The minimum is the noise floor; the median shows whether the floor
-    // is representative, which is what the docs/perf.md claims cite.
-    rec.num.emplace_back("median_ms", ctx.time_value(median_of(samples_ms)));
+    // is representative (docs/perf.md, "Measuring").
+    rec.num.emplace_back("median_ms", ctx.time_value(median(samples_ms)));
     rec.num.emplace_back("mean_ms", ctx.time_value(sum_ms / reps));
     rec.num.emplace_back("reps", reps);
     records.push_back(std::move(rec));

@@ -21,7 +21,7 @@
 // engine that released and recommitted only the affected region was
 // measured 2.7-3.5x slower than rebuilding and deleted: a migration off
 // BSA's packed pivot shifts 70-80% of the schedule, so an in-place update
-// touches most of it twice (docs/perf.md).
+// touches most of it twice (docs/perf.md, "BSA" and the ledger).
 #pragma once
 
 #include "tgs/apn/apn_common.h"

@@ -85,22 +85,4 @@ TaskGraph rgnos_graph(const RgnosParams& params) {
   return b.finalize();
 }
 
-std::vector<TaskGraph> rgnos_size_suite(NodeId num_nodes, std::uint64_t seed) {
-  std::vector<TaskGraph> out;
-  for (double ccr : kRgnosCcrs) {
-    for (int par : kRgnosParallelisms) {
-      RgnosParams params;
-      params.num_nodes = num_nodes;
-      params.ccr = ccr;
-      params.parallelism = par;
-      std::uint64_t state = seed ^ (static_cast<std::uint64_t>(num_nodes) << 24) ^
-                            (static_cast<std::uint64_t>(par) << 16) ^
-                            static_cast<std::uint64_t>(std::llround(ccr * 1000));
-      params.seed = splitmix64(state);
-      out.push_back(rgnos_graph(params));
-    }
-  }
-  return out;
-}
-
 }  // namespace tgs

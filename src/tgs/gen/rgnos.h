@@ -37,10 +37,5 @@ struct RgnosParams {
 TaskGraph rgnos_graph(const RgnosParams& params);
 
 inline constexpr double kRgnosCcrs[] = {0.1, 0.5, 1.0, 2.0, 10.0};
-inline constexpr int kRgnosParallelisms[] = {1, 2, 3, 4, 5};
-
-/// All 25 (ccr, parallelism) combinations for one size. The paper's full
-/// suite is this for each v in 50..500 step 50.
-std::vector<TaskGraph> rgnos_size_suite(NodeId num_nodes, std::uint64_t seed);
 
 }  // namespace tgs

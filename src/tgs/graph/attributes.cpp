@@ -56,22 +56,6 @@ std::vector<Time> static_levels(const TaskGraph& g) {
   return b;
 }
 
-void comp_t_levels_into(const TaskGraph& g, std::vector<Time>& t) {
-  t.assign(g.num_nodes(), 0);
-  for (NodeId u : g.topological_order()) {
-    Time best = 0;
-    for (const Adj& p : g.parents(u))
-      best = std::max(best, t[p.node] + g.weight(p.node));
-    t[u] = best;
-  }
-}
-
-std::vector<Time> comp_t_levels(const TaskGraph& g) {
-  std::vector<Time> t;
-  comp_t_levels_into(g, t);
-  return t;
-}
-
 Time critical_path_length(const TaskGraph& g) {
   const auto b = b_levels(g);
   Time best = 0;
@@ -125,23 +109,9 @@ Cost path_computation_cost(const TaskGraph& g,
   return sum;
 }
 
-Time computation_critical_path_length(const TaskGraph& g) {
-  std::vector<Time> down(g.num_nodes(), 0);
-  const auto& topo = g.topological_order();
-  Time best = 0;
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const NodeId u = *it;
-    Time kid = 0;
-    for (const Adj& c : g.children(u)) kid = std::max(kid, down[c.node]);
-    down[u] = g.weight(u) + kid;
-    best = std::max(best, down[u]);
-  }
-  return best;
-}
-
 void GraphAttributeCache::bind(const TaskGraph& g) {
   graph_ = &g;
-  have_sl_ = have_bl_ = have_tl_ = have_ctl_ = have_alap_ = have_cp_ = false;
+  have_sl_ = have_bl_ = have_tl_ = have_alap_ = have_cp_ = false;
 }
 
 const TaskGraph& GraphAttributeCache::bound() const {
@@ -174,14 +144,6 @@ const std::vector<Time>& GraphAttributeCache::t_levels() {
   return tl_;
 }
 
-const std::vector<Time>& GraphAttributeCache::comp_t_levels() {
-  if (!have_ctl_) {
-    comp_t_levels_into(bound(), ctl_);
-    have_ctl_ = true;
-  }
-  return ctl_;
-}
-
 Time GraphAttributeCache::critical_path_length() {
   if (!have_cp_) {
     const std::vector<Time>& b = b_levels();
@@ -202,20 +164,6 @@ const std::vector<Time>& GraphAttributeCache::alap_times() {
     have_alap_ = true;
   }
   return alap_;
-}
-
-std::size_t layered_width(const TaskGraph& g) {
-  // Layer index = longest hop-count path from an entry.
-  std::vector<std::size_t> depth(g.num_nodes(), 0);
-  std::size_t max_depth = 0;
-  for (NodeId u : g.topological_order()) {
-    for (const Adj& p : g.parents(u))
-      depth[u] = std::max(depth[u], depth[p.node] + 1);
-    max_depth = std::max(max_depth, depth[u]);
-  }
-  std::vector<std::size_t> count(max_depth + 1, 0);
-  for (NodeId i = 0; i < g.num_nodes(); ++i) ++count[depth[i]];
-  return count.empty() ? 0 : *std::max_element(count.begin(), count.end());
 }
 
 }  // namespace tgs

@@ -35,10 +35,6 @@ std::vector<Time> static_levels(const TaskGraph& g);
 void t_levels_into(const TaskGraph& g, std::vector<Time>& out);
 void b_levels_into(const TaskGraph& g, std::vector<Time>& out);
 void static_levels_into(const TaskGraph& g, std::vector<Time>& out);
-void comp_t_levels_into(const TaskGraph& g, std::vector<Time>& out);
-
-/// t-level counting node weights only (comm-free earliest start).
-std::vector<Time> comp_t_levels(const TaskGraph& g);
 
 /// Length of the critical path: max over nodes of t_level + w (equivalently
 /// max b-level over entry nodes).
@@ -53,17 +49,6 @@ std::vector<NodeId> critical_path(const TaskGraph& g);
 
 /// Sum of computation costs along `path` (the NSL denominator, paper §6).
 Cost path_computation_cost(const TaskGraph& g, const std::vector<NodeId>& path);
-
-/// Comm-free critical path length: max over paths of node-weight sums. This
-/// is a valid lower bound on any schedule length (chains execute serially
-/// even when co-located).
-Time computation_critical_path_length(const TaskGraph& g);
-
-/// Width of the DAG: the largest antichain size, approximated as the largest
-/// number of nodes sharing the same comp-t-level "layer" when layered by
-/// longest comp path depth (exact for layered generators; used for RGNOS
-/// parallelism checks).
-std::size_t layered_width(const TaskGraph& g);
 
 /// Lazy per-graph attribute cache. A scheduling sweep runs many algorithms
 /// on the same graph; each attribute (static levels, b-levels, ...) is
@@ -88,7 +73,6 @@ class GraphAttributeCache {
   const std::vector<Time>& static_levels();
   const std::vector<Time>& b_levels();
   const std::vector<Time>& t_levels();
-  const std::vector<Time>& comp_t_levels();
   const std::vector<Time>& alap_times();
   Time critical_path_length();
 
@@ -96,9 +80,9 @@ class GraphAttributeCache {
   const TaskGraph& bound() const;
 
   const TaskGraph* graph_ = nullptr;
-  std::vector<Time> sl_, bl_, tl_, ctl_, alap_;
+  std::vector<Time> sl_, bl_, tl_, alap_;
   bool have_sl_ = false, have_bl_ = false, have_tl_ = false,
-       have_ctl_ = false, have_alap_ = false, have_cp_ = false;
+       have_alap_ = false, have_cp_ = false;
   Time cp_len_ = 0;
 };
 

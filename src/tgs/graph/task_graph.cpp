@@ -118,11 +118,8 @@ TaskGraph TaskGraphBuilder::finalize() {
   g.total_weight_ = static_cast<Cost>(weight_sum);
   g.total_edge_cost_ = static_cast<Cost>(cost_sum);
 
-  // Entries / exits.
-  for (NodeId i = 0; i < n; ++i) {
+  for (NodeId i = 0; i < n; ++i)
     if (g.num_parents(i) == 0) g.entries_.push_back(i);
-    if (g.num_children(i) == 0) g.exits_.push_back(i);
-  }
 
   // Kahn topological sort with a min-id heap: deterministic order, cycle
   // detection.

@@ -69,11 +69,8 @@ class TaskGraph {
     return pred_off_[n] + i;
   }
 
-  bool has_edge(NodeId u, NodeId v) const { return edge_cost(u, v) >= 0; }
-
-  /// Nodes with no parents / no children.
+  /// Nodes with no parents.
   const std::vector<NodeId>& entry_nodes() const { return entries_; }
-  const std::vector<NodeId>& exit_nodes() const { return exits_; }
 
   /// A fixed topological order (parents precede children), computed at
   /// build time with deterministic (Kahn, min-id) tie-breaking.
@@ -86,9 +83,6 @@ class TaskGraph {
 
   /// Graph-level name for table/debug output.
   const std::string& name() const { return name_; }
-
-  /// Sum of all edge costs (used for CCR computation).
-  Cost total_edge_cost() const { return total_edge_cost_; }
 
   /// Average communication cost / average computation cost. Returns 0 for
   /// edge-free graphs.
@@ -106,10 +100,10 @@ class TaskGraph {
   std::vector<std::size_t> succ_off_, pred_off_;
   std::vector<Adj> succ_, pred_;
 
-  std::vector<NodeId> entries_, exits_, topo_;
+  std::vector<NodeId> entries_, topo_;
   std::size_t num_edges_ = 0;
   Cost total_weight_ = 0;
-  Cost total_edge_cost_ = 0;
+  Cost total_edge_cost_ = 0;  // for ccr()
 };
 
 /// Mutable builder. add_node returns dense ids in call order. finalize()

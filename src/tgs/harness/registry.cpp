@@ -87,13 +87,6 @@ SchedulerPtr build(const SchedulerRow& row) {
   return std::get<SchedulerPtr (*)()>(row.how)();
 }
 
-std::vector<SchedulerPtr> build_class(AlgoClass cls) {
-  std::vector<SchedulerPtr> out;
-  for (const SchedulerRow& row : kSchedulers)
-    if (row.cls == cls) out.push_back(build(row));
-  return out;
-}
-
 std::vector<std::string> names_of_class(AlgoClass cls) {
   std::vector<std::string> out;
   for (const SchedulerRow& row : kSchedulers)
@@ -130,11 +123,10 @@ std::invalid_argument unknown_name(const std::string& what,
 }  // namespace
 
 std::vector<SchedulerPtr> make_bnp_schedulers() {
-  return build_class(AlgoClass::kBNP);
-}
-
-std::vector<SchedulerPtr> make_unc_schedulers() {
-  return build_class(AlgoClass::kUNC);
+  std::vector<SchedulerPtr> out;
+  for (const SchedulerRow& row : kSchedulers)
+    if (row.cls == AlgoClass::kBNP) out.push_back(build(row));
+  return out;
 }
 
 std::vector<SchedulerPtr> make_unc_and_bnp_schedulers() {

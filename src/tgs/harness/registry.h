@@ -17,9 +17,6 @@ namespace tgs {
 /// Fresh instances of the six BNP algorithms, in the paper's order.
 std::vector<SchedulerPtr> make_bnp_schedulers();
 
-/// Fresh instances of the five UNC algorithms, in the paper's order.
-std::vector<SchedulerPtr> make_unc_schedulers();
-
 /// All eleven fully-connected-machine algorithms (UNC then BNP, as the
 /// paper's Table 1 lists them).
 std::vector<SchedulerPtr> make_unc_and_bnp_schedulers();

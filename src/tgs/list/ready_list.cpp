@@ -8,8 +8,7 @@ namespace tgs {
 ReadyList::ReadyList(const TaskGraph& g)
     : graph_(&g),
       unscheduled_parents_(g.num_nodes()),
-      ready_flag_(g.num_nodes(), false),
-      remaining_(g.num_nodes()) {
+      ready_flag_(g.num_nodes(), false) {
   for (NodeId n = 0; n < g.num_nodes(); ++n)
     unscheduled_parents_[n] = g.num_parents(n);
   for (NodeId n = 0; n < g.num_nodes(); ++n) {
@@ -26,7 +25,6 @@ void ReadyList::mark_scheduled(NodeId n) {
   // ready_ is sorted by id: binary search, not the O(width) linear find
   // (FFT-class graphs keep thousands of nodes ready at once).
   ready_.erase(std::lower_bound(ready_.begin(), ready_.end(), n));
-  --remaining_;
   for (const Adj& c : graph_->children(n)) {
     if (--unscheduled_parents_[c.node] == 0) {
       auto it = std::lower_bound(ready_.begin(), ready_.end(), c.node);

@@ -27,15 +27,11 @@ class ReadyList {
   /// that became ready. n must currently be ready.
   void mark_scheduled(NodeId n);
 
-  /// Number of tasks not yet scheduled.
-  std::size_t remaining() const { return remaining_; }
-
  private:
   const TaskGraph* graph_;
   std::vector<std::size_t> unscheduled_parents_;
   std::vector<NodeId> ready_;  // sorted by id
   std::vector<bool> ready_flag_;
-  std::size_t remaining_;
 };
 
 }  // namespace tgs

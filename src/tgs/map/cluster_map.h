@@ -7,7 +7,8 @@
 // merges clusters while considering the execution order (it re-evaluates
 // the ordered schedule after every tentative merge); RCP merges purely by
 // load, which is cheaper but can make poor choices. The paper leaves
-// "BNP vs UNC+CS" as future work; bench/ext_unc_cs runs that comparison.
+// "BNP vs UNC+CS" as future work; `tgs_bench --experiment=ext_unc_cs`
+// (bench/experiments/exp_rgnos.cpp) runs that comparison.
 //
 // Both functions take the cluster labels of a UNC schedule (cluster id per
 // node) and produce a complete schedule on `num_procs` processors; nodes of

@@ -164,12 +164,6 @@ Topology Topology::from_spec(const std::string& spec) {
   return fail();
 }
 
-int Topology::link_between(int a, int b) const {
-  for (const Neighbor& nb : neighbors(a))
-    if (nb.proc == b) return nb.link;
-  return -1;
-}
-
 int Topology::max_degree_proc() const {
   int best = 0;
   for (int p = 1; p < num_procs_; ++p)

@@ -53,9 +53,6 @@ class Topology {
 
   int degree(int p) const { return static_cast<int>(off_[p + 1] - off_[p]); }
 
-  /// Link id between a and b, or -1.
-  int link_between(int a, int b) const;
-
   /// Processor with the largest degree (ties: smallest id) -- BSA's initial
   /// pivot.
   int max_degree_proc() const;

@@ -8,10 +8,6 @@ namespace tgs {
 
 LowerBounds::LowerBounds(const TaskGraph& g, int num_procs)
     : graph_(&g), num_procs_(num_procs), sl_nc_(static_levels(g)) {
-  const Time cp = computation_critical_path_length(g);
-  const Time load =
-      (g.total_weight() + num_procs - 1) / static_cast<Time>(num_procs);
-  static_bound_ = std::max(cp, load);
   est_.resize(g.num_nodes());
 }
 

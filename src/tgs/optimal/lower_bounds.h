@@ -35,16 +35,12 @@ class LowerBounds {
   /// Single-threaded convenience overload using a member scratch buffer.
   Time evaluate(const Schedule& s) const { return evaluate(s, est_); }
 
-  /// Static (empty-schedule) bound: max(comp CP, ceil(work / p)).
-  Time static_bound() const { return static_bound_; }
-
   const std::vector<Time>& static_levels_nocomm() const { return sl_nc_; }
 
  private:
   const TaskGraph* graph_;
   int num_procs_;
   std::vector<Time> sl_nc_;
-  Time static_bound_;
   mutable std::vector<Time> est_;  // scratch
 };
 

@@ -118,9 +118,9 @@ class ListPhase {
   // earlier start then smaller id (PairOrder). Append placement gives each
   // ready node's EST a closed form, so AppendPairSelector picks the pair
   // in a few heap operations per step and no step visits the whole ready
-  // set (docs/perf.md, "append-mode pair selection"). Insertion gaps break
-  // the closed form: there the cached bests of IncrementalPairSelector
-  // feed a linear argmin over the ready set.
+  // set (docs/perf.md, "BNP pair selection"). Insertion gaps break the
+  // closed form: there the cached bests of IncrementalPairSelector feed a
+  // linear argmin over the ready set.
   void run_pair_selector() {
     if (!fit_) {
       AppendPairSelector& sel =

@@ -1,7 +1,5 @@
 #include "tgs/sched/metrics.h"
 
-#include <algorithm>
-
 #include "tgs/graph/attributes.h"
 
 namespace tgs {
@@ -27,19 +25,6 @@ double speedup(const TaskGraph& g, Time schedule_length) {
   if (schedule_length <= 0) return 0.0;
   return static_cast<double>(g.total_weight()) /
          static_cast<double>(schedule_length);
-}
-
-double efficiency(const TaskGraph& g, Time schedule_length, int procs_used) {
-  if (procs_used <= 0) return 0.0;
-  return speedup(g, schedule_length) / static_cast<double>(procs_used);
-}
-
-Time schedule_length_lower_bound(const TaskGraph& g, int num_procs) {
-  const Time cp = computation_critical_path_length(g);
-  if (num_procs <= 0) return cp;
-  const Cost work = g.total_weight();
-  const Time load = (work + num_procs - 1) / num_procs;  // ceil
-  return std::max(cp, load);
 }
 
 }  // namespace tgs

@@ -23,11 +23,4 @@ double percent_degradation(Time length, Time reference);
 /// Simple speedup: serial time / schedule length.
 double speedup(const TaskGraph& g, Time schedule_length);
 
-/// Processor efficiency: speedup / processors used.
-double efficiency(const TaskGraph& g, Time schedule_length, int procs_used);
-
-/// Lower bound on any schedule length of g on p processors (p <= 0 means
-/// unbounded): max(comp critical path, ceil(total work / p)).
-Time schedule_length_lower_bound(const TaskGraph& g, int num_procs);
-
 }  // namespace tgs

@@ -54,9 +54,6 @@ class Schedule {
   /// Busy intervals of processor p, sorted by start (owner = NodeId).
   const Timeline& timeline(ProcId p) const { return timelines_[p]; }
 
-  /// True when every task of the graph has been placed.
-  bool complete() const { return placed_count_ == graph_->num_nodes(); }
-
   std::size_t placed_count() const { return placed_count_; }
 
   /// Data-ready time of task n on processor p under the fully-connected

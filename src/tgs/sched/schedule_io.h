@@ -5,8 +5,7 @@
 //   tgssched1 <num_tasks> <makespan>
 //   task <node> <proc> <start>
 //
-// The graph itself is not embedded; loading requires the same TaskGraph
-// (checked by node count and re-validation hooks at the call site).
+// The graph itself is not embedded: a reader needs the same TaskGraph.
 #pragma once
 
 #include <iosfwd>
@@ -18,11 +17,6 @@ namespace tgs {
 
 void write_schedule(std::ostream& os, const Schedule& s);
 std::string schedule_to_string(const Schedule& s);
-
-/// Parse a schedule for `g`; throws std::invalid_argument on malformed
-/// input, node-count mismatch, or placements that overlap on a processor.
-Schedule read_schedule(std::istream& is, const TaskGraph& g);
-Schedule schedule_from_string(const std::string& text, const TaskGraph& g);
 
 void save_schedule(const std::string& path, const Schedule& s);
 

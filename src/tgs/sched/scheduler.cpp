@@ -1,5 +1,6 @@
 #include "tgs/sched/scheduler.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace tgs {
@@ -28,8 +29,8 @@ const char* algo_class_name(AlgoClass c) {
 }
 
 int effective_procs(const TaskGraph& g, const SchedOptions& opt) {
-  if (opt.num_procs > 0) return opt.num_procs;
-  return static_cast<int>(g.num_nodes() == 0 ? 1 : g.num_nodes());
+  const int v = std::max(1, static_cast<int>(g.num_nodes()));
+  return opt.num_procs > 0 ? std::min(opt.num_procs, v) : v;
 }
 
 }  // namespace tgs

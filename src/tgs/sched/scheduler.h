@@ -55,8 +55,8 @@ class Scheduler {
 
 using SchedulerPtr = std::unique_ptr<Scheduler>;
 
-/// Effective processor count: opt.num_procs when bounded, else one
-/// processor per task (the most any schedule can use).
+/// Effective processor count: one processor per task (the most any
+/// schedule can use), or opt.num_procs when that is bounded and smaller.
 int effective_procs(const TaskGraph& g, const SchedOptions& opt);
 
 }  // namespace tgs

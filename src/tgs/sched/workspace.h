@@ -74,8 +74,6 @@ class RunDeadline {
   void disarm() { armed_ = false; }
   bool armed() const { return armed_; }
 
-  bool expired() const { return armed_ && Clock::now() >= deadline_; }
-
   /// Amortized check; throws DeadlineExceeded once the deadline passes.
   void poll() {
     if (armed_ && --countdown_ == 0) {

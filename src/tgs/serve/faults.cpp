@@ -42,10 +42,6 @@ std::uint64_t parse_u64(const std::string& s, const std::string& clause) {
 
 }  // namespace
 
-const char* fault_point_name(FaultPoint p) {
-  return kPointNames[static_cast<std::size_t>(p)];
-}
-
 FaultPlan& FaultPlan::global() {
   static FaultPlan plan;
   return plan;

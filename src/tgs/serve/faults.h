@@ -57,8 +57,6 @@ enum class FaultPoint {
   kCount
 };
 
-const char* fault_point_name(FaultPoint p);
-
 /// One armed point's script. Defaults mirror the spec grammar above.
 struct FaultRule {
   std::uint64_t skip = 0;               // hits to pass through first

@@ -20,19 +20,13 @@ class JsonValue {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
 
-  Type type() const { return type_; }
   bool is_null() const { return type_ == Type::kNull; }
-  bool is_bool() const { return type_ == Type::kBool; }
-  bool is_number() const { return type_ == Type::kNumber; }
-  bool is_string() const { return type_ == Type::kString; }
   bool is_array() const { return type_ == Type::kArray; }
   bool is_object() const { return type_ == Type::kObject; }
 
-  bool as_bool() const { return bool_; }
   double as_number() const { return num_; }
   const std::string& as_string() const { return str_; }
   const std::vector<JsonValue>& as_array() const { return arr_; }
-  const std::map<std::string, JsonValue>& as_object() const { return obj_; }
 
   /// Object member lookup; nullptr when absent or not an object.
   const JsonValue* find(const std::string& key) const;

@@ -1,14 +1,19 @@
 #include "tgs/unc/cluster_schedule.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "tgs/graph/attributes.h"
-#include "tgs/list/priorities.h"
 
 namespace tgs {
 
 std::vector<NodeId> blevel_order(const TaskGraph& g) {
-  return order_by_descending(b_levels(g));
+  const std::vector<Time> b = b_levels(g);
+  std::vector<NodeId> order(b.size());
+  std::iota(order.begin(), order.end(), NodeId{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](NodeId x, NodeId y) { return b[x] > b[y]; });
+  return order;
 }
 
 Schedule schedule_with_assignment(const TaskGraph& g,

@@ -35,8 +35,8 @@ Time assignment_makespan(const TaskGraph& g, const std::vector<ProcId>& assign,
                          std::vector<Time>& start_scratch,
                          std::vector<Time>& avail_scratch);
 
-/// Deterministic order used by both functions: descending b-level, ties by
-/// node id. Exposed for tests.
+/// Deterministic order used by both functions, EZ and the APN builders:
+/// descending b-level, ties by node id.
 std::vector<NodeId> blevel_order(const TaskGraph& g);
 
 }  // namespace tgs

@@ -34,13 +34,6 @@ NodeId DisjointSets::merge(NodeId a, NodeId b) {
   return lo;
 }
 
-std::size_t DisjointSets::num_sets() const {
-  std::size_t count = 0;
-  for (NodeId i = 0; i < parent_.size(); ++i)
-    if (find(i) == i) ++count;
-  return count;
-}
-
 std::vector<ProcId> dense_assignment(const DisjointSets& ds) {
   std::vector<NodeId> labels(ds.size());
   for (NodeId i = 0; i < ds.size(); ++i) labels[i] = ds.find(i);

@@ -31,13 +31,6 @@ class DisjointSets {
 
   std::size_t size() const { return parent_.size(); }
 
-  /// Number of distinct sets.
-  std::size_t num_sets() const;
-
-  /// Snapshot of the full state (for tentative-merge rollback).
-  std::vector<NodeId> snapshot() const { return parent_; }
-  void restore(std::vector<NodeId> snap) { parent_ = std::move(snap); }
-
  private:
   // Path compression is applied lazily in the non-const overload used
   // internally; find() is logically const.

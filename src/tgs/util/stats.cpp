@@ -1,7 +1,6 @@
 #include "tgs/util/stats.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace tgs {
 
@@ -15,13 +14,6 @@ double median(std::vector<double> xs) {
   const std::size_t mid = xs.size() / 2;
   if (xs.size() % 2 == 1) return xs[mid];
   return 0.5 * (xs[mid - 1] + xs[mid]);
-}
-
-double geomean_of(const std::vector<double>& xs) {
-  if (xs.empty()) return 0.0;
-  double logsum = 0.0;
-  for (double x : xs) logsum += std::log(x);
-  return std::exp(logsum / static_cast<double>(xs.size()));
 }
 
 }  // namespace tgs

@@ -26,7 +26,4 @@ class StatAccumulator {
 /// Median of a copy of `xs` (average of middle two for even n); 0 if empty.
 double median(std::vector<double> xs);
 
-/// Geometric mean of strictly positive values; 0 if empty.
-double geomean_of(const std::vector<double>& xs);
-
 }  // namespace tgs

@@ -36,7 +36,7 @@ struct ReferenceGraph {
   std::vector<std::string> labels_;
   std::vector<std::size_t> succ_off_, pred_off_;
   std::vector<Adj> succ_, pred_;
-  std::vector<NodeId> entries_, exits_, topo_;
+  std::vector<NodeId> entries_, topo_;
   std::size_t num_edges_ = 0;
   Cost total_weight_ = 0;
   Cost total_edge_cost_ = 0;
@@ -143,11 +143,8 @@ class ReferenceGraphBuilder {
     for (Cost w : g.weights_) g.total_weight_ += w;
     for (const Edge& e : edges_) g.total_edge_cost_ += e.cost;
 
-    // Entries / exits.
-    for (NodeId i = 0; i < n; ++i) {
+    for (NodeId i = 0; i < n; ++i)
       if (g.num_parents(i) == 0) g.entries_.push_back(i);
-      if (g.num_children(i) == 0) g.exits_.push_back(i);
-    }
 
     // Kahn topological sort with a min-id heap: deterministic order, cycle
     // detection.

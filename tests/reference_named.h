@@ -20,7 +20,6 @@
 #include "reference_proc_choice.h"
 #include "tgs/bnp/bnp_common.h"
 #include "tgs/graph/attributes.h"
-#include "tgs/list/priorities.h"
 #include "tgs/list/ready_list.h"
 #include "tgs/sched/schedule.h"
 #include "tgs/sched/scheduler.h"
@@ -28,6 +27,20 @@
 #include "tgs/unc/clustering.h"
 
 namespace tgs::reference {
+
+/// The max-priority element of `candidates` (smallest id on ties);
+/// kNoNode when there is none.
+inline NodeId argmax_priority(const std::vector<NodeId>& candidates,
+                              const std::vector<Time>& priority) {
+  NodeId best = kNoNode;
+  for (NodeId n : candidates) {
+    if (best == kNoNode || priority[n] > priority[best] ||
+        (priority[n] == priority[best] && n < best)) {
+      best = n;
+    }
+  }
+  return best;
+}
 
 /// HLFET: static-level list order, earliest-start processor, append.
 inline Schedule original_hlfet(const TaskGraph& g, const SchedOptions& opt) {
@@ -151,7 +164,7 @@ inline Schedule original_ez(const TaskGraph& g) {
 
   for (const EdgeRef& e : edges) {
     if (ds.same(e.u, e.v)) continue;
-    auto snap = ds.snapshot();
+    DisjointSets snap = ds;
     ds.merge(e.u, e.v);
     assign = dense_assignment(ds);
     const Time len =
@@ -159,7 +172,7 @@ inline Schedule original_ez(const TaskGraph& g) {
     if (len <= best) {
       best = len;
     } else {
-      ds.restore(std::move(snap));
+      ds = std::move(snap);
     }
   }
 

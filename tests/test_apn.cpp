@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "fixture_graphs.h"
+#include "oracles.h"
 #include "reference_bsa.h"
 #include "reference_net.h"
 #include "tgs/apn/bsa.h"

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "fixture_graphs.h"
+#include "oracles.h"
 #include "tgs/gen/psg.h"
 #include "tgs/gen/structured.h"
 #include "tgs/graph/attributes.h"
@@ -146,13 +147,6 @@ TEST(Attributes, BLevelStrictlyDecreasesAlongEdges) {
     for (const Adj& c : g.children(u)) EXPECT_GT(b[u], b[c.node]);
 }
 
-TEST(Attributes, CompTLevelLowerBoundsTLevel) {
-  const TaskGraph g = psg_pipelines16();
-  const auto t = t_levels(g);
-  const auto ct = comp_t_levels(g);
-  for (NodeId n = 0; n < g.num_nodes(); ++n) EXPECT_LE(ct[n], t[n]);
-}
-
 TEST(Attributes, CacheMatchesFreeFunctionsAndSurvivesRebinds) {
   GraphAttributeCache cache;
   for (const TaskGraph& g :
@@ -161,13 +155,10 @@ TEST(Attributes, CacheMatchesFreeFunctionsAndSurvivesRebinds) {
     EXPECT_EQ(cache.static_levels(), static_levels(g));
     EXPECT_EQ(cache.b_levels(), b_levels(g));
     EXPECT_EQ(cache.t_levels(), t_levels(g));
-    EXPECT_EQ(cache.comp_t_levels(), comp_t_levels(g));
     EXPECT_EQ(cache.alap_times(), alap_times(g));
     EXPECT_EQ(cache.critical_path_length(), critical_path_length(g));
     // Second access returns the same cached data (no recompute/realloc).
     EXPECT_EQ(cache.static_levels(), static_levels(g));
-    const Time* ctl = cache.comp_t_levels().data();
-    EXPECT_EQ(cache.comp_t_levels().data(), ctl);
   }
 }
 

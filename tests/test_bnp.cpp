@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "fixture_graphs.h"
+#include "oracles.h"
 #include "tgs/bnp/last.h"
 #include "tgs/gen/psg.h"
 #include "tgs/gen/rgnos.h"
@@ -41,7 +42,7 @@ TEST(Bnp, AllValidOnZooUnlimitedProcs) {
       const auto v = validate_schedule(s);
       EXPECT_TRUE(v.ok) << algo->name() << " on " << g.name() << ": " << v.error;
       EXPECT_GE(s.makespan(), schedule_length_lower_bound(g, 0));
-      EXPECT_LE(s.makespan(), g.total_weight() + g.total_edge_cost());
+      EXPECT_LE(s.makespan(), g.total_weight() + total_edge_cost(g));
     }
   }
 }

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "fixture_graphs.h"
+#include "oracles.h"
+#include "tgs/gen/psg.h"
 #include "tgs/gen/rgnos.h"
 #include "tgs/gen/structured.h"
 #include "tgs/harness/registry.h"
@@ -11,6 +13,7 @@
 #include "tgs/net/net_validate.h"
 #include "tgs/optimal/bb_scheduler.h"
 #include "tgs/sched/metrics.h"
+#include "tgs/sched/schedule_io.h"
 #include "tgs/sched/validate.h"
 
 namespace tgs {
@@ -184,6 +187,32 @@ TEST(EdgeCases, TwoProcsTightBound) {
   opt.num_procs = 2;
   for (const auto& algo : make_bnp_schedulers())
     EXPECT_EQ(algo->run(g, opt).makespan(), 20) << algo->name();
+}
+
+TEST(EdgeCases, ProcsBeyondNodeCountChangeNothing) {
+  // A schedule never uses more processors than it has tasks, so a larger
+  // request must neither change the schedule nor size anything per
+  // requested processor.
+  const TaskGraph g = psg_canonical9();
+  const int v = static_cast<int>(g.num_nodes());
+  std::vector<std::string> names = unc_names();
+  for (const std::string& name : bnp_names()) names.push_back(name);
+  for (const char* point : {"param:cp/static/insert", "param:tl/dynamic/hole",
+                            "param:bl/etf/insert", "param:sl/dls/hole",
+                            "param:alap/etf/append"})
+    names.emplace_back(point);
+  for (const std::string& name : names) {
+    const SchedulerPtr algo = make_scheduler(name);
+    SchedOptions opt;
+    opt.num_procs = v;
+    const std::string at_v = schedule_to_string(algo->run(g, opt));
+    for (int procs : {v, v + 1, 1000000}) {
+      opt.num_procs = procs;
+      const Schedule s = algo->run(g, opt);
+      EXPECT_EQ(schedule_to_string(s), at_v) << name << " procs=" << procs;
+      EXPECT_LE(s.num_procs(), v) << name << " procs=" << procs;
+    }
+  }
 }
 
 }  // namespace

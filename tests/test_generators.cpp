@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "fixture_graphs.h"
+#include "oracles.h"
 #include "tgs/gen/random_core.h"
 #include "tgs/gen/rgbos.h"
 #include "tgs/gen/rgnos.h"
@@ -103,12 +104,6 @@ TEST(Rgnos, WidthTracksParallelism) {
   const std::size_t w5 = layered_width(rgnos_graph(p));
   EXPECT_LT(w1, w5);
   EXPECT_GT(w5, 3 * std::sqrt(400.0));
-}
-
-TEST(Rgnos, SizeSuiteCoversParameterGrid) {
-  const auto suite = rgnos_size_suite(50, 11);
-  EXPECT_EQ(suite.size(), 25u);  // 5 CCRs x 5 parallelisms
-  for (const auto& g : suite) EXPECT_EQ(g.num_nodes(), 50u);
 }
 
 TEST(Rgnos, EveryNonEntryNodeHasParent) {
@@ -243,7 +238,7 @@ TEST(Structured, Shapes) {
   EXPECT_EQ(fork_join(6).num_edges(), 12u);
   EXPECT_EQ(out_tree(3, 2).num_nodes(), 15u);
   EXPECT_EQ(in_tree(3, 2).num_nodes(), 15u);
-  EXPECT_EQ(in_tree(3, 2).exit_nodes().size(), 1u);
+  EXPECT_EQ(exit_nodes(in_tree(3, 2)).size(), 1u);
   EXPECT_EQ(out_tree(3, 2).entry_nodes().size(), 1u);
   EXPECT_EQ(diamond_lattice(4).num_nodes(), 16u);
   EXPECT_EQ(diamond_lattice(4).num_edges(), 24u);

@@ -24,8 +24,8 @@ TEST(Registry, FifteenAlgorithmsInPaperOrder) {
 TEST(Registry, ClassesAreConsistent) {
   for (const auto& s : make_bnp_schedulers())
     EXPECT_EQ(s->algo_class(), AlgoClass::kBNP);
-  for (const auto& s : make_unc_schedulers())
-    EXPECT_EQ(s->algo_class(), AlgoClass::kUNC);
+  for (const std::string& name : unc_names())
+    EXPECT_EQ(make_scheduler(name)->algo_class(), AlgoClass::kUNC);
 }
 
 TEST(Registry, LookupByName) {

@@ -1,28 +1,27 @@
-// Unit tests for list/priorities.h and list/ready_list.h.
+// Unit tests for list/ready_list.h and the priority orders the schedulers
+// build on.
 #include <gtest/gtest.h>
 
 #include "fixture_graphs.h"
+#include "reference_named.h"
 #include "tgs/gen/psg.h"
 #include "tgs/gen/structured.h"
-#include "tgs/list/priorities.h"
 #include "tgs/list/ready_list.h"
+#include "tgs/unc/cluster_schedule.h"
 
 namespace tgs {
 namespace {
 
-TEST(Priorities, DescendingOrderWithTies) {
-  const std::vector<Time> prio{5, 9, 5, 1};
-  const auto order = order_by_descending(prio);
-  EXPECT_EQ(order, (std::vector<NodeId>{1, 0, 2, 3}));  // ties by id
-}
-
-TEST(Priorities, AscendingOrderWithTies) {
-  const std::vector<Time> key{4, 2, 4, 0};
-  const auto order = order_by_ascending(key);
-  EXPECT_EQ(order, (std::vector<NodeId>{3, 1, 0, 2}));
+TEST(Priorities, BlevelOrderDescendsWithIdTies) {
+  // No edges, so every b-level is the node's weight.
+  TaskGraphBuilder b;
+  for (Cost w : {5, 9, 5, 1}) b.add_node(w);
+  const TaskGraph g = b.finalize();
+  EXPECT_EQ(blevel_order(g), (std::vector<NodeId>{1, 0, 2, 3}));  // ties by id
 }
 
 TEST(Priorities, ArgmaxPriority) {
+  using reference::argmax_priority;
   const std::vector<Time> prio{3, 7, 7, 2};
   EXPECT_EQ(argmax_priority({0, 1, 2, 3}, prio), 1u);  // tie 1 vs 2 -> 1
   EXPECT_EQ(argmax_priority({0, 3}, prio), 0u);
@@ -34,7 +33,6 @@ TEST(ReadyList, InitialEntriesOnly) {
   ReadyList rl(g);
   ASSERT_EQ(rl.ready().size(), 1u);
   EXPECT_EQ(rl.ready()[0], 0u);  // the fork
-  EXPECT_EQ(rl.remaining(), g.num_nodes());
 }
 
 TEST(ReadyList, AdmitsChildrenWhenAllParentsScheduled) {
@@ -48,7 +46,6 @@ TEST(ReadyList, AdmitsChildrenWhenAllParentsScheduled) {
   EXPECT_EQ(rl.ready(), (std::vector<NodeId>{3}));
   rl.mark_scheduled(3);
   EXPECT_TRUE(rl.empty());
-  EXPECT_EQ(rl.remaining(), 0u);
 }
 
 TEST(ReadyList, RejectsSchedulingNonReadyNode) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "fixture_graphs.h"
+#include "oracles.h"
 #include "tgs/gen/psg.h"
 #include "tgs/gen/structured.h"
 #include "tgs/graph/attributes.h"
@@ -24,11 +25,9 @@ TEST(Metrics, PercentDegradation) {
   EXPECT_DOUBLE_EQ(percent_degradation(10, 0), 0.0);  // guarded
 }
 
-TEST(Metrics, SpeedupAndEfficiency) {
+TEST(Metrics, Speedup) {
   const TaskGraph g = independent_tasks(4, 10);  // serial 40
   EXPECT_DOUBLE_EQ(speedup(g, 10), 4.0);
-  EXPECT_DOUBLE_EQ(efficiency(g, 10, 4), 1.0);
-  EXPECT_DOUBLE_EQ(efficiency(g, 10, 8), 0.5);
 }
 
 TEST(Metrics, LowerBoundCombinesCpAndLoad) {

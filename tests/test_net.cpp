@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "fixture_graphs.h"
+#include "oracles.h"
 #include "reference_net.h"
 #include "tgs/gen/structured.h"
 #include "tgs/net/net_schedule.h"
@@ -44,8 +45,8 @@ TEST(Topology, RingCounts) {
   const Topology t = Topology::ring(8);
   EXPECT_EQ(t.num_links(), 8);
   for (int p = 0; p < 8; ++p) EXPECT_EQ(t.degree(p), 2);
-  EXPECT_GE(t.link_between(0, 7), 0);
-  EXPECT_EQ(t.link_between(0, 3), -1);
+  EXPECT_GE(link_between(t, 0, 7), 0);
+  EXPECT_EQ(link_between(t, 0, 3), -1);
 }
 
 TEST(Topology, RingOfTwo) {
@@ -123,7 +124,7 @@ std::vector<int> bfs_route(const Topology& t, int src, int dst) {
     const int u = q.front();
     q.pop();
     for (int w = 0; w < p; ++w) {
-      if (seen[w] || t.link_between(u, w) < 0) continue;
+      if (seen[w] || link_between(t, u, w) < 0) continue;
       seen[w] = true;
       parent[w] = u;
       q.push(w);
@@ -131,7 +132,7 @@ std::vector<int> bfs_route(const Topology& t, int src, int dst) {
   }
   std::vector<int> route;
   for (int cur = dst; cur != src; cur = parent[cur])
-    route.push_back(t.link_between(parent[cur], cur));
+    route.push_back(link_between(t, parent[cur], cur));
   std::reverse(route.begin(), route.end());
   return route;
 }
@@ -188,7 +189,7 @@ TEST(Routing, SweepIsTheRoutingTreeInParentFirstOrder) {
         EXPECT_TRUE(reached[st.parent]);
         EXPECT_FALSE(reached[st.proc]);
         reached[st.proc] = true;
-        EXPECT_EQ(t.link_between(st.parent, st.proc), st.link);
+        EXPECT_EQ(link_between(t, st.parent, st.proc), st.link);
         EXPECT_EQ(st.depth, r.distance(src, st.parent) + 1);
         EXPECT_EQ(&r.tree_edge(src, st.proc), &st);
       }
@@ -262,7 +263,7 @@ TEST(NetSchedule, MessagesAreOneFlatTableInCommitOrder) {
   EXPECT_EQ(ns.hops(ns.messages()[1]).size(), 1u);
   // Link reservations are owned by the message's index: both routes
   // start on link 0-1 (0 -> 2 goes through 1), serialized in commit order.
-  const int link = topo.link_between(0, 1);
+  const int link = link_between(topo, 0, 1);
   ASSERT_EQ(ns.link_timeline(link).size(), 2u);
   EXPECT_EQ(ns.link_timeline(link).intervals()[0].owner, 0);
   EXPECT_EQ(ns.link_timeline(link).intervals()[1].owner, 1);

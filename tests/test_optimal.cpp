@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "fixture_graphs.h"
+#include "oracles.h"
 #include "tgs/gen/psg.h"
 #include "tgs/gen/rgbos.h"
 #include "tgs/gen/rgpos.h"
@@ -25,10 +26,12 @@ BBOptions quick(int procs, int threads = 2) {
 
 TEST(LowerBounds, StaticBound) {
   const TaskGraph g = independent_tasks(4, 10);
-  LowerBounds lb(g, 2);
-  EXPECT_EQ(lb.static_bound(), 20);
-  LowerBounds lb4(g, 4);
-  EXPECT_EQ(lb4.static_bound(), 10);
+  EXPECT_EQ(schedule_length_lower_bound(g, 2), 20);
+  EXPECT_EQ(schedule_length_lower_bound(g, 4), 10);
+  // Nothing placed: the bound is max(comp CP, ceil(work / p)).
+  for (int p : {2, 4})
+    EXPECT_EQ(LowerBounds(g, p).evaluate(Schedule(g, p)),
+              schedule_length_lower_bound(g, p));
 }
 
 TEST(LowerBounds, NeverExceedsAchievable) {

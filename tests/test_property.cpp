@@ -5,6 +5,7 @@
 
 #include <tuple>
 
+#include "oracles.h"
 #include "tgs/gen/rgnos.h"
 #include "tgs/graph/attributes.h"
 #include "tgs/harness/registry.h"
@@ -41,7 +42,7 @@ TEST_P(SchedulerProperty, ValidBoundedDeterministic) {
 
   // Universal bounds: comp-CP <= makespan <= serial + all comm.
   EXPECT_GE(s.makespan(), computation_critical_path_length(g));
-  EXPECT_LE(s.makespan(), g.total_weight() + g.total_edge_cost());
+  EXPECT_LE(s.makespan(), g.total_weight() + total_edge_cost(g));
 
   // NSL >= 1 (the denominator is a valid lower bound).
   EXPECT_GE(normalized_schedule_length(g, s.makespan()), 1.0);

@@ -17,7 +17,7 @@ TEST(Schedule, PlaceAndQuery) {
   s.place(0, 0, 0);
   s.place(1, 0, 10);
   s.place(2, 1, 35);  // cross-proc: 20 finish + 5 comm would be 25; 35 ok
-  EXPECT_TRUE(s.complete());
+  EXPECT_EQ(s.placed_count(), g.num_nodes());
   EXPECT_EQ(s.proc(1), 0);
   EXPECT_EQ(s.start(2), 35);
   EXPECT_EQ(s.finish(2), 45);

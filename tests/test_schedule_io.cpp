@@ -1,6 +1,7 @@
 // Tests for schedule serialization (sched/schedule_io.h).
 #include <gtest/gtest.h>
 
+#include "oracles.h"
 #include "tgs/gen/psg.h"
 #include "tgs/harness/registry.h"
 #include "tgs/sched/schedule_io.h"

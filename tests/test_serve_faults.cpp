@@ -369,7 +369,7 @@ TEST(Deadline, UnarmedDeadlineNeverFires) {
   ws.begin_graph(g);
   EXPECT_FALSE(ws.deadline().armed());
   const Schedule s = make_scheduler("DCP")->run(g, SchedOptions{}, ws);
-  EXPECT_TRUE(s.complete());
+  EXPECT_EQ(s.placed_count(), g.num_nodes());
 }
 
 // ------------------------------------------------------------- the server --

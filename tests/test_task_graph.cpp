@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "oracles.h"
 #include "tgs/gen/psg.h"
 #include "tgs/graph/dot.h"
 #include "tgs/graph/graph_io.h"
@@ -29,7 +30,7 @@ TEST(TaskGraphBuilder, BasicConstruction) {
   EXPECT_EQ(g.num_edges(), 3u);
   EXPECT_EQ(g.weight(0), 2);
   EXPECT_EQ(g.total_weight(), 9);
-  EXPECT_EQ(g.total_edge_cost(), 13);
+  EXPECT_EQ(total_edge_cost(g), 13);
   EXPECT_EQ(g.name(), "small");
 }
 
@@ -50,16 +51,16 @@ TEST(TaskGraphBuilder, EdgeCostLookup) {
   EXPECT_EQ(g.edge_cost(0, 1), 5);
   EXPECT_EQ(g.edge_cost(1, 2), 7);
   EXPECT_EQ(g.edge_cost(2, 0), TaskGraph::kNoEdge);
-  EXPECT_TRUE(g.has_edge(0, 2));
-  EXPECT_FALSE(g.has_edge(2, 1));
+  EXPECT_TRUE(has_edge(g, 0, 2));
+  EXPECT_FALSE(has_edge(g, 2, 1));
 }
 
 TEST(TaskGraphBuilder, EntriesAndExits) {
   const TaskGraph g = small_graph();
   ASSERT_EQ(g.entry_nodes().size(), 1u);
   EXPECT_EQ(g.entry_nodes()[0], 0u);
-  ASSERT_EQ(g.exit_nodes().size(), 1u);
-  EXPECT_EQ(g.exit_nodes()[0], 2u);
+  ASSERT_EQ(exit_nodes(g).size(), 1u);
+  EXPECT_EQ(exit_nodes(g)[0], 2u);
 }
 
 TEST(TaskGraphBuilder, TopologicalOrderRespectsEdges) {

@@ -105,11 +105,6 @@ TEST(Stats, MedianOddEven) {
   EXPECT_DOUBLE_EQ(median({}), 0.0);
 }
 
-TEST(Stats, GeomeanOfPowers) {
-  EXPECT_NEAR(geomean_of({1.0, 4.0}), 2.0, 1e-12);
-  EXPECT_NEAR(geomean_of({2.0, 2.0, 2.0}), 2.0, 1e-12);
-}
-
 TEST(Table, AsciiAlignsColumns) {
   Table t({"algo", "NSL"});
   t.add_row({"MCP", "1.25"});
