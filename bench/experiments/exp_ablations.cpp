@@ -1,4 +1,5 @@
-// Ablation experiments (paper §6.4.1/§7 observations + DESIGN notes):
+// Ablation experiments (paper §6.4.1/§7 observations, plus checks of this
+// implementation's own design choices):
 //
 //  ablate_bb        -- how much of the branch-and-bound search does the
 //                      pruning machinery (bounds + incumbent seeding +

@@ -21,6 +21,7 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <optional>
 
 #include "experiments/experiments.h"
 #include "tgs/gen/rgbos.h"
@@ -28,7 +29,7 @@
 #include "tgs/harness/registry.h"
 #include "tgs/harness/runner.h"
 #include "tgs/optimal/bb_scheduler.h"
-#include "tgs/param/param_scheduler.h"
+#include "tgs/param/param_spec.h"
 #include "tgs/sched/metrics.h"
 #include "tgs/util/rng.h"
 #include "tgs/util/stats.h"
@@ -85,8 +86,8 @@ std::vector<ParamSpec> combo_grid(const Cli& cli) {
 std::map<std::string, std::string> named_points() {
   std::map<std::string, std::string> out;
   for (const SchedulerPtr& s : make_unc_and_bnp_schedulers())
-    if (const auto* p = dynamic_cast<const ParamScheduler*>(s.get()))
-      out[p->spec().to_string()] = p->name();
+    if (const std::optional<ParamSpec> spec = param_spec_of(s->name()))
+      out[spec->to_string()] = s->name();
   return out;
 }
 

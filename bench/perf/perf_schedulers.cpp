@@ -28,9 +28,6 @@
 #include "reference_proc_choice.h"
 #include "reference_schedulers.h"
 #include "reference_timeline.h"
-#include "tgs/apn/bsa.h"
-#include "tgs/apn/dls_apn.h"
-#include "tgs/apn/mh.h"
 #include "tgs/bnp/bnp_common.h"
 #include "tgs/exec/jsonl.h"
 #include "tgs/gen/rgnos.h"
@@ -98,11 +95,11 @@ BENCHMARK(BM_Dls_Naive)->Arg(100)->Arg(300)->Arg(500);
 void BM_DlsApn(benchmark::State& state) {
   const TaskGraph g = bench_graph(static_cast<NodeId>(state.range(0)));
   const RoutingTable routes{Topology::hypercube(3)};
+  const ApnSchedulerPtr algo = make_apn_scheduler("DLS");
   SchedWorkspace ws;
   ws.begin_graph(g);
   for (auto _ : state)
-    benchmark::DoNotOptimize(
-        DlsApnScheduler().run(g, routes, ws).makespan());
+    benchmark::DoNotOptimize(algo->run(g, routes, ws).makespan());
 }
 BENCHMARK(BM_DlsApn)->Arg(100)->Arg(500);
 
@@ -139,10 +136,11 @@ BENCHMARK(BM_Etf_FreshWorkspace)->Arg(500);
 void BM_Mh_Apn(benchmark::State& state) {
   const TaskGraph g = bench_graph(static_cast<NodeId>(state.range(0)));
   const RoutingTable routes{Topology::hypercube(3)};
+  const ApnSchedulerPtr algo = make_apn_scheduler("MH");
   SchedWorkspace ws;
   ws.begin_graph(g);
   for (auto _ : state)
-    benchmark::DoNotOptimize(MhScheduler().run(g, routes, ws).makespan());
+    benchmark::DoNotOptimize(algo->run(g, routes, ws).makespan());
 }
 BENCHMARK(BM_Mh_Apn)->Arg(100)->Arg(300);
 
@@ -150,10 +148,11 @@ BENCHMARK(BM_Mh_Apn)->Arg(100)->Arg(300);
 void BM_Bsa_Apn(benchmark::State& state) {
   const TaskGraph g = bench_graph(static_cast<NodeId>(state.range(0)));
   const RoutingTable routes{Topology::hypercube(3)};
+  const ApnSchedulerPtr algo = make_apn_scheduler("BSA");
   SchedWorkspace ws;
   ws.begin_graph(g);
   for (auto _ : state)
-    benchmark::DoNotOptimize(BsaScheduler().run(g, routes, ws).makespan());
+    benchmark::DoNotOptimize(algo->run(g, routes, ws).makespan());
 }
 BENCHMARK(BM_Bsa_Apn)->Arg(100)->Arg(300)->Arg(500);
 

@@ -11,7 +11,7 @@ NetSchedule ApnScheduler::run(const TaskGraph& g,
                               const RoutingTable& routes) const {
   SchedWorkspace ws;
   ws.begin_graph(g);
-  return do_run(g, routes, ws);
+  return body_(g, routes, ws);
 }
 
 NetSchedule ApnScheduler::run(const TaskGraph& g, const RoutingTable& routes,
@@ -19,7 +19,7 @@ NetSchedule ApnScheduler::run(const TaskGraph& g, const RoutingTable& routes,
   if (ws.graph() != &g)
     throw std::logic_error(
         "SchedWorkspace not bound to this graph; call begin_graph() first");
-  return do_run(g, routes, ws);
+  return body_(g, routes, ws);
 }
 
 void apn_probe_ready_all(const NetSchedule& ns, NodeId n,

@@ -1,11 +1,13 @@
 // Shared machinery of the APN (arbitrary processor network) algorithms:
-// the ApnScheduler interface, (node, processor) EST probes against the
-// current link state, node commitment with real message routing, and the
-// fixed-assignment network list scheduler that BU and BSA build on.
+// the ApnScheduler type, (node, processor) EST probes against the current
+// link state, node commitment with real message routing, the
+// fixed-assignment network list scheduler that BU and BSA build on, and
+// the four algorithm bodies.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tgs/net/net_schedule.h"
@@ -14,15 +16,23 @@
 
 namespace tgs {
 
+/// An APN algorithm as data: a name and the body that schedules tasks and
+/// messages on the routed topology. The registry (harness/registry.h)
+/// builds the four of the paper from its table.
 class ApnScheduler {
  public:
-  virtual ~ApnScheduler() = default;
+  /// Algorithm body. `ws` is bound to `g` on entry. Must be deterministic
+  /// for equal inputs.
+  using Body = NetSchedule (*)(const TaskGraph&, const RoutingTable&,
+                               SchedWorkspace&);
 
-  virtual std::string name() const = 0;
+  ApnScheduler(std::string name, Body body)
+      : name_(std::move(name)), body_(body) {}
+
+  std::string name() const { return name_; }
 
   /// Produce a complete task + message schedule on the routed topology
-  /// with a private, freshly allocated workspace. Deterministic for equal
-  /// inputs.
+  /// with a private, freshly allocated workspace.
   NetSchedule run(const TaskGraph& g, const RoutingTable& routes) const;
 
   /// Same, but reusing the caller's workspace (`ws` must be bound to `g`
@@ -31,9 +41,9 @@ class ApnScheduler {
   NetSchedule run(const TaskGraph& g, const RoutingTable& routes,
                   SchedWorkspace& ws) const;
 
- protected:
-  virtual NetSchedule do_run(const TaskGraph& g, const RoutingTable& routes,
-                             SchedWorkspace& ws) const = 0;
+ private:
+  std::string name_;
+  Body body_;
 };
 
 using ApnSchedulerPtr = std::unique_ptr<ApnScheduler>;
@@ -78,5 +88,17 @@ NetSchedule apn_build_with_assignment(const TaskGraph& g,
                                       const RoutingTable& routes,
                                       const std::vector<ProcId>& assign,
                                       bool insertion);
+
+// The bodies of the paper's four APN algorithms, one per source file
+// (apn/mh.cpp, apn/dls_apn.cpp, apn/bu.cpp, apn/bsa.cpp, where each
+// algorithm's note sits). Same contract as ApnScheduler::Body.
+NetSchedule mh_schedule(const TaskGraph& g, const RoutingTable& routes,
+                        SchedWorkspace& ws);
+NetSchedule dls_apn_schedule(const TaskGraph& g, const RoutingTable& routes,
+                             SchedWorkspace& ws);
+NetSchedule bu_schedule(const TaskGraph& g, const RoutingTable& routes,
+                        SchedWorkspace& ws);
+NetSchedule bsa_schedule(const TaskGraph& g, const RoutingTable& routes,
+                         SchedWorkspace& ws);
 
 }  // namespace tgs

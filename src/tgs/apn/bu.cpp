@@ -1,11 +1,23 @@
-#include "tgs/apn/bu.h"
+// BU -- Bottom-Up scheduling (Mehdiratta & Ghose, 1994; paper ref [25]).
+//
+// Classification: APN, two-phase. Phase 1 walks the DAG BOTTOM-UP (reverse
+// topological order, exits first) assigning each node to a processor that
+// minimizes the communication pull toward its already-assigned children --
+// the cost of each child edge weighted by the routed hop distance -- with
+// accumulated load as the tie-breaker, so heavy subtrees coalesce near
+// their consumers. Phase 2 runs the deterministic fixed-assignment network
+// list scheduler (descending b-level, real message routing) to produce
+// start times. The paper finds BU the fastest APN algorithm but weak on
+// schedule quality for large graphs, which this two-phase structure
+// (assignment never revisited) reproduces.
+#include "tgs/apn/apn_common.h"
 
 #include <algorithm>
 
 namespace tgs {
 
-NetSchedule BuScheduler::do_run(const TaskGraph& g, const RoutingTable& routes,
-                                SchedWorkspace& ws) const {
+NetSchedule bu_schedule(const TaskGraph& g, const RoutingTable& routes,
+                        SchedWorkspace& ws) {
   const Topology& topo = routes.topology();
   const int nprocs = topo.num_procs();
 

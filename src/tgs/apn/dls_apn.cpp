@@ -1,4 +1,14 @@
-#include "tgs/apn/dls_apn.h"
+// DLS(APN) -- Dynamic Level Scheduling on an arbitrary network (Sih & Lee,
+// 1993; paper ref [31]).
+//
+// The APN form of DLS: dynamic level DL(n, p) = SL(n) - EST(n, p) where
+// EST accounts for message routing and link contention (Sih & Lee's
+// original targets exactly such interconnection-constrained machines).
+// At every step the (ready node, processor) pair with the largest dynamic
+// level wins. The exhaustive pair probing makes DLS the slowest APN
+// algorithm in the paper's Table 6; its NSL is "relatively stable with
+// respect to the graph size".
+#include "tgs/apn/apn_common.h"
 
 #include <algorithm>
 #include <numeric>
@@ -32,9 +42,8 @@ namespace tgs {
 // its `lb` stays valid). Parents are swept in order of FT + c descending,
 // the likely largest arrivals first, so the bound rises fast and most
 // probes stop after a few parents.
-NetSchedule DlsApnScheduler::do_run(const TaskGraph& g,
-                                    const RoutingTable& routes,
-                                    SchedWorkspace& ws) const {
+NetSchedule dls_apn_schedule(const TaskGraph& g, const RoutingTable& routes,
+                             SchedWorkspace& ws) {
   const std::vector<Time>& sl = ws.attrs().static_levels();
   NetSchedule ns(g, routes);
   const Schedule& s = ns.tasks();

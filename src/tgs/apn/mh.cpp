@@ -1,11 +1,21 @@
-#include "tgs/apn/mh.h"
+// MH -- Mapping Heuristic (El-Rewini & Lewis, 1990; paper ref [14]).
+//
+// Classification: APN, static list, non-CP-based, greedy. List scheduling
+// in descending b-level order; each node goes to the processor that
+// minimizes its start time, where the start time accounts for message
+// routing delays and link contention via the routing table (probed against
+// current link reservations, then committed). Tasks append (non-insertion).
+// The paper observes MH "yields fairly long schedule lengths for large
+// graphs" -- its static priorities cannot react to congestion discovered
+// during scheduling.
+#include "tgs/apn/apn_common.h"
 
 #include "tgs/unc/cluster_schedule.h"
 
 namespace tgs {
 
-NetSchedule MhScheduler::do_run(const TaskGraph& g, const RoutingTable& routes,
-                                SchedWorkspace& ws) const {
+NetSchedule mh_schedule(const TaskGraph& g, const RoutingTable& routes,
+                        SchedWorkspace& ws) {
   NetSchedule ns(g, routes);
   const int nprocs = routes.topology().num_procs();
   ApnSweepScratch& scratch = ws.apn_scratch();

@@ -1,5 +1,5 @@
 // Shared machinery of the BNP (bounded number of processors) list
-// schedulers. Four concerns live here:
+// schedulers, and the body of LAST. Four concerns live here:
 //
 //  * ProcScanner -- keeps processor usage dense (a new processor is only
 //    considered once all lower-numbered ones hold work), which both bounds
@@ -447,5 +447,10 @@ class IncrementalPairSelector {
   PairScratch* scratch_;
   int scanned_;  // scan_count the cached pairs are valid for
 };
+
+/// The body of LAST, the one BNP algorithm no parameter point expresses
+/// (bnp/last.cpp holds its note). Same contract as Scheduler::Body.
+Schedule last_schedule(const TaskGraph& g, const SchedOptions& opt,
+                       SchedWorkspace& ws);
 
 }  // namespace tgs

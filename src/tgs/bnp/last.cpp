@@ -1,15 +1,28 @@
-#include "tgs/bnp/last.h"
+// LAST -- Localized Allocation of Static Tasks (Baxter & Patel, 1989; paper
+// ref [7]).
+//
+// Classification: BNP, dynamic list, non-CP-based, non-greedy (it minimizes
+// communication, not start time), non-insertion. Node priority is D_NODE:
+// the fraction of a node's incident edge weight that connects to
+// already-scheduled neighbours,
+//     D_NODE(n) = sum_{(m,n) or (n,m), m scheduled} c / sum_{all incident} c,
+// so the algorithm grows the schedule outward from the already-placed
+// region, trying to localize heavy edges onto one processor. Ties fall back
+// to static level. The chosen node goes to the processor minimizing its
+// start time. The paper finds LAST the weakest BNP algorithm -- its
+// communication-centric priority ignores the critical path entirely -- and
+// we reproduce that behaviour.
+#include "tgs/bnp/bnp_common.h"
 
 #include <vector>
 
-#include "tgs/bnp/bnp_common.h"
 #include "tgs/graph/attributes.h"
 #include "tgs/list/ready_list.h"
 
 namespace tgs {
 
-Schedule LastScheduler::do_run(const TaskGraph& g, const SchedOptions& opt,
-                               SchedWorkspace& ws) const {
+Schedule last_schedule(const TaskGraph& g, const SchedOptions& opt,
+                       SchedWorkspace& ws) {
   const std::vector<Time>& sl = ws.attrs().static_levels();
 
   // Total incident edge weight per node (denominator of D_NODE).

@@ -3,7 +3,7 @@
 // size but useful in that they can be used to trace the operation of an
 // algorithm".
 //
-// Substitution note (see DESIGN.md): the IPPS'98 paper does not list its
+// Substitution note: the IPPS'98 paper does not list its
 // exact peer set; we curate a suite of the same character -- the canonical
 // 9-node example reproduced in Kwok & Ahmad's own survey work (critical
 // path n1 -> n7 -> n9, length 23), plus classic small structures

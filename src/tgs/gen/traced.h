@@ -2,12 +2,12 @@
 //
 // The paper uses Cholesky factorization DAGs produced by a parallelizing
 // compiler (CASCH); "for a matrix dimension of N, the graph size is
-// O(N^2)". We generate the same dependence structures analytically
-// (substitution documented in DESIGN.md): column-oriented Cholesky, plus
-// Gaussian elimination, a recursive FFT butterfly and Laplace/stencil
-// graphs as extensions. Node weights are proportional to the kernel's
-// floating-point work; edge weights are proportional to the data volume
-// transferred, scaled by `comm_scale` to sweep CCR.
+// O(N^2)". We generate the same dependence structures analytically from
+// the kernels' loop nests instead of with a compiler: column-oriented
+// Cholesky, plus Gaussian elimination, a recursive FFT butterfly and
+// Laplace/stencil graphs as extensions. Node weights are proportional to
+// the kernel's floating-point work; edge weights are proportional to the
+// data volume transferred, scaled by `comm_scale` to sweep CCR.
 #pragma once
 
 #include "tgs/graph/task_graph.h"

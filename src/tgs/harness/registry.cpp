@@ -3,33 +3,25 @@
 #include <stdexcept>
 #include <variant>
 
-#include "tgs/apn/bsa.h"
-#include "tgs/apn/bu.h"
-#include "tgs/apn/dls_apn.h"
-#include "tgs/apn/mh.h"
-#include "tgs/bnp/last.h"
+#include "tgs/bnp/bnp_common.h"
 #include "tgs/param/param_scheduler.h"
-#include "tgs/unc/dcp.h"
-#include "tgs/unc/dsc.h"
-#include "tgs/unc/md.h"
+#include "tgs/unc/clustering.h"
 
 namespace tgs {
 
 namespace {
 
-template <typename Ptr, typename S>
-Ptr construct() {
-  return std::make_unique<S>();
-}
+using Body = Schedule (*)(const TaskGraph&, const SchedOptions&,
+                          SchedWorkspace&);
 
 /// A fully-connected-machine algorithm: either a point of the
 /// parameterized core (docs/parameterized.md proves each one byte-identical
-/// to the original standalone implementation) or the constructor of one of
-/// the four algorithms no point expresses.
+/// to the original standalone implementation) or the body of one of the
+/// four algorithms no point expresses.
 struct SchedulerRow {
   const char* name;
   AlgoClass cls;
-  std::variant<ParamSpec, SchedulerPtr (*)()> how;
+  std::variant<ParamSpec, Body> how;
 };
 
 using M = ParamMetric;
@@ -45,9 +37,9 @@ constexpr SchedulerRow kSchedulers[] = {
     {"EZ", AlgoClass::kUNC, ParamSpec{M::kBL, R::kStatic, I::kAppend, C::kEz}},
     // Kim & Browne 1988 [20]: peel critical paths into linear clusters.
     {"LC", AlgoClass::kUNC, ParamSpec{M::kBL, R::kStatic, I::kAppend, C::kLc}},
-    {"DSC", AlgoClass::kUNC, construct<SchedulerPtr, DscScheduler>},
-    {"MD", AlgoClass::kUNC, construct<SchedulerPtr, MdScheduler>},
-    {"DCP", AlgoClass::kUNC, construct<SchedulerPtr, DcpScheduler>},
+    {"DSC", AlgoClass::kUNC, dsc_schedule},
+    {"MD", AlgoClass::kUNC, md_schedule},
+    {"DCP", AlgoClass::kUNC, dcp_schedule},
     // Adam, Chandy & Dickson 1974 [11]: highest static level first.
     {"HLFET", AlgoClass::kBNP,
      ParamSpec{M::kSL, R::kStatic, I::kAppend, C::kNone}},
@@ -62,29 +54,53 @@ constexpr SchedulerRow kSchedulers[] = {
     // Sih & Lee 1993 [31]: (node, proc) maximizing SL - EST.
     {"DLS", AlgoClass::kBNP,
      ParamSpec{M::kSL, R::kPairDls, I::kAppend, C::kNone}},
-    {"LAST", AlgoClass::kBNP, construct<SchedulerPtr, LastScheduler>},
+    {"LAST", AlgoClass::kBNP, last_schedule},
 };
 
 struct ApnRow {
   const char* name;
-  ApnSchedulerPtr (*make)();
+  ApnScheduler::Body body;
   // The listed name an alias row stands for. Lookup accepts alias rows;
   // the lists and name lists leave them out.
   const char* alias_of = nullptr;
 };
 
 constexpr ApnRow kApnSchedulers[] = {
-    {"MH", construct<ApnSchedulerPtr, MhScheduler>},
-    {"DLS", construct<ApnSchedulerPtr, DlsApnScheduler>},
-    {"BU", construct<ApnSchedulerPtr, BuScheduler>},
-    {"BSA", construct<ApnSchedulerPtr, BsaScheduler>},
-    {"DLS-APN", construct<ApnSchedulerPtr, DlsApnScheduler>, "DLS"},
+    {"MH", mh_schedule},
+    {"DLS", dls_apn_schedule},
+    {"BU", bu_schedule},
+    {"BSA", bsa_schedule},
+    {"DLS-APN", dls_apn_schedule, "DLS"},
 };
+
+/// A parameter point as a Scheduler: the spec bound to param_schedule. The
+/// point is a UNC algorithm exactly when it clusters.
+SchedulerPtr param_scheduler(std::string name, const ParamSpec& spec) {
+  return std::make_unique<Scheduler>(
+      std::move(name),
+      spec.cluster == ParamCluster::kNone ? AlgoClass::kBNP : AlgoClass::kUNC,
+      [spec](const TaskGraph& g, const SchedOptions& opt, SchedWorkspace& ws) {
+        return param_schedule(spec, g, opt, ws);
+      });
+}
 
 SchedulerPtr build(const SchedulerRow& row) {
   if (const auto* spec = std::get_if<ParamSpec>(&row.how))
-    return std::make_unique<ParamScheduler>(*spec, row.name);
-  return std::get<SchedulerPtr (*)()>(row.how)();
+    return param_scheduler(row.name, *spec);
+  return std::make_unique<Scheduler>(row.name, row.cls,
+                                     std::get<Body>(row.how));
+}
+
+const SchedulerRow* find_row(const std::string& name) {
+  for (const SchedulerRow& row : kSchedulers)
+    if (name == row.name) return &row;
+  return nullptr;
+}
+
+ApnSchedulerPtr build(const ApnRow& row) {
+  // An alias row runs under the listed name it stands for.
+  return std::make_unique<ApnScheduler>(
+      row.alias_of != nullptr ? row.alias_of : row.name, row.body);
 }
 
 std::vector<std::string> names_of_class(AlgoClass cls) {
@@ -138,22 +154,31 @@ std::vector<SchedulerPtr> make_unc_and_bnp_schedulers() {
 std::vector<ApnSchedulerPtr> make_apn_schedulers() {
   std::vector<ApnSchedulerPtr> out;
   for (const ApnRow& row : kApnSchedulers)
-    if (row.alias_of == nullptr) out.push_back(row.make());
+    if (row.alias_of == nullptr) out.push_back(build(row));
   return out;
 }
 
 SchedulerPtr make_scheduler(const std::string& name) {
-  if (ParamSpec::is_spec(name))
-    return std::make_unique<ParamScheduler>(ParamSpec::parse(name));
-  for (const SchedulerRow& row : kSchedulers)
-    if (name == row.name) return build(row);
+  if (ParamSpec::is_spec(name)) {
+    const ParamSpec spec = ParamSpec::parse(name);
+    return param_scheduler(spec.to_string(), spec);
+  }
+  if (const SchedulerRow* row = find_row(name)) return build(*row);
   throw unknown_name("scheduler", name);
 }
 
 ApnSchedulerPtr make_apn_scheduler(const std::string& name) {
   for (const ApnRow& row : kApnSchedulers)
-    if (name == row.name) return row.make();
+    if (name == row.name) return build(row);
   throw unknown_name("APN scheduler", name);
+}
+
+std::optional<ParamSpec> param_spec_of(const std::string& name) {
+  if (ParamSpec::is_spec(name)) return ParamSpec::parse(name);
+  const SchedulerRow* row = find_row(name);
+  if (row == nullptr) throw unknown_name("scheduler", name);
+  if (const auto* spec = std::get_if<ParamSpec>(&row->how)) return *spec;
+  return std::nullopt;
 }
 
 std::vector<std::string> bnp_names() { return names_of_class(AlgoClass::kBNP); }

@@ -2,14 +2,17 @@
 //   BNP: HLFET, ISH, MCP, ETF, DLS, LAST
 //   UNC: EZ, LC, DSC, MD, DCP
 //   APN: MH, DLS, BU, BSA
-// registry.cpp holds them as one table per scheduler base; every function
-// below reads that table.
+// registry.cpp holds them as one table per scheduler type, one row per
+// algorithm naming its body or its parameter point; every function below
+// reads that table.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "tgs/apn/apn_common.h"
+#include "tgs/param/param_spec.h"
 #include "tgs/sched/scheduler.h"
 
 namespace tgs {
@@ -32,6 +35,12 @@ std::vector<ApnSchedulerPtr> make_apn_schedulers();
 /// and the param: grammar. APN names: "MH", "DLS-APN"/"DLS", "BU", "BSA".
 SchedulerPtr make_scheduler(const std::string& name);
 ApnSchedulerPtr make_apn_scheduler(const std::string& name);
+
+/// The parameter point `name` runs: the spec of a table row that is a
+/// point (HLFET, EZ, ...) or of a "param:" spec, and std::nullopt for the
+/// four table rows with a body of their own (DSC, MD, DCP, LAST). Throws
+/// std::invalid_argument for unknown names, as make_scheduler does.
+std::optional<ParamSpec> param_spec_of(const std::string& name);
 
 std::vector<std::string> bnp_names();
 std::vector<std::string> unc_names();

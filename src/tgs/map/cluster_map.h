@@ -43,8 +43,8 @@ Schedule map_clusters_rcp(const TaskGraph& g,
 
 /// The assignment step of map_clusters_rcp alone: fold the clusters onto
 /// `num_procs` processors LPT-style and return the node -> processor map
-/// without materializing a schedule. The ParamScheduler uses this to bound
-/// a ClusterStep's cluster count when SchedOptions::num_procs is set.
+/// without materializing a schedule. param_schedule uses this to bound its
+/// cluster step's cluster count when SchedOptions::num_procs is set.
 std::vector<ProcId> rcp_cluster_assignment(const TaskGraph& g,
                                            const std::vector<ProcId>& clusters,
                                            int num_procs);

@@ -389,24 +389,21 @@ void compute_param_metric(ParamMetric metric, GraphAttributeCache& attrs,
 
 }  // namespace
 
-ParamScheduler::ParamScheduler(const ParamSpec& spec, std::string name)
-    : spec_(spec), name_(name.empty() ? spec.to_string() : std::move(name)) {}
-
-Schedule ParamScheduler::do_run(const TaskGraph& g, const SchedOptions& opt,
-                                SchedWorkspace& ws) const {
+Schedule param_schedule(const ParamSpec& spec, const TaskGraph& g,
+                        const SchedOptions& opt, SchedWorkspace& ws) {
   ParamScratch& ps = ws.param_scratch();
-  compute_param_metric(spec_.metric, ws.attrs(), ps);
+  compute_param_metric(spec.metric, ws.attrs(), ps);
 
-  if (spec_.cluster != ParamCluster::kNone) {
-    switch (spec_.cluster) {
+  if (spec.cluster != ParamCluster::kNone) {
+    switch (spec.cluster) {
       case ParamCluster::kEz:
-        ps.assign = ez_clusters(g, ws.deadline());
+        ps.assign = ez_clusters(g, ws);
         break;
       case ParamCluster::kLc:
         ps.assign = lc_clusters(g);
         break;
       case ParamCluster::kDsc:
-        ps.assign = dsc_clusters(g);
+        ps.assign = dsc_clusters(g, ws);
         break;
       case ParamCluster::kNone:
         break;
@@ -421,7 +418,7 @@ Schedule ParamScheduler::do_run(const TaskGraph& g, const SchedOptions& opt,
     }
   }
 
-  ListPhase phase(spec_, g, opt, ws, ps);
+  ListPhase phase(spec, g, opt, ws, ps);
   return phase.run();
 }
 

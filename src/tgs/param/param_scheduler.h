@@ -1,9 +1,10 @@
-// ParamScheduler: one list-scheduling core executing any ParamSpec point
-// behind the ordinary Scheduler NVI. Seven of the paper's algorithms
-// (HLFET, ISH, MCP, ETF, DLS, EZ, LC) are rows of the registry table in
-// harness/registry.cpp that pair a table name with a spec; every other
-// point of the crossproduct is a novel combination reachable via
-// make_scheduler("param:...") and the param_sweep experiment.
+// param_schedule: one list-scheduling core executing any ParamSpec point.
+// Seven of the paper's algorithms (HLFET, ISH, MCP, ETF, DLS, EZ, LC) are
+// rows of the registry table in harness/registry.cpp that pair a table
+// name with a spec, and the Scheduler each row builds binds the spec to
+// this function; every other point of the crossproduct is a novel
+// combination reachable via make_scheduler("param:...") and the
+// param_sweep experiment.
 //
 // Execution model (docs/parameterized.md has the axis taxonomy and the
 // byte-identity map against the original standalone implementations):
@@ -24,7 +25,6 @@
 // workspace.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "tgs/param/param_spec.h"
@@ -62,27 +62,9 @@ struct ParamScratch {
   std::vector<std::uint32_t> alap_arena;  // concatenated priority lists
 };
 
-class ParamScheduler : public Scheduler {
- public:
-  /// name() is `name` for a named point (HLFET, EZ, ...), else the
-  /// canonical spec string.
-  explicit ParamScheduler(const ParamSpec& spec, std::string name = {});
-
-  std::string name() const override { return name_; }
-  /// kUNC when a cluster step is present, else kBNP.
-  AlgoClass algo_class() const override {
-    return spec_.cluster == ParamCluster::kNone ? AlgoClass::kBNP
-                                                : AlgoClass::kUNC;
-  }
-  const ParamSpec& spec() const { return spec_; }
-
- protected:
-  Schedule do_run(const TaskGraph& g, const SchedOptions& opt,
-                  SchedWorkspace& ws) const override;
-
- private:
-  ParamSpec spec_;
-  std::string name_;
-};
+/// Schedule `g` at the point `spec`. `ws` is bound to `g`; the run uses
+/// ws.param_scratch() and ws.pair_scratch() (Scheduler::Body contract).
+Schedule param_schedule(const ParamSpec& spec, const TaskGraph& g,
+                        const SchedOptions& opt, SchedWorkspace& ws);
 
 }  // namespace tgs

@@ -9,8 +9,9 @@
 //   insertion  where a task lands on its processor's timeline
 //   cluster    an optional pre-pass fixing the node -> processor map
 //
-// A ParamSpec is one point of the crossproduct; ParamScheduler (see
-// param_scheduler.h) executes any point behind the ordinary Scheduler NVI.
+// A ParamSpec is one point of the crossproduct; param_schedule (see
+// param_scheduler.h) executes any point, and make_scheduler() binds a
+// point to it as an ordinary Scheduler.
 // The named algorithms HLFET, ISH, MCP, ETF, DLS, EZ and LC are specific
 // points (byte-identical to their original standalone implementations;
 // docs/parameterized.md has the full map and the proofs sketch). The spec

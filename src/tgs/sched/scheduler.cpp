@@ -8,7 +8,7 @@ namespace tgs {
 Schedule Scheduler::run(const TaskGraph& g, const SchedOptions& opt) const {
   SchedWorkspace ws;
   ws.begin_graph(g);
-  return do_run(g, opt, ws);
+  return body_(g, opt, ws);
 }
 
 Schedule Scheduler::run(const TaskGraph& g, const SchedOptions& opt,
@@ -16,7 +16,7 @@ Schedule Scheduler::run(const TaskGraph& g, const SchedOptions& opt,
   if (ws.graph() != &g)
     throw std::logic_error(
         "SchedWorkspace not bound to this graph; call begin_graph() first");
-  return do_run(g, opt, ws);
+  return body_(g, opt, ws);
 }
 
 const char* algo_class_name(AlgoClass c) {

@@ -1,11 +1,14 @@
-// Common interface of the fully-connected-machine scheduling algorithms
-// (the paper's BNP and UNC classes). APN algorithms, which additionally
-// schedule messages on network links, implement ApnScheduler in
-// apn/apn_common.h.
+// A fully-connected-machine scheduling algorithm (the paper's BNP and UNC
+// classes) as data: a name, a class and the body that schedules. The
+// registry (harness/registry.h) builds every one from its table. APN
+// algorithms, which additionally schedule messages on network links, are
+// ApnScheduler values (apn/apn_common.h).
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "tgs/graph/task_graph.h"
 #include "tgs/sched/schedule.h"
@@ -27,16 +30,22 @@ struct SchedOptions {
 
 class Scheduler {
  public:
-  virtual ~Scheduler() = default;
+  /// Algorithm body. `ws` is bound to `g` on entry; a body may use
+  /// ws.attrs() and ws.pair_scratch() freely but must not rebind it. Must
+  /// be deterministic: equal inputs give bit-identical schedules.
+  using Body = std::function<Schedule(const TaskGraph&, const SchedOptions&,
+                                      SchedWorkspace&)>;
+
+  Scheduler(std::string name, AlgoClass cls, Body body)
+      : name_(std::move(name)), cls_(cls), body_(std::move(body)) {}
 
   /// Short identifier used in tables ("MCP", "DCP", ...).
-  virtual std::string name() const = 0;
+  std::string name() const { return name_; }
 
-  virtual AlgoClass algo_class() const = 0;
+  AlgoClass algo_class() const { return cls_; }
 
   /// Produce a complete schedule with a private, freshly allocated
-  /// workspace. Must be deterministic: equal inputs give bit-identical
-  /// schedules.
+  /// workspace.
   Schedule run(const TaskGraph& g, const SchedOptions& opt) const;
 
   /// Same, but reusing the caller's workspace buffers (and any graph
@@ -46,11 +55,10 @@ class Scheduler {
   Schedule run(const TaskGraph& g, const SchedOptions& opt,
                SchedWorkspace& ws) const;
 
- protected:
-  /// Algorithm body. `ws` is bound to `g` on entry; implementations may
-  /// use ws.attrs() and ws.pair_scratch() freely but must not rebind it.
-  virtual Schedule do_run(const TaskGraph& g, const SchedOptions& opt,
-                          SchedWorkspace& ws) const = 0;
+ private:
+  std::string name_;
+  AlgoClass cls_;
+  Body body_;
 };
 
 using SchedulerPtr = std::unique_ptr<Scheduler>;

@@ -7,8 +7,9 @@
 // Contents:
 //  * GraphAttributeCache -- static levels / b-levels / ALAP computed at
 //    most once per graph and shared by every algorithm run with this
-//    workspace (HLFET, ISH, LAST, ETF, DLS and DLS-APN all want static
-//    levels; MCP wants ALAP; DSC wants b-levels).
+//    workspace (HLFET, ISH, LAST, ETF, DLS, DLS-APN and EZ's clustering
+//    pass all want static levels; MCP wants ALAP; DSC, MD and DCP want
+//    b-levels).
 //  * PairScratch -- the frozen per-node arrivals, the processor end-time
 //    index and the pools of the (ready node, processor) pair selectors
 //    (bnp/bnp_common.h). Stored behind a pointer so sched/ does not include
@@ -151,10 +152,10 @@ class SchedWorkspace {
 
   /// Per-run buffers of the parameterized scheduler core (priority keys,
   /// static ranks, list heap, cluster assignment); sized by
-  /// ParamScheduler per run.
+  /// param_schedule per run.
   ParamScratch& param_scratch() { return *param_; }
 
-  /// Cooperative per-request deadline polled by ParamScheduler, the EZ
+  /// Cooperative per-request deadline polled by param_schedule, the EZ
   /// clustering pass and the APN inner loops. Survives begin_graph()
   /// untouched: arming is the caller's per-request decision, not
   /// per-graph state.

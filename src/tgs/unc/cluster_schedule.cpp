@@ -17,13 +17,13 @@ std::vector<NodeId> blevel_order(const TaskGraph& g) {
 }
 
 Schedule schedule_with_assignment(const TaskGraph& g,
-                                  const std::vector<ProcId>& assign,
-                                  bool insertion) {
+                                  const std::vector<ProcId>& assign) {
   Schedule sched(g);
   for (NodeId n : blevel_order(g)) {
     const ProcId p = assign[n];
     const Time ready = sched.data_ready(n, p);
-    const Time start = sched.earliest_start_on(p, ready, g.weight(n), insertion);
+    const Time start =
+        sched.earliest_start_on(p, ready, g.weight(n), /*insertion=*/false);
     sched.place(n, p, start);
   }
   return sched;
@@ -57,10 +57,19 @@ Time assignment_makespan(const TaskGraph& g, const std::vector<ProcId>& assign,
   return makespan;
 }
 
-Time assignment_makespan(const TaskGraph& g, const std::vector<ProcId>& assign) {
-  const std::vector<NodeId> order = blevel_order(g);
-  std::vector<Time> start, avail;
-  return assignment_makespan(g, assign, order, start, avail);
+void pinned_t_levels(const TaskGraph& g, const Schedule& s,
+                     std::vector<Time>& t) {
+  t.assign(g.num_nodes(), 0);
+  for (NodeId u : g.topological_order()) {
+    if (s.is_placed(u)) {
+      t[u] = s.start(u);
+      continue;
+    }
+    Time best = 0;
+    for (const Adj& par : g.parents(u))
+      best = std::max(best, t[par.node] + g.weight(par.node) + par.cost);
+    t[u] = best;
+  }
 }
 
 }  // namespace tgs

@@ -19,17 +19,13 @@
 namespace tgs {
 
 /// List-schedule `g` with the fixed `assign`ment (one entry per node).
-/// `insertion` enables idle-slot insertion (off by default: clusters are
-/// sequential task chains in the UNC model).
+/// Tasks append: clusters are sequential task chains in the UNC model.
 Schedule schedule_with_assignment(const TaskGraph& g,
-                                  const std::vector<ProcId>& assign,
-                                  bool insertion = false);
+                                  const std::vector<ProcId>& assign);
 
-/// Same, but only returns the makespan (no Schedule object).
-Time assignment_makespan(const TaskGraph& g, const std::vector<ProcId>& assign);
-
-/// Hot-loop variant with a precomputed traversal order and caller-owned
-/// scratch buffers (the cluster-mapping search calls it once per move).
+/// The makespan of the same traversal (no Schedule object), with a
+/// precomputed traversal order and caller-owned scratch buffers (the
+/// cluster-mapping search calls it once per move).
 Time assignment_makespan(const TaskGraph& g, const std::vector<ProcId>& assign,
                          const std::vector<NodeId>& order,
                          std::vector<Time>& start_scratch,
@@ -38,5 +34,12 @@ Time assignment_makespan(const TaskGraph& g, const std::vector<ProcId>& assign,
 /// Deterministic order used by both functions, EZ and the APN builders:
 /// descending b-level, ties by node id.
 std::vector<NodeId> blevel_order(const TaskGraph& g);
+
+/// t-levels of `g` with the nodes placed in `s` pinned at their start
+/// times (MD's tlevel', DCP's AEST). Unplaced nodes keep every incoming
+/// edge cost, since their processors are unknown; a placed parent counts
+/// from its real finish.
+void pinned_t_levels(const TaskGraph& g, const Schedule& s,
+                     std::vector<Time>& t);
 
 }  // namespace tgs

@@ -1,58 +1,44 @@
-#include "tgs/unc/dcp.h"
+// DCP -- Dynamic Critical Path scheduling (Kwok & Ahmad, 1996; paper ref
+// [22]).
+//
+// Classification: UNC, CP-based, dynamic list, lookahead (non-greedy).
+// After every placement the absolute earliest start time (AEST) and
+// absolute latest start time (ALST) of each node are recomputed on the
+// partially scheduled graph; nodes with AEST == ALST form the dynamic
+// critical path. The node with minimum slack (ALST - AEST) is selected
+// (ties: smaller ALST). Candidate processors are those holding the node's
+// placed parents/children plus one fresh processor; the winner minimizes
+// the composite objective
+//     start(n, p) + lookahead-start(critical child of n, p)
+// with insertion. On ties the earliest candidate in order (parents'
+// processors first, fresh last) wins, reproducing DCP's "do not open a new
+// processor unless the schedule length requires it" strategy that the
+// paper highlights in §6.4.2. Complexity O(v^3) in this dynamic form; the
+// paper finds DCP the strongest UNC algorithm, at the price of the largest
+// running time in its class.
+#include "tgs/unc/clustering.h"
 
 #include <algorithm>
 
 #include "tgs/graph/attributes.h"
 #include "tgs/list/ready_list.h"
+#include "tgs/unc/cluster_schedule.h"
 
 namespace tgs {
 
-namespace {
-
-void pinned_aest(const TaskGraph& g, const Schedule& s, std::vector<Time>& t) {
-  t.assign(g.num_nodes(), 0);
-  for (NodeId u : g.topological_order()) {
-    if (s.is_placed(u)) {
-      t[u] = s.start(u);
-      continue;
-    }
-    Time best = 0;
-    for (const Adj& par : g.parents(u)) {
-      const Time ft = t[par.node] + g.weight(par.node);
-      // Communication is zeroed only between co-located placed pairs; for
-      // a not-yet-placed child the cost must be assumed.
-      best = std::max(best, ft + par.cost);
-    }
-    t[u] = best;
-  }
-}
-
-void comm_b_levels(const TaskGraph& g, std::vector<Time>& b) {
-  b.assign(g.num_nodes(), 0);
-  const auto& topo = g.topological_order();
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const NodeId u = *it;
-    Time best = 0;
-    for (const Adj& c : g.children(u)) best = std::max(best, c.cost + b[c.node]);
-    b[u] = g.weight(u) + best;
-  }
-}
-
-}  // namespace
-
-Schedule DcpScheduler::do_run(const TaskGraph& g, const SchedOptions& opt,
-                              SchedWorkspace& ws) const {
-  (void)ws;
+Schedule dcp_schedule(const TaskGraph& g, const SchedOptions& opt,
+                      SchedWorkspace& ws) {
   const int limit = effective_procs(g, opt);
   Schedule sched(g, limit);
   ReadyList ready(g);
   int used = 0;
 
-  std::vector<Time> aest, bl;
-  comm_b_levels(g, bl);  // invariant under our pinning scheme
+  // The comm-inclusive b-level is invariant under our pinning scheme.
+  const std::vector<Time>& bl = ws.attrs().b_levels();
+  std::vector<Time> aest;
 
   while (!ready.empty()) {
-    pinned_aest(g, sched, aest);
+    pinned_t_levels(g, sched, aest);
     Time cpl = 0;
     for (NodeId u = 0; u < g.num_nodes(); ++u)
       cpl = std::max(cpl, aest[u] + bl[u]);

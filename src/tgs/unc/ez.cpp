@@ -1,6 +1,6 @@
 // The edge-zeroing cluster core of EZ (Sarkar). The registry's EZ is the
 // parameter point bl/static/append/ez; this file holds the clustering pass
-// the ParamScheduler's ClusterStep invokes.
+// that param_schedule's cluster step calls.
 #include <algorithm>
 #include <numeric>
 #include <utility>
@@ -12,7 +12,7 @@
 
 namespace tgs {
 
-std::vector<ProcId> ez_clusters(const TaskGraph& g, RunDeadline& deadline) {
+std::vector<ProcId> ez_clusters(const TaskGraph& g, SchedWorkspace& ws) {
   struct EdgeRef {
     NodeId u, v;
     Cost cost;
@@ -26,19 +26,19 @@ std::vector<ProcId> ez_clusters(const TaskGraph& g, RunDeadline& deadline) {
     return a.u != b.u ? a.u < b.u : a.v < b.v;
   });
 
-  // Each cluster is labelled by its smallest member id -- the
-  // representative dense_assignment numbers before densifying. The
-  // makespan depends only on which nodes share a cluster, not on the
-  // numbering, so the labels serve as processor ids directly. A cluster's
-  // members form an intrusive list from its label: next[] links them and
-  // tail[] / size[] are kept under the label.
+  // Each cluster is labelled by its smallest member id, and densify()
+  // numbers the labels by first appearance at the end. The makespan
+  // depends only on which nodes share a cluster, not on the numbering, so
+  // the labels serve as processor ids directly. A cluster's members form
+  // an intrusive list from its label: next[] links them and tail[] /
+  // size[] are kept under the label.
   const NodeId v = g.num_nodes();
   std::vector<NodeId> label(v), next(v, kNoNode), tail(v);
   std::iota(label.begin(), label.end(), NodeId{0});
   std::iota(tail.begin(), tail.end(), NodeId{0});
   std::vector<NodeId> size(v, 1);
   const std::vector<NodeId> order = blevel_order(g);
-  const std::vector<Time> sl = static_levels(g);
+  const std::vector<Time>& sl = ws.attrs().static_levels();
   std::vector<Time> finish(v), avail(v);
   // Total weight of each cluster, kept under its label: the tasks of a
   // cluster run one after another, so the makespan is at least its load.
@@ -102,7 +102,7 @@ std::vector<ProcId> ez_clusters(const TaskGraph& g, RunDeadline& deadline) {
   Time best = evaluate(kTimeInf);
   for (const EdgeRef& e : edges) {
     if (label[e.u] == label[e.v]) continue;  // already zeroed transitively
-    deadline.poll();
+    ws.deadline().poll();
     const NodeId lo = std::min(label[e.u], label[e.v]);
     const NodeId hi = std::max(label[e.u], label[e.v]);
     if (load[lo] + load[hi] > best) continue;  // the merged load alone is worse

@@ -1,6 +1,6 @@
 // The path-peeling cluster core of LC (Kim & Browne). The registry's LC is
 // the parameter point bl/static/append/lc; this file holds the clustering
-// pass the ParamScheduler's ClusterStep invokes.
+// pass that param_schedule's cluster step calls.
 #include <vector>
 
 #include "tgs/graph/task_graph.h"
@@ -11,7 +11,10 @@ namespace tgs {
 std::vector<ProcId> lc_clusters(const TaskGraph& g) {
   const NodeId n = g.num_nodes();
   std::vector<bool> examined(n, false);
-  DisjointSets ds(n);
+  // densify() numbers clusters by first appearance in node order, i.e. by
+  // smallest member, whatever the labels are.
+  std::vector<NodeId> label(n);
+  NodeId peeled = 0;
 
   std::size_t remaining = n;
   while (remaining > 0) {
@@ -45,17 +48,16 @@ std::vector<ProcId> lc_clusters(const TaskGraph& g) {
       if (head == kNoNode || down[u] > down[head]) head = u;
     }
 
-    // Collapse the path into one cluster.
-    NodeId prev = kNoNode;
+    // Collapse the path into one cluster, labelled by its peel index.
     for (NodeId u = head; u != kNoNode; u = next[u]) {
       examined[u] = true;
       --remaining;
-      if (prev != kNoNode) ds.merge(prev, u);
-      prev = u;
+      label[u] = peeled;
     }
+    ++peeled;
   }
 
-  return dense_assignment(ds);
+  return densify(label);
 }
 
 }  // namespace tgs

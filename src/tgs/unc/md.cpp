@@ -1,59 +1,43 @@
-#include "tgs/unc/md.h"
+// MD -- Mobility Directed scheduling (Wu & Gajski, 1990; paper ref [32]).
+//
+// Classification: UNC, CP-based, dynamic list, non-greedy. The relative
+// mobility of an unscheduled node under the current partial schedule is
+//     M(n) = (L - (tlevel'(n) + blevel'(n))) / w(n)
+// where tlevel'/blevel' pin already-placed nodes at their start times and L
+// is the current critical-path length estimate. Critical-path nodes have
+// zero mobility and are placed first. The selected node is placed on the
+// FIRST processor (in index order) offering an idle slot inside the node's
+// mobility window [tlevel'(n), L - blevel'(n)]; only when no processor can
+// hold it inside the window is the minimum-EST processor used. Scanning
+// used processors first is why the paper observes MD using relatively few
+// processors. Attributes are recomputed after every placement: O(v(v+e)).
+//
+// Fidelity note: the original MD may also displace ("push") already
+// scheduled nodes when inserting; we restrict placement to existing idle
+// gaps, and we only select among nodes whose parents are all placed so that
+// data-ready times are exact.
+#include "tgs/unc/clustering.h"
 
 #include <algorithm>
 
 #include "tgs/bnp/bnp_common.h"
 #include "tgs/graph/attributes.h"
 #include "tgs/list/ready_list.h"
+#include "tgs/unc/cluster_schedule.h"
 
 namespace tgs {
 
-namespace {
-
-// tlevel' with placed nodes pinned at their start times; cross-cluster
-// communication kept for unplaced successors (placement unknown).
-void pinned_t_levels(const TaskGraph& g, const Schedule& s,
-                     std::vector<Time>& t) {
-  t.assign(g.num_nodes(), 0);
-  for (NodeId u : g.topological_order()) {
-    if (s.is_placed(u)) {
-      t[u] = s.start(u);
-      continue;
-    }
-    Time best = 0;
-    for (const Adj& par : g.parents(u)) {
-      // Placed parent: exact finish; unplaced: estimated via its tlevel'.
-      const Time ft = t[par.node] + g.weight(par.node);
-      best = std::max(best, ft + par.cost);
-    }
-    t[u] = best;
-  }
-}
-
-// blevel' on the unmodified graph (edge costs kept); placements do not
-// shorten it because successors' processors are unknown.
-void full_b_levels(const TaskGraph& g, std::vector<Time>& b) {
-  b.assign(g.num_nodes(), 0);
-  const auto& topo = g.topological_order();
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const NodeId u = *it;
-    Time best = 0;
-    for (const Adj& c : g.children(u)) best = std::max(best, c.cost + b[c.node]);
-    b[u] = g.weight(u) + best;
-  }
-}
-
-}  // namespace
-
-Schedule MdScheduler::do_run(const TaskGraph& g, const SchedOptions& opt,
-                             SchedWorkspace& ws) const {
+Schedule md_schedule(const TaskGraph& g, const SchedOptions& opt,
+                     SchedWorkspace& ws) {
   const int limit = effective_procs(g, opt);
   Schedule sched(g, limit);
   ProcScanner scanner(sched, limit, ws.pair_scratch().proc_ends);
   ReadyList ready(g);
 
-  std::vector<Time> t, b;
-  full_b_levels(g, b);  // static under our estimate; computed once
+  // blevel' on the unmodified graph (edge costs kept): placements do not
+  // shorten it because successors' processors are unknown.
+  const std::vector<Time>& b = ws.attrs().b_levels();
+  std::vector<Time> t;
 
   while (!ready.empty()) {
     pinned_t_levels(g, sched, t);

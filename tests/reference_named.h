@@ -1,7 +1,7 @@
 // Frozen pre-refactor bodies of the named list schedulers that became
-// parameter points of the ParamScheduler core (src/tgs/param/): HLFET,
+// parameter points of the param_schedule core (src/tgs/param/): HLFET,
 // ISH, MCP (bnp/) and EZ, LC (unc/), as they stood at PR 7 when each was
-// a standalone do_run. The property tests (test_param.cpp) require the
+// a standalone class. The property tests (test_param.cpp) require the
 // param re-expressions to reproduce these schedules byte-for-byte -- the
 // same contract reference_schedulers.h enforces for the incremental
 // ETF/DLS (whose pre-refactor selection loops naive_etf/naive_dls already
@@ -136,6 +136,55 @@ inline Schedule original_mcp(const TaskGraph& g, const SchedOptions& opt) {
     scanner.note_placement(choice.proc);
   }
   return sched;
+}
+
+/// Cluster membership with deterministic representatives (the smallest
+/// member id), the union-find the frozen EZ and LC cluster with.
+class DisjointSets {
+ public:
+  explicit DisjointSets(std::size_t n) : parent_(n) {
+    std::iota(parent_.begin(), parent_.end(), NodeId{0});
+  }
+
+  /// Representative (smallest member) of x's set.
+  NodeId find(NodeId x) const {
+    NodeId root = x;
+    while (parent_[root] != root) root = parent_[root];
+    // Path compression (state change is representation-only).
+    while (parent_[x] != root) {
+      const NodeId next = parent_[x];
+      parent_[x] = root;
+      x = next;
+    }
+    return root;
+  }
+
+  /// Merge the sets of a and b; the representative of the union is the
+  /// smaller of the two representatives. Returns the new representative.
+  NodeId merge(NodeId a, NodeId b) {
+    const NodeId ra = find(a), rb = find(b);
+    if (ra == rb) return ra;
+    const NodeId lo = ra < rb ? ra : rb;
+    const NodeId hi = ra < rb ? rb : ra;
+    parent_[hi] = lo;
+    return lo;
+  }
+
+  bool same(NodeId a, NodeId b) const { return find(a) == find(b); }
+
+  std::size_t size() const { return parent_.size(); }
+
+ private:
+  mutable std::vector<NodeId> parent_;
+};
+
+/// Map each node's cluster representative to a dense ProcId, numbering
+/// clusters by the order their representatives appear (i.e., by smallest
+/// member id). Result[n] is the processor/cluster of node n.
+inline std::vector<ProcId> dense_assignment(const DisjointSets& ds) {
+  std::vector<NodeId> labels(ds.size());
+  for (NodeId i = 0; i < ds.size(); ++i) labels[i] = ds.find(i);
+  return densify(labels);
 }
 
 /// EZ: Sarkar edge zeroing (merge committed iff the evaluated makespan

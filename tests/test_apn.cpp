@@ -12,10 +12,6 @@
 #include "oracles.h"
 #include "reference_bsa.h"
 #include "reference_net.h"
-#include "tgs/apn/bsa.h"
-#include "tgs/apn/bu.h"
-#include "tgs/apn/dls_apn.h"
-#include "tgs/apn/mh.h"
 #include "tgs/gen/psg.h"
 #include "tgs/gen/rgnos.h"
 #include "tgs/gen/structured.h"
@@ -192,7 +188,7 @@ TEST(Apn, GoldenSchedulesOnMultiHopTopologies) {
     }
   };
 
-  const NetSchedule mh = MhScheduler().run(g, ring6);
+  const NetSchedule mh = make_apn_scheduler("MH")->run(g, ring6);
   EXPECT_EQ(mh.makespan(), 6978);
   expect_schedule(
       mh,
@@ -206,7 +202,7 @@ TEST(Apn, GoldenSchedulesOnMultiHopTopologies) {
        {1,5613}},
       "MH/ring6");
 
-  const NetSchedule dls = DlsApnScheduler().run(g, ring6);
+  const NetSchedule dls = make_apn_scheduler("DLS")->run(g, ring6);
   EXPECT_EQ(dls.makespan(), 5885);
   expect_schedule(
       dls,
@@ -220,7 +216,7 @@ TEST(Apn, GoldenSchedulesOnMultiHopTopologies) {
        {5,5481},{3,5808}},
       "DLS-APN/ring6");
 
-  const NetSchedule bu = BuScheduler().run(g, ring6);
+  const NetSchedule bu = make_apn_scheduler("BU")->run(g, ring6);
   EXPECT_EQ(bu.makespan(), 6053);
   expect_schedule(
       bu,
@@ -234,7 +230,7 @@ TEST(Apn, GoldenSchedulesOnMultiHopTopologies) {
        {2,5987},{1,6021},{0,5262}},
       "BU/ring6");
 
-  const NetSchedule bsa = BsaScheduler().run(g, mesh23);
+  const NetSchedule bsa = make_apn_scheduler("BSA")->run(g, mesh23);
   EXPECT_EQ(bsa.makespan(), 2082);
   expect_schedule(
       bsa,
@@ -343,9 +339,10 @@ TEST(Apn, ApnMessagesMatchFrozenDigests) {
       p.ccr = gs.ccr;
       p.seed = gs.seed;
       const TaskGraph g = rgnos_graph(p);
-      const NetSchedule got[] = {
-          MhScheduler().run(g, routes), DlsApnScheduler().run(g, routes),
-          BuScheduler().run(g, routes), BsaScheduler().run(g, routes)};
+      const NetSchedule got[] = {make_apn_scheduler("MH")->run(g, routes),
+                                 make_apn_scheduler("DLS")->run(g, routes),
+                                 make_apn_scheduler("BU")->run(g, routes),
+                                 make_apn_scheduler("BSA")->run(g, routes)};
       for (std::size_t a = 0; a < 4; ++a) {
         const std::string label = topo.name() + " v=" +
                                   std::to_string(gs.v) + " algo " +
@@ -367,7 +364,7 @@ TEST(Apn, MessageCountDoesNotAllocate) {
   p.seed = 9;
   const TaskGraph g = rgnos_graph(p);
   const RoutingTable routes{Topology::ring(4)};
-  const NetSchedule ns = MhScheduler().run(g, routes);
+  const NetSchedule ns = make_apn_scheduler("MH")->run(g, routes);
   AllocMeter meter;
   const std::size_t n = ns.messages().size();
   EXPECT_EQ(meter.count(), 0u);
@@ -392,8 +389,8 @@ TEST(Bsa, StartsFromMaxDegreePivotAndImproves) {
   const TaskGraph g = psg_canonical9();
   const Topology topo = Topology::hypercube(3);
   const RoutingTable routes(topo);
-  BsaScheduler bsa;
-  const NetSchedule ns = bsa.run(g, routes);
+  const ApnSchedulerPtr bsa = make_apn_scheduler("BSA");
+  const NetSchedule ns = bsa->run(g, routes);
   EXPECT_LE(ns.makespan(), g.total_weight());
   EXPECT_TRUE(validate_net_schedule(ns).ok);
 }
@@ -421,7 +418,7 @@ TEST(Bsa, EqualMakespanMigrationIsAccepted) {
   const RoutingTable routes{Topology::fully_connected(3)};
   const int pivot0 = routes.topology().max_degree_proc();
 
-  const NetSchedule ns = BsaScheduler().run(g, routes);
+  const NetSchedule ns = make_apn_scheduler("BSA")->run(g, routes);
   EXPECT_EQ(ns.makespan(), 17);
   // The tie churn happened: X left the pivot and starts at its probed 11.
   EXPECT_NE(ns.tasks().proc(3), pivot0);
@@ -503,7 +500,7 @@ TEST(Bsa, MatchesFreshScheduleReference) {
         const std::string what = topo.name() + " v=" + std::to_string(v) +
                                  " ccr=" + std::to_string(ccr);
         ws.begin_graph(g);
-        const NetSchedule got = BsaScheduler().run(g, routes, ws);
+        const NetSchedule got = make_apn_scheduler("BSA")->run(g, routes, ws);
         std::size_t rebuilds = 0;
         const NetSchedule want = reference::original_bsa(g, routes, &rebuilds);
         EXPECT_GT(rebuilds, 0u) << what;
@@ -581,10 +578,11 @@ TEST(Bsa, AllocationsDoNotGrowWithRebuilds) {
   const std::uint64_t bound =
       2 * per_schedule + 32 + procs * (log2_ceil(v) + 2);
 
+  const ApnSchedulerPtr bsa = make_apn_scheduler("BSA");
   SchedWorkspace ws;
   ws.begin_graph(g);
   AllocMeter meter;
-  const NetSchedule ns = BsaScheduler().run(g, routes, ws);
+  const NetSchedule ns = bsa->run(g, routes, ws);
   const std::uint64_t allocs = meter.count();
   std::size_t rebuilds = 0;
   meter.reset();
@@ -601,8 +599,8 @@ TEST(Bsa, SingleProcessorTopologyDegeneratesToSerial) {
   const TaskGraph g = psg_canonical9();
   const Topology topo = Topology::fully_connected(1);
   const RoutingTable routes(topo);
-  BsaScheduler bsa;
-  const NetSchedule ns = bsa.run(g, routes);
+  const ApnSchedulerPtr bsa = make_apn_scheduler("BSA");
+  const NetSchedule ns = bsa->run(g, routes);
   EXPECT_EQ(ns.makespan(), g.total_weight());
 }
 
@@ -611,8 +609,8 @@ TEST(Bu, AssignsChildrenBeforeParents) {
   const TaskGraph g = chain_graph(6, 10, 25);
   const Topology topo = Topology::ring(4);
   const RoutingTable routes(topo);
-  BuScheduler bu;
-  const NetSchedule ns = bu.run(g, routes);
+  const ApnSchedulerPtr bu = make_apn_scheduler("BU");
+  const NetSchedule ns = bu->run(g, routes);
   EXPECT_EQ(ns.tasks().procs_used(), 1);
   EXPECT_EQ(ns.makespan(), 60);
 }
@@ -621,8 +619,8 @@ TEST(Mh, ChainStaysLocal) {
   const TaskGraph g = chain_graph(6, 10, 25);
   const Topology topo = Topology::mesh(2, 2);
   const RoutingTable routes(topo);
-  MhScheduler mh;
-  const NetSchedule ns = mh.run(g, routes);
+  const ApnSchedulerPtr mh = make_apn_scheduler("MH");
+  const NetSchedule ns = mh->run(g, routes);
   EXPECT_EQ(ns.tasks().procs_used(), 1);
   EXPECT_EQ(ns.makespan(), 60);
 }
@@ -631,8 +629,8 @@ TEST(DlsApn, ChainStaysLocal) {
   const TaskGraph g = chain_graph(6, 10, 25);
   const Topology topo = Topology::hypercube(2);
   const RoutingTable routes(topo);
-  DlsApnScheduler dls;
-  const NetSchedule ns = dls.run(g, routes);
+  const ApnSchedulerPtr dls = make_apn_scheduler("DLS");
+  const NetSchedule ns = dls->run(g, routes);
   EXPECT_EQ(ns.tasks().procs_used(), 1);
   EXPECT_EQ(ns.makespan(), 60);
 }

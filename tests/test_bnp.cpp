@@ -4,7 +4,6 @@
 
 #include "fixture_graphs.h"
 #include "oracles.h"
-#include "tgs/bnp/last.h"
 #include "tgs/gen/psg.h"
 #include "tgs/gen/rgnos.h"
 #include "tgs/gen/structured.h"
@@ -177,9 +176,9 @@ TEST(Last, TracksCommunicationLocality) {
   // LAST's D_NODE priority grows with edges into the scheduled region; on
   // the canonical 9 graph it must produce a valid schedule (quality is
   // expected to trail the others, as in the paper).
-  LastScheduler last;
+  const SchedulerPtr last = make_scheduler("LAST");
   const TaskGraph g = psg_canonical9();
-  const Schedule s = last.run(g, {});
+  const Schedule s = last->run(g, {});
   EXPECT_TRUE(validate_schedule(s).ok);
 }
 

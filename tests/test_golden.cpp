@@ -4,7 +4,7 @@
 // These are NOT paper numbers -- they pin THIS repository's deterministic
 // behaviour so that refactors that silently change scheduling decisions
 // fail loudly. Update deliberately when an algorithm is intentionally
-// improved, and record the change in EXPERIMENTS.md.
+// improved, and record the change in CHANGES.md.
 #include <gtest/gtest.h>
 
 #include <map>

@@ -1,12 +1,13 @@
 // Tests for the registry, timed runner and pivot-table recorder.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "tgs/gen/psg.h"
 #include "tgs/harness/experiment.h"
 #include "tgs/harness/registry.h"
 #include "tgs/harness/runner.h"
 #include "tgs/net/routing.h"
-#include "tgs/param/param_scheduler.h"
 
 namespace tgs {
 namespace {
@@ -73,12 +74,12 @@ TEST(Registry, EveryListedNameResolvesToItsRow) {
     const SchedulerPtr s = make_scheduler(row.name);
     EXPECT_EQ(s->name(), row.name);
     EXPECT_EQ(s->algo_class(), row.cls);
-    const auto* p = dynamic_cast<const ParamScheduler*>(s.get());
+    const std::optional<ParamSpec> spec = param_spec_of(row.name);
     if (row.spec == nullptr) {
-      EXPECT_EQ(p, nullptr);
+      EXPECT_FALSE(spec.has_value());
     } else {
-      ASSERT_NE(p, nullptr);
-      EXPECT_EQ(p->spec(), ParamSpec::parse(row.spec));
+      ASSERT_TRUE(spec.has_value());
+      EXPECT_EQ(*spec, ParamSpec::parse(row.spec));
     }
   }
   EXPECT_EQ(bnp_names(), listed[static_cast<int>(AlgoClass::kBNP)]);

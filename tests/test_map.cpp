@@ -6,15 +6,13 @@
 #include "tgs/harness/registry.h"
 #include "tgs/map/cluster_map.h"
 #include "tgs/sched/validate.h"
-#include "tgs/unc/dsc.h"
 
 namespace tgs {
 namespace {
 
 TEST(ClusterMap, ClustersOfExtractsAssignment) {
   const TaskGraph g = psg_canonical9();
-  DscScheduler dsc;
-  const Schedule s = dsc.run(g, {});
+  const Schedule s = make_scheduler("DSC")->run(g, {});
   const auto clusters = clusters_of(s);
   ASSERT_EQ(clusters.size(), g.num_nodes());
   for (NodeId n = 0; n < g.num_nodes(); ++n) EXPECT_EQ(clusters[n], s.proc(n));
@@ -29,8 +27,7 @@ class ClusterMapFixture : public ::testing::Test {
     p.parallelism = 4;
     p.seed = 6;
     graph = rgnos_graph(p);
-    DscScheduler dsc;
-    unc = std::make_unique<Schedule>(dsc.run(graph, {}));
+    unc = std::make_unique<Schedule>(make_scheduler("DSC")->run(graph, {}));
   }
   TaskGraph graph{TaskGraphBuilder("x").finalize()};
   std::unique_ptr<Schedule> unc;
@@ -73,8 +70,7 @@ TEST_F(ClusterMapFixture, SarkarConsidersOrderRcpDoesNot) {
 
 TEST(ClusterMap, SingleProcessorDegeneratesToSerial) {
   const TaskGraph g = psg_canonical9();
-  DscScheduler dsc;
-  const Schedule unc = dsc.run(g, {});
+  const Schedule unc = make_scheduler("DSC")->run(g, {});
   const Schedule s = map_clusters_rcp(g, clusters_of(unc), 1);
   EXPECT_TRUE(validate_schedule(s, 1).ok);
   EXPECT_EQ(s.makespan(), g.total_weight());
@@ -83,8 +79,7 @@ TEST(ClusterMap, SingleProcessorDegeneratesToSerial) {
 TEST(ClusterMap, ManyProcsKeepsUncShapeValid) {
   // With as many processors as clusters, mapping must not break validity.
   const TaskGraph g = psg_irregular13();
-  DscScheduler dsc;
-  const Schedule unc = dsc.run(g, {});
+  const Schedule unc = make_scheduler("DSC")->run(g, {});
   const int k = unc.procs_used();
   const Schedule s = map_clusters_sarkar(g, clusters_of(unc), k);
   EXPECT_TRUE(validate_schedule(s, k).ok);

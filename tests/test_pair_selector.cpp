@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "reference_schedulers.h"
-#include "tgs/apn/dls_apn.h"
 #include "tgs/bnp/bnp_common.h"
 #include "tgs/gen/psg.h"
 #include "tgs/gen/rgnos.h"
@@ -570,7 +569,7 @@ TEST(PairSelector, DlsApnMatchesNaiveUnderLinkContention) {
     for (const TaskGraph& g : graphs) {
       ws.begin_graph(g);
       expect_identical_net(reference::naive_dls_apn(g, routes),
-                           DlsApnScheduler().run(g, routes, ws),
+                           make_apn_scheduler("DLS")->run(g, routes, ws),
                            "DLS(APN) " + g.name() + " on " + pin.topo.name());
     }
     EXPECT_EQ(ws.apn_scratch().parent_sweeps, pin.parent_sweeps)
@@ -579,24 +578,34 @@ TEST(PairSelector, DlsApnMatchesNaiveUnderLinkContention) {
   }
 }
 
-// One workspace reused across different graphs and algorithms must change
-// nothing: workspace state recycles capacity, never results.
+// One workspace reused across graphs of different sizes and across all 15
+// algorithms must change nothing: workspace state recycles capacity and
+// caches attributes of the bound graph only, never results. Each graph
+// meets the buffers a larger or a smaller one left behind.
 TEST(PairSelector, WorkspaceReuseIsObservationallyInert) {
-  const SchedulerPtr etf = make_scheduler("ETF");
-  const SchedulerPtr dls = make_scheduler("DLS");
+  const std::vector<SchedulerPtr> algos = make_unc_and_bnp_schedulers();
+  const std::vector<ApnSchedulerPtr> apn_algos = make_apn_schedulers();
+  ASSERT_EQ(algos.size() + apn_algos.size(), 15u);
+  const RoutingTable routes{Topology::hypercube(3)};
   SchedWorkspace shared;
-  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+  const std::vector<std::pair<NodeId, std::uint64_t>> sizes = {
+      {45, 1}, {80, 2}, {20, 3}};
+  for (const auto& [v, seed] : sizes) {
     RgnosParams p;
-    p.num_nodes = 45;
+    p.num_nodes = v;
     p.ccr = seed == 2 ? 10.0 : 0.5;
     p.parallelism = 2 + static_cast<int>(seed);
     p.seed = seed;
     const TaskGraph g = rgnos_graph(p);
     shared.begin_graph(g);
-    expect_identical(etf->run(g, {}), etf->run(g, {}, shared),
-                     "shared-vs-fresh ETF");
-    expect_identical(dls->run(g, {}), dls->run(g, {}, shared),
-                     "shared-vs-fresh DLS");
+    for (const SchedulerPtr& algo : algos)
+      expect_identical(algo->run(g, {}), algo->run(g, {}, shared),
+                       "shared-vs-fresh " + algo->name() + " v=" +
+                           std::to_string(v));
+    for (const ApnSchedulerPtr& algo : apn_algos)
+      expect_identical_net(algo->run(g, routes), algo->run(g, routes, shared),
+                           "shared-vs-fresh APN " + algo->name() + " v=" +
+                               std::to_string(v));
   }
 }
 
@@ -614,6 +623,10 @@ TEST(PairSelector, RunRejectsWorkspaceBoundToAnotherGraph) {
   EXPECT_THROW(make_scheduler("ETF")->run(b, {}, ws), std::logic_error);
   SchedWorkspace unbound;
   EXPECT_THROW(make_scheduler("DLS")->run(a, {}, unbound), std::logic_error);
+  const RoutingTable routes{Topology::ring(4)};
+  EXPECT_THROW(make_apn_scheduler("MH")->run(b, routes, ws), std::logic_error);
+  EXPECT_THROW(make_apn_scheduler("BSA")->run(a, routes, unbound),
+               std::logic_error);
 }
 
 }  // namespace

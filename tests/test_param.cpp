@@ -1,7 +1,7 @@
 // Tests for the parameterized scheduler core (src/tgs/param/).
 //
 // The load-bearing suite of the refactor: the named algorithms HLFET, ISH,
-// MCP, ETF, DLS, EZ and LC are now parameter points of ParamScheduler, and
+// MCP, ETF, DLS, EZ and LC are now parameter points of param_schedule, and
 // these tests pin them byte-for-byte against frozen copies of the original
 // standalone implementations (tests/reference_named.h,
 // tests/reference_schedulers.h). The full crossproduct is additionally
@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <tuple>
 
 #include "reference_named.h"
@@ -16,7 +17,6 @@
 #include "tgs/gen/rgnos.h"
 #include "tgs/graph/task_graph.h"
 #include "tgs/harness/registry.h"
-#include "tgs/param/param_scheduler.h"
 #include "tgs/param/param_spec.h"
 #include "tgs/sched/validate.h"
 #include "tgs/sched/workspace.h"
@@ -122,22 +122,43 @@ TEST(ParamRegistry, NamedAlgorithmsExposeTheirSpecs) {
   };
   int seen = 0;
   for (const SchedulerPtr& s : make_unc_and_bnp_schedulers()) {
-    const auto* p = dynamic_cast<const ParamScheduler*>(s.get());
+    const std::optional<ParamSpec> spec = param_spec_of(s->name());
     const auto it = expected.find(s->name());
     if (it == expected.end()) {
       // LAST, DSC, MD, DCP are not expressible as parameter points and
       // must have kept their standalone implementations.
-      EXPECT_EQ(p, nullptr) << s->name();
+      EXPECT_FALSE(spec.has_value()) << s->name();
       continue;
     }
-    ASSERT_NE(p, nullptr) << s->name();
-    EXPECT_EQ(p->spec().to_string(), it->second) << s->name();
+    ASSERT_TRUE(spec.has_value()) << s->name();
+    EXPECT_EQ(spec->to_string(), it->second) << s->name();
     ++seen;
   }
   EXPECT_EQ(seen, 7);
 }
 
 // ------------------------------------- byte-identity vs frozen originals ----
+
+// The union-find the frozen EZ and LC cluster with (reference_named.h).
+TEST(DisjointSets, MergeAndFind) {
+  reference::DisjointSets ds(6);
+  ds.merge(1, 4);
+  EXPECT_TRUE(ds.same(1, 4));
+  EXPECT_EQ(ds.find(4), 1u);  // smaller representative wins
+  ds.merge(4, 0);
+  EXPECT_EQ(ds.find(1), 0u);
+}
+
+TEST(Clustering, DenseAssignmentOrdersByFirstAppearance) {
+  reference::DisjointSets ds(5);
+  ds.merge(2, 4);
+  const auto a = reference::dense_assignment(ds);
+  EXPECT_EQ(a[0], 0);
+  EXPECT_EQ(a[1], 1);
+  EXPECT_EQ(a[2], 2);
+  EXPECT_EQ(a[3], 3);
+  EXPECT_EQ(a[4], 2);
+}
 
 // The same DAG with unit node weights and every edge cost equal to `cost`:
 // most tentative EZ merges then leave the makespan exactly where it was, so
@@ -221,14 +242,14 @@ TEST_P(ComboProperty, EveryComboValidDeterministicWorkspaceIndependent) {
   SchedWorkspace ws;
   ws.begin_graph(g);
   for (const ParamSpec& spec : all_combos()) {
-    ParamScheduler algo(spec);
-    const Schedule fresh = algo.run(g, {});
+    const SchedulerPtr algo = make_scheduler(spec.to_string());
+    const Schedule fresh = algo->run(g, {});
     const auto v = validate_schedule(fresh);
     ASSERT_TRUE(v.ok) << spec.to_string() << ": " << v.error;
     // Workspace reuse across all 336 combos must not change any result.
-    const Schedule shared = algo.run(g, {}, ws);
+    const Schedule shared = algo->run(g, {}, ws);
     expect_same_schedule(fresh, shared, spec.to_string() + " (workspace)");
-    const Schedule again = algo.run(g, {});
+    const Schedule again = algo->run(g, {});
     expect_same_schedule(fresh, again, spec.to_string() + " (rerun)");
   }
 }
@@ -243,11 +264,12 @@ TEST(ComboProperty, ClusteredCombosRespectProcessorBound) {
   for (const ParamCluster c :
        {ParamCluster::kEz, ParamCluster::kLc, ParamCluster::kDsc}) {
     for (const ParamReady r : all_param_readies()) {
-      ParamScheduler algo({ParamMetric::kBL, r, ParamInsertion::kAppend, c});
-      const Schedule s = algo.run(g, opt);
+      const ParamSpec spec{ParamMetric::kBL, r, ParamInsertion::kAppend, c};
+      const SchedulerPtr algo = make_scheduler(spec.to_string());
+      const Schedule s = algo->run(g, opt);
       const auto v = validate_schedule(s, opt.num_procs);
-      ASSERT_TRUE(v.ok) << algo.name() << ": " << v.error;
-      EXPECT_LE(s.procs_used(), 3) << algo.name();
+      ASSERT_TRUE(v.ok) << algo->name() << ": " << v.error;
+      EXPECT_LE(s.procs_used(), 3) << algo->name();
     }
   }
 }

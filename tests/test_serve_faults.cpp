@@ -349,13 +349,13 @@ TEST(Deadline, ExpiredDeadlineCancelsEzClusteringPass) {
   const TaskGraph g = random_graph(9, 80);
   SchedWorkspace ws;
   ws.begin_graph(g);
-  const std::vector<ProcId> want = ez_clusters(g, ws.deadline());
+  const std::vector<ProcId> want = ez_clusters(g, ws);
   ws.deadline().arm(std::chrono::steady_clock::now() -
                     std::chrono::milliseconds(1));
-  EXPECT_THROW(ez_clusters(g, ws.deadline()), DeadlineExceeded);
+  EXPECT_THROW(ez_clusters(g, ws), DeadlineExceeded);
   ws.deadline().disarm();
 
-  EXPECT_EQ(ez_clusters(g, ws.deadline()), want);
+  EXPECT_EQ(ez_clusters(g, ws), want);
   ws.begin_graph(g);
   const SchedulerPtr ez = make_scheduler("EZ");
   const Schedule reused = ez->run(g, SchedOptions{}, ws);

@@ -11,33 +11,18 @@
 #include "tgs/sched/metrics.h"
 #include "tgs/sched/validate.h"
 #include "tgs/unc/cluster_schedule.h"
-#include "tgs/unc/clustering.h"
-#include "tgs/unc/dcp.h"
-#include "tgs/unc/dsc.h"
-#include "tgs/unc/md.h"
 #include <map>
 
 namespace tgs {
 namespace {
 
-TEST(DisjointSets, MergeAndFind) {
-  DisjointSets ds(6);
-  ds.merge(1, 4);
-  EXPECT_TRUE(ds.same(1, 4));
-  EXPECT_EQ(ds.find(4), 1u);  // smaller representative wins
-  ds.merge(4, 0);
-  EXPECT_EQ(ds.find(1), 0u);
-}
-
-TEST(Clustering, DenseAssignmentOrdersByFirstAppearance) {
-  DisjointSets ds(5);
-  ds.merge(2, 4);
-  const auto a = dense_assignment(ds);
-  EXPECT_EQ(a[0], 0);
-  EXPECT_EQ(a[1], 1);
-  EXPECT_EQ(a[2], 2);
-  EXPECT_EQ(a[3], 3);
-  EXPECT_EQ(a[4], 2);
+/// The makespan of schedule_with_assignment's traversal, without a
+/// Schedule.
+Time assignment_makespan(const TaskGraph& g,
+                         const std::vector<ProcId>& assign) {
+  const std::vector<NodeId> order = blevel_order(g);
+  std::vector<Time> start, avail;
+  return tgs::assignment_makespan(g, assign, order, start, avail);
 }
 
 TEST(ClusterSchedule, RespectsAssignment) {
@@ -153,16 +138,16 @@ TEST(Dsc, StartTimesNeverExceedFreshClusterStart) {
   // DSC accepts a merge only on strict improvement, so every node starts
   // no later than its t-level (the fresh-cluster start).
   for (const auto& g : unc_zoo()) {
-    DscScheduler dsc;
-    const Schedule s = dsc.run(g, {});
+    const SchedulerPtr dsc = make_scheduler("DSC");
+    const Schedule s = dsc->run(g, {});
     ASSERT_TRUE(validate_schedule(s).ok);
   }
 }
 
 TEST(Dsc, LinearChainCollapsesToOneCluster) {
   const TaskGraph g = chain_graph(6, 10, 40);
-  DscScheduler dsc;
-  const Schedule s = dsc.run(g, {});
+  const SchedulerPtr dsc = make_scheduler("DSC");
+  const Schedule s = dsc->run(g, {});
   EXPECT_EQ(s.procs_used(), 1);
   EXPECT_EQ(s.makespan(), 60);
 }
@@ -176,22 +161,22 @@ TEST(Md, UsesFewerProcsThanDsc) {
   p.parallelism = 4;
   p.seed = 3;
   const TaskGraph g = rgnos_graph(p);
-  MdScheduler md;
-  DscScheduler dsc;
-  EXPECT_LE(md.run(g, {}).procs_used(), dsc.run(g, {}).procs_used());
+  const SchedulerPtr md = make_scheduler("MD");
+  const SchedulerPtr dsc = make_scheduler("DSC");
+  EXPECT_LE(md->run(g, {}).procs_used(), dsc->run(g, {}).procs_used());
 }
 
 TEST(Dcp, LeadsUncClassAcrossPeerSetSuite) {
   // Paper §6.1: "Among the UNC algorithms, the DCP algorithm consistently
-  // generates the best solutions." Our ready-constrained DCP variant
-  // (DESIGN.md §3) tracks that: across the peer-set suite it must beat the
-  // non-lookahead algorithms (LC, MD) outright and stay within 2% of the
-  // best UNC aggregate.
-  DcpScheduler dcp;
+  // generates the best solutions." Our ready-constrained DCP variant (it
+  // selects only nodes whose parents are all placed) tracks that: across
+  // the peer-set suite it must beat the non-lookahead algorithms (LC, MD)
+  // outright and stay within 2% of the best UNC aggregate.
+  const SchedulerPtr dcp = make_scheduler("DCP");
   Time dcp_total = 0;
   std::map<std::string, Time> totals;
   for (const auto& entry : peer_set_graphs()) {
-    dcp_total += dcp.run(entry.graph, {}).makespan();
+    dcp_total += dcp->run(entry.graph, {}).makespan();
     for (const std::string& name : unc_names())
       totals[name] += make_scheduler(name)->run(entry.graph, {}).makespan();
   }
@@ -206,8 +191,8 @@ TEST(Dcp, EconomizesProcessors) {
   // DCP's candidate set (parents' processors first) keeps processor counts
   // low; on a chain it must use exactly one.
   const TaskGraph g = chain_graph(7, 10, 25);
-  DcpScheduler dcp;
-  const Schedule s = dcp.run(g, {});
+  const SchedulerPtr dcp = make_scheduler("DCP");
+  const Schedule s = dcp->run(g, {});
   EXPECT_EQ(s.procs_used(), 1);
   EXPECT_EQ(s.makespan(), 70);
 }
