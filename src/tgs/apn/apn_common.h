@@ -82,8 +82,8 @@ void apn_build_into(NetSchedule& ns, const std::vector<NodeId>& order,
 /// Deterministically materialize a complete NetSchedule from a fixed
 /// node -> processor assignment: tasks in descending b-level order,
 /// messages committed per node as above. Throws std::invalid_argument
-/// unless assign.size() == g.num_nodes() (tgs_serve feeds user-supplied
-/// graphs into this path; a short vector must not become an OOB read).
+/// unless assign.size() == g.num_nodes() (a short vector must not
+/// become an OOB read).
 NetSchedule apn_build_with_assignment(const TaskGraph& g,
                                       const RoutingTable& routes,
                                       const std::vector<ProcId>& assign,

@@ -40,7 +40,7 @@ NetSchedule bsa_schedule(const TaskGraph& g, const RoutingTable& routes,
   // Serial injection: everything on the first pivot. Every tentative
   // migration rebuilds into `spare` and swaps it in on accept, so after
   // warm-up a rebuild reuses the buffers of the schedule it replaces.
-  const std::vector<NodeId> order = blevel_order(g);
+  const std::vector<NodeId> order = blevel_order(ws.attrs().b_levels());
   std::vector<ProcId> assign(g.num_nodes(), static_cast<ProcId>(pivot0));
   NetSchedule ns(g, routes), spare(g, routes);
   apn_build_into(ns, order, assign, /*insertion=*/true);

@@ -14,6 +14,8 @@
 
 #include <algorithm>
 
+#include "tgs/unc/cluster_schedule.h"
+
 namespace tgs {
 
 NetSchedule bu_schedule(const TaskGraph& g, const RoutingTable& routes,
@@ -48,8 +50,12 @@ NetSchedule bu_schedule(const TaskGraph& g, const RoutingTable& routes,
     load[best_p] += g.weight(n);
   }
 
-  // Phase 2: materialize with real message routing.
-  return apn_build_with_assignment(g, routes, assign, /*insertion=*/false);
+  // Phase 2: materialize with real message routing, in the b-level order
+  // of the workspace's cached b-levels.
+  NetSchedule ns(g, routes);
+  apn_build_into(ns, blevel_order(ws.attrs().b_levels()), assign,
+                 /*insertion=*/false);
+  return ns;
 }
 
 }  // namespace tgs

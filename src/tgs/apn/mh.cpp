@@ -21,7 +21,7 @@ NetSchedule mh_schedule(const TaskGraph& g, const RoutingTable& routes,
   ApnSweepScratch& scratch = ws.apn_scratch();
   // Descending b-level is a topological order, so parents are always placed
   // before their children.
-  for (NodeId n : blevel_order(g)) {
+  for (NodeId n : blevel_order(ws.attrs().b_levels())) {
     ws.deadline().poll();
     // One one-to-all sweep replaces the per-processor probes: est[p] is
     // bit-identical to probing n's parent routes to p one by one, so the

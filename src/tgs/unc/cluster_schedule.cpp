@@ -8,7 +8,10 @@
 namespace tgs {
 
 std::vector<NodeId> blevel_order(const TaskGraph& g) {
-  const std::vector<Time> b = b_levels(g);
+  return blevel_order(b_levels(g));
+}
+
+std::vector<NodeId> blevel_order(const std::vector<Time>& b) {
   std::vector<NodeId> order(b.size());
   std::iota(order.begin(), order.end(), NodeId{0});
   std::stable_sort(order.begin(), order.end(),

@@ -35,6 +35,10 @@ Time assignment_makespan(const TaskGraph& g, const std::vector<ProcId>& assign,
 /// descending b-level, ties by node id.
 std::vector<NodeId> blevel_order(const TaskGraph& g);
 
+/// The same order from b-levels already computed (a workspace's
+/// GraphAttributeCache::b_levels()), so no b-level pass is repeated.
+std::vector<NodeId> blevel_order(const std::vector<Time>& b_levels);
+
 /// t-levels of `g` with the nodes placed in `s` pinned at their start
 /// times (MD's tlevel', DCP's AEST). Unplaced nodes keep every incoming
 /// edge cost, since their processors are unknown; a placed parent counts

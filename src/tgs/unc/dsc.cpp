@@ -38,7 +38,7 @@ Schedule dsc_schedule(const TaskGraph& g, const SchedOptions& opt,
   std::vector<NodeId> cluster(n, kNoNode);
   std::vector<Time> cluster_finish;  // indexed by dense cluster id
   std::vector<Time> start(n, 0);
-  std::vector<bool> examined(n, false);
+  std::vector<NodeId> cand;  // the clusters of a free node's parents
 
   ReadyList free_nodes(g);  // "free" in DSC terms: all parents examined
 
@@ -66,7 +66,7 @@ Schedule dsc_schedule(const TaskGraph& g, const SchedOptions& opt,
     // zeroes the edges from every parent inside C.
     Time best_start = nf_tlevel;  // fresh-cluster start
     NodeId best_cluster = kNoNode;
-    std::vector<NodeId> cand;
+    cand.clear();
     for (const Adj& par : g.parents(nf)) {
       const NodeId c = cluster[par.node];
       if (std::find(cand.begin(), cand.end(), c) == cand.end())
@@ -94,7 +94,6 @@ Schedule dsc_schedule(const TaskGraph& g, const SchedOptions& opt,
     cluster[nf] = best_cluster;
     start[nf] = best_start;
     cluster_finish[best_cluster] = best_start + g.weight(nf);
-    examined[nf] = true;
     free_nodes.mark_scheduled(nf);
   }
 

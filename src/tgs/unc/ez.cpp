@@ -37,7 +37,7 @@ std::vector<ProcId> ez_clusters(const TaskGraph& g, SchedWorkspace& ws) {
   std::iota(label.begin(), label.end(), NodeId{0});
   std::iota(tail.begin(), tail.end(), NodeId{0});
   std::vector<NodeId> size(v, 1);
-  const std::vector<NodeId> order = blevel_order(g);
+  const std::vector<NodeId> order = blevel_order(ws.attrs().b_levels());
   const std::vector<Time>& sl = ws.attrs().static_levels();
   std::vector<Time> finish(v), avail(v);
   // Total weight of each cluster, kept under its label: the tasks of a
@@ -73,14 +73,55 @@ std::vector<ProcId> ez_clusters(const TaskGraph& g, SchedWorkspace& ws) {
   }
   std::vector<std::pair<std::size_t, Cost>> zeroed;  // slot, cost to restore
 
+  // The committed clustering's critical paths: bl[n] is n's b-level under
+  // the committed costs, crit[n] the child that attains it (kNoNode at an
+  // exit), crit_slot[n] that edge's parent slot and crit_cost[n] its
+  // committed cost. Computed at the start and again only after an
+  // accepted merge (stale paths would stay exact but exit later). For a
+  // tentative merge, cut[n] is how much the zeroed edges shorten the path
+  // bl[n] follows, so that path is bl[n] - cut[n] long after the merge.
+  std::vector<Time> bl(v), cut(v, 0);
+  std::vector<NodeId> crit(v);
+  std::vector<std::size_t> crit_slot(v);
+  std::vector<Cost> crit_cost(v);
+  const auto critical_paths = [&] {
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+      const NodeId n = *it;
+      const std::span<const Adj> kids = g.children(n);
+      Time down = 0;  // every bl is positive, so the first child sets crit
+      crit[n] = kNoNode;
+      for (std::size_t j = 0; j < kids.size(); ++j) {
+        const std::size_t s = out_slot[out_first[n] + j];
+        const Time len = pcost[s] + bl[kids[j].node];
+        if (len > down) {
+          down = len;
+          crit[n] = kids[j].node;
+          crit_slot[n] = s;
+          crit_cost[n] = pcost[s];
+        }
+      }
+      bl[n] = g.weight(n) + down;
+    }
+  };
+  const auto cut_paths = [&] {
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+      const NodeId n = *it;
+      cut[n] = crit[n] == kNoNode ? 0
+                                  : cut[crit[n]] + (crit_cost[n] -
+                                                    pcost[crit_slot[n]]);
+    }
+  };
+
   // assignment_makespan of the current labels and edge costs, evaluated
   // without copying any state. It stops as soon as the makespan provably
   // exceeds `limit` and returns a value above `limit`: the running maximum
-  // only grows, and n's descendants on its static path run one after
-  // another after FT(n), so the makespan is at least FT(n) + SL(n) - w(n).
-  // The caller rejects the merge either way. A merge that is accepted
-  // (len <= best) therefore always ran to the end and returns the exact
-  // makespan.
+  // only grows, and every path from n runs after FT(n), each edge and task
+  // on it adding at least its cost and weight. Two such paths are known:
+  // n's static path (SL(n), weights only) and its committed critical path
+  // under the merged costs (bl[n] - cut[n]), so the makespan is at least
+  // FT(n) + max(SL(n), bl[n] - cut[n]) - w(n). The caller rejects the
+  // merge either way. A merge that is accepted (len <= best) therefore
+  // always ran to the end and returns the exact makespan.
   const auto evaluate = [&](Time limit) {
     std::fill(avail.begin(), avail.end(), Time{0});
     Time makespan = 0;
@@ -93,12 +134,14 @@ std::vector<ProcId> ez_clusters(const TaskGraph& g, SchedWorkspace& ws) {
       finish[n] = ft;
       avail[c] = ft;
       makespan = std::max(makespan, ft);
-      const Time tail_bound = ft + (sl[n] - g.weight(n));
+      const Time tail_bound =
+          ft + (std::max(sl[n], bl[n] - cut[n]) - g.weight(n));
       if (tail_bound > limit) return tail_bound;
     }
     return makespan;
   };
 
+  critical_paths();
   Time best = evaluate(kTimeInf);
   for (const EdgeRef& e : edges) {
     if (label[e.u] == label[e.v]) continue;  // already zeroed transitively
@@ -125,6 +168,7 @@ std::vector<ProcId> ez_clusters(const TaskGraph& g, SchedWorkspace& ws) {
     }
     for (NodeId m = hi; m != kNoNode; m = next[m]) label[m] = lo;
 
+    cut_paths();
     const Time len = evaluate(best);
     if (len <= best) {  // commit (Sarkar: accept when not worse)
       best = len;
@@ -132,6 +176,7 @@ std::vector<ProcId> ez_clusters(const TaskGraph& g, SchedWorkspace& ws) {
       size[lo] += size[hi];
       next[tail[lo]] = hi;
       tail[lo] = tail[hi];
+      critical_paths();
     } else {
       for (const auto& [slot, cost] : zeroed) pcost[slot] = cost;
       for (NodeId m = hi; m != kNoNode; m = next[m]) label[m] = hi;

@@ -209,27 +209,96 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0.1, 1.0, 10.0),
                        ::testing::Values(0, 2, 4), ::testing::Bool()));
 
+TaskGraph dense_graph(double ccr) {
+  RgnosParams p;
+  p.num_nodes = 200;
+  p.ccr = ccr;
+  p.parallelism = 1;
+  p.seed = 4;
+  return rgnos_graph(p);
+}
+
+// Unit weights and one edge cost everywhere, in layers of `width` nodes
+// between one entry and one exit, each node feeding `fan` nodes of the
+// next layer: almost every node has several children of equal b-level, so
+// its critical successor is a tie.
+TaskGraph fan_out_ties(NodeId width, NodeId layers, NodeId fan, Cost cost) {
+  TaskGraphBuilder b("fan_out_ties");
+  const NodeId entry = b.add_node(1);
+  std::vector<NodeId> prev(1, entry);
+  for (NodeId l = 0; l < layers; ++l) {
+    std::vector<NodeId> layer;
+    for (NodeId i = 0; i < width; ++i) layer.push_back(b.add_node(1));
+    for (std::size_t i = 0; i < prev.size(); ++i)
+      for (NodeId j = 0; j < std::min(fan, width); ++j)
+        b.add_edge(prev[i], layer[(i + j) % width], cost);
+    if (prev.size() == 1)  // the entry feeds the whole first layer
+      for (NodeId j = fan; j < width; ++j) b.add_edge(entry, layer[j], cost);
+    prev = std::move(layer);
+  }
+  const NodeId exit = b.add_node(1);
+  for (const NodeId n : prev) b.add_edge(n, exit, cost);
+  return b.finalize();
+}
+
+// The same DAG with every third edge (by endpoint ids) free: zero-cost
+// edges that are critical successors, and merges that zero them.
+TaskGraph some_edges_free(const TaskGraph& g) {
+  TaskGraphBuilder b(g.name() + "_free");
+  for (NodeId n = 0; n < g.num_nodes(); ++n) b.add_node(g.weight(n));
+  for (NodeId u = 0; u < g.num_nodes(); ++u)
+    for (const Adj& c : g.children(u))
+      b.add_edge(u, c.node, (u + c.node) % 3 == 0 ? 0 : c.cost);
+  return b.finalize();
+}
+
+Schedule expect_ez_matches_original(const TaskGraph& g,
+                                    const std::string& what) {
+  const Schedule got = make_scheduler("EZ")->run(g, {});
+  expect_same_schedule(got, reference::original_ez(g), "EZ " + what);
+  return got;
+}
+
 // EZ on two dense v = 200 graphs, communication-light and -heavy. Merges
 // here join clusters that already hold many members, both accepted and
 // rejected ones, so EZ's per-edge cluster costs are zeroed across whole
-// clusters and restored after a rejection, in both directions.
+// clusters and restored after a rejection, in both directions. EZ's early
+// exit follows each node's critical successor; the tie-heavy and
+// zero-cost variants make that successor a tie or a free edge. They pin
+// that the successor and the edge slot its cut is read through belong to
+// the same edge; which of two tied successors is kept changes only the
+// speed, never the clustering, so any tie-break order passes.
 TEST(NamedPointIdentity, EzMatchesOriginalOnDenseGraphs) {
   for (const double ccr : {0.1, 10.0}) {
-    RgnosParams p;
-    p.num_nodes = 200;
-    p.ccr = ccr;
-    p.parallelism = 1;
-    p.seed = 4;
-    const TaskGraph g = rgnos_graph(p);
-    const Schedule got = make_scheduler("EZ")->run(g, {});
-    expect_same_schedule(got, reference::original_ez(g),
-                         "EZ ccr " + std::to_string(ccr));
+    const TaskGraph g = dense_graph(ccr);
+    const Schedule got =
+        expect_ez_matches_original(g, "ccr " + std::to_string(ccr));
     std::map<ProcId, int> members;
     for (NodeId n = 0; n < g.num_nodes(); ++n) ++members[got.proc(n)];
     int largest = 0;
     for (const auto& [proc, count] : members) largest = std::max(largest, count);
     EXPECT_GE(largest, 5) << "ccr " << ccr;
+
+    expect_ez_matches_original(some_edges_free(g),
+                               "free edges, ccr " + std::to_string(ccr));
   }
+  for (const Cost cost : {0, 1, 4})
+    expect_ez_matches_original(tie_heavy(dense_graph(1.0), cost),
+                               "dense ties, cost " + std::to_string(cost));
+  for (const Cost cost : {1, 3, 12}) {
+    expect_ez_matches_original(fan_out_ties(12, 6, 3, cost),
+                               "fan-out ties, cost " + std::to_string(cost));
+    expect_ez_matches_original(fan_out_ties(40, 3, 40, cost),
+                               "wide fan-out, cost " + std::to_string(cost));
+  }
+  // A small tie-heavy graph on which following one tied successor while
+  // reading the other tie's edge slot changes the clustering.
+  RgnosParams p;
+  p.num_nodes = 30;
+  p.ccr = 1.0;
+  p.parallelism = 1;
+  p.seed = 172;
+  expect_ez_matches_original(tie_heavy(rgnos_graph(p), 2), "small ties");
 }
 
 // ------------------------------------------------- the full crossproduct ----
