@@ -8,8 +8,10 @@
 // per-destination route probe of tests/reference_net.h, BM_Ez_Reference
 // the frozen EZ
 // of tests/reference_named.h, BM_Bsa_Reference the frozen BSA of
-// tests/reference_bsa.h and BM_GraphFromString_Reference the frozen
-// istream tgs1 reader of tests/reference_graph_io.h, so each speedup over
+// tests/reference_bsa.h, BM_GraphFromString_Reference the frozen
+// istream tgs1 reader of tests/reference_graph_io.h and
+// BM_ParseRequest_Reference the frozen JSON parser of
+// tests/reference_json.h, so each speedup over
 // the retired code is measured inside one binary; the committed
 // BENCH_schedulers.json at the repo root is the baseline CI compares
 // against (tools/check_perf_regression.py, >2x real_time fails).
@@ -23,6 +25,7 @@
 
 #include "reference_bsa.h"
 #include "reference_graph_io.h"
+#include "reference_json.h"
 #include "reference_named.h"
 #include "reference_net.h"
 #include "reference_proc_choice.h"
@@ -309,6 +312,23 @@ void BM_ParseRequest(benchmark::State& state) {
                           static_cast<std::int64_t>(line.size()));
 }
 BENCHMARK(BM_ParseRequest)->Arg(500);
+
+// The same line through the frozen byte-at-a-time JSON parser, reading the
+// graph string out of its document as parse_request does.
+void BM_ParseRequest_Reference(benchmark::State& state) {
+  const std::string text =
+      graph_to_string(bench_graph(static_cast<NodeId>(state.range(0))));
+  const std::string line =
+      JsonObject().add("id", "b").add("algo", "MCP").add("graph", text).str();
+  for (auto _ : state) {
+    reference::ReferenceJson doc = reference::json_parse(line);
+    const std::string graph = std::move(doc.obj_["graph"].str_);
+    benchmark::DoNotOptimize(graph.size());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(line.size()));
+}
+BENCHMARK(BM_ParseRequest_Reference)->Arg(500);
 
 // ------------------------------------------------------------ giant tier --
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "tgs/unc/cluster_schedule.h"
-
 namespace tgs {
 
 NetSchedule ApnScheduler::run(const TaskGraph& g,
@@ -71,18 +69,6 @@ void apn_build_into(NetSchedule& ns, const std::vector<NodeId>& order,
                     const std::vector<ProcId>& assign, bool insertion) {
   ns.reset();
   for (NodeId n : order) apn_commit_node(ns, n, assign[n], insertion);
-}
-
-NetSchedule apn_build_with_assignment(const TaskGraph& g,
-                                      const RoutingTable& routes,
-                                      const std::vector<ProcId>& assign,
-                                      bool insertion) {
-  if (assign.size() != static_cast<std::size_t>(g.num_nodes()))
-    throw std::invalid_argument(
-        "apn_build_with_assignment: assignment size != graph node count");
-  NetSchedule ns(g, routes);
-  apn_build_into(ns, blevel_order(g), assign, insertion);
-  return ns;
 }
 
 }  // namespace tgs

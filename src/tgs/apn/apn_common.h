@@ -79,16 +79,6 @@ Time apn_commit_node(NetSchedule& ns, NodeId n, int p, bool insertion);
 void apn_build_into(NetSchedule& ns, const std::vector<NodeId>& order,
                     const std::vector<ProcId>& assign, bool insertion);
 
-/// Deterministically materialize a complete NetSchedule from a fixed
-/// node -> processor assignment: tasks in descending b-level order,
-/// messages committed per node as above. Throws std::invalid_argument
-/// unless assign.size() == g.num_nodes() (a short vector must not
-/// become an OOB read).
-NetSchedule apn_build_with_assignment(const TaskGraph& g,
-                                      const RoutingTable& routes,
-                                      const std::vector<ProcId>& assign,
-                                      bool insertion);
-
 // The bodies of the paper's four APN algorithms, one per source file
 // (apn/mh.cpp, apn/dls_apn.cpp, apn/bu.cpp, apn/bsa.cpp, where each
 // algorithm's note sits). Same contract as ApnScheduler::Body.

@@ -33,13 +33,18 @@ sockaddr_un make_addr(const std::string& path) {
 }  // namespace
 
 UnixConn::UnixConn(UnixConn&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)), buf_(std::move(other.buf_)) {}
+    : fd_(std::exchange(other.fd_, -1)),
+      buf_(std::move(other.buf_)),
+      head_(std::exchange(other.head_, 0)),
+      scanned_(std::exchange(other.scanned_, 0)) {}
 
 UnixConn& UnixConn::operator=(UnixConn&& other) noexcept {
   if (this != &other) {
     close();
     fd_ = std::exchange(other.fd_, -1);
     buf_ = std::move(other.buf_);
+    head_ = std::exchange(other.head_, 0);
+    scanned_ = std::exchange(other.scanned_, 0);
   }
   return *this;
 }
@@ -60,13 +65,34 @@ UnixConn UnixConn::connect(const std::string& path) {
 
 bool UnixConn::read_line(std::string* line, std::size_t max_line) {
   for (;;) {
-    const std::size_t nl = buf_.find('\n');
-    if (nl != std::string::npos) {
-      line->assign(buf_, 0, nl);
-      buf_.erase(0, nl + 1);
+    // Only the bytes read since the last search can hold the '\n'.
+    const void* nl = std::memchr(buf_.data() + scanned_, '\n',
+                                 buf_.size() - scanned_);
+    if (nl != nullptr) {
+      const std::size_t end =
+          static_cast<std::size_t>(static_cast<const char*>(nl) - buf_.data());
+      const std::size_t rest = buf_.size() - end - 1;
+      if (head_ == 0 && rest <= end) {
+        // The line starts the buffer and is the longer part: hand the
+        // buffer itself over and keep only the rest, in the caller's old
+        // storage.
+        line->assign(buf_, end + 1, rest);
+        line->swap(buf_);
+        line->resize(end);
+      } else {
+        line->assign(buf_, head_, end - head_);
+        head_ = end + 1;
+      }
+      scanned_ = head_;
       return true;
     }
-    if (buf_.size() > max_line) throw LineTooLong(max_line);
+    scanned_ = buf_.size();
+    if (buf_.size() - head_ > max_line) throw LineTooLong(max_line);
+    if (head_ > 0) {  // drop the lines already handed out
+      buf_.erase(0, head_);
+      scanned_ -= head_;
+      head_ = 0;
+    }
     char chunk[65536];
     ssize_t n;
     do {

@@ -85,7 +85,9 @@ class UnixConn {
 
  private:
   int fd_ = -1;
-  std::string buf_;  // bytes read past the last returned line
+  std::string buf_;          // bytes read and not yet consumed from head_
+  std::size_t head_ = 0;     // start of the first line not yet returned
+  std::size_t scanned_ = 0;  // buf_[head_, scanned_) holds no '\n'
 };
 
 /// A listening socket bound to a filesystem path. Unlinks a stale socket

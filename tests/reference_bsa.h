@@ -6,16 +6,43 @@
 // BsaScheduler to reproduce its whole NetSchedule byte for byte, and
 // tgs_perf (BM_Bsa_Reference) measures the double buffer against it.
 //
+// apn_build_with_assignment lives here because only this reference and
+// test_apn.cpp build a schedule from a whole assignment; the library
+// rebuilds in place with apn_build_into.
+//
 // Deliberately straight-line -- do not "optimize" it; its simplicity is
 // the point.
 #pragma once
 
 #include <cstddef>
 #include <queue>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "tgs/apn/apn_common.h"
+#include "tgs/unc/cluster_schedule.h"
+
+namespace tgs {
+
+/// Deterministically materialize a complete NetSchedule from a fixed
+/// node -> processor assignment: tasks in descending b-level order,
+/// messages committed per node by apn_build_into. Throws
+/// std::invalid_argument unless assign.size() == g.num_nodes() (a short
+/// vector must not become an OOB read).
+inline NetSchedule apn_build_with_assignment(const TaskGraph& g,
+                                             const RoutingTable& routes,
+                                             const std::vector<ProcId>& assign,
+                                             bool insertion) {
+  if (assign.size() != static_cast<std::size_t>(g.num_nodes()))
+    throw std::invalid_argument(
+        "apn_build_with_assignment: assignment size != graph node count");
+  NetSchedule ns(g, routes);
+  apn_build_into(ns, blevel_order(g), assign, insertion);
+  return ns;
+}
+
+}  // namespace tgs
 
 namespace tgs::reference {
 

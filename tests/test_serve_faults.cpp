@@ -6,6 +6,7 @@
 // schedules remain byte-identical to direct runs through all of it.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -34,6 +35,7 @@
 #include "tgs/serve/server.h"
 #include "tgs/serve/socket.h"
 #include "tgs/unc/clustering.h"
+#include "tgs/util/rng.h"
 
 namespace tgs {
 namespace {
@@ -133,6 +135,69 @@ TEST(FaultPlan, ZeroCostWhenEmpty) {
   FaultGuard fg;
   for (int i = 0; i < 1000; ++i)
     ASSERT_FALSE(FaultPlan::hit(FaultPoint::kReadEintr));
+}
+
+// ------------------------------------------------------------ line framing --
+
+// A ~300 KB line, then the next line sent right behind it, so the read
+// that ends the first line also holds the head of the second. Read 1 byte
+// to 64 KB at a time, both must come back byte for byte; the '\n' search
+// resumes where the previous chunk's stopped, and the buffer is handed
+// over as the line.
+TEST(LineFraming, LongLineSplitOverShortReadsComesBackExact) {
+  std::string first, second;
+  Rng rng(11);
+  for (int i = 0; i < 300000; ++i)
+    first.push_back(static_cast<char>(rng.uniform_int(' ', '~')));
+  for (int i = 0; i < 70000; ++i)
+    second.push_back(static_cast<char>(rng.uniform_int(0, 255)));
+  for (char& c : second)
+    if (c == '\n') c = ' ';
+  const std::string third = R"({"op":"ping"})";
+  for (const std::int64_t chunk : {1, 3, 4095, 65535, 65536, 0}) {
+    SCOPED_TRACE(chunk);
+    FaultGuard fg(chunk == 0 ? "" : "read_short*:" + std::to_string(chunk));
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    UnixConn reader(fds[0]);
+    std::thread writer([&, fd = fds[1]] {
+      UnixConn out(fd);
+      out.write_line(first + '\n' + second + '\n' + third);
+    });
+    std::string line = "stale";
+    ASSERT_TRUE(reader.read_line(&line));
+    EXPECT_TRUE(line == first) << "first line, " << line.size() << " bytes";
+    ASSERT_TRUE(reader.read_line(&line));
+    EXPECT_TRUE(line == second) << "second line, " << line.size() << " bytes";
+    ASSERT_TRUE(reader.read_line(&line));
+    EXPECT_EQ(line, third);
+    writer.join();
+    EXPECT_FALSE(reader.read_line(&line));
+    if (chunk != 0)
+      EXPECT_GT(FaultPlan::global().fired(FaultPoint::kReadShort), 0u);
+  }
+}
+
+// Many short lines arrive in one read: each comes back in order, and the
+// rest of the buffer is not moved once per line.
+TEST(LineFraming, ManyLinesInOneReadComeBackInOrder) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  UnixConn reader(fds[0]);
+  std::string burst;
+  for (int i = 0; i < 2000; ++i) burst += "line " + std::to_string(i) + '\n';
+  {
+    UnixConn out(fds[1]);
+    out.write_line(burst + "last");
+  }
+  std::string line;
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(reader.read_line(&line));
+    ASSERT_EQ(line, "line " + std::to_string(i));
+  }
+  ASSERT_TRUE(reader.read_line(&line));
+  EXPECT_EQ(line, "last");
+  EXPECT_FALSE(reader.read_line(&line));
 }
 
 // ---------------------------------------------------------------- journal --
