@@ -418,23 +418,23 @@ void run_ablate_topology(const ExpContext& ctx) {
 }  // namespace
 
 void register_ablation_experiments(ExperimentRegistry& r) {
-  r.add({"ablate_bb", "", "ablations",
+  r.add({"ablate_bb", "ablations",
          "B&B pruning machinery: states expanded, full vs exhaustive "
          "[--max-nodes, --bb-nodes, --naive-nodes, --bb-threads]",
          run_ablate_bb});
-  r.add({"ablate_ccr", "", "ablations",
+  r.add({"ablate_ccr", "ablations",
          "NSL of all 15 algorithms vs CCR, paired graph suite "
          "[--graphs, --nodes]",
          run_ablate_ccr});
-  r.add({"ablate_insertion", "", "ablations",
+  r.add({"ablate_insertion", "ablations",
          "insertion vs non-insertion: HLFET/ISH and ETF/MCP ratios "
          "[--graphs, --nodes]",
          run_ablate_insertion});
-  r.add({"ablate_priority", "", "ablations",
+  r.add({"ablate_priority", "ablations",
          "static vs dynamic priority and CP vs non-CP groups "
          "[--graphs, --nodes]",
          run_ablate_priority});
-  r.add({"ablate_topology", "", "ablations",
+  r.add({"ablate_topology", "ablations",
          "APN NSL vs network connectivity, paired graph suite "
          "[--graphs, --nodes]",
          run_ablate_topology});

@@ -187,7 +187,7 @@ void run_giant_sweep(const ExpContext& ctx) {
 }  // namespace
 
 void register_giant_experiments(ExperimentRegistry& r) {
-  r.add({"giant_sweep", "", "giant",
+  r.add({"giant_sweep", "giant",
          "100k-node scaling curves with time + peak-RSS + alloc metrics "
          "[--workload, --sizes, --procs, --algos, --reps]",
          run_giant_sweep});

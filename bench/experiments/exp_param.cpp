@@ -291,7 +291,7 @@ void run_param_sweep(const ExpContext& ctx) {
 }  // namespace
 
 void register_param_experiments(ExperimentRegistry& r) {
-  r.add({"param_sweep", "", "param",
+  r.add({"param_sweep", "param",
          "parameterized-scheduler crossproduct vs optimality references "
          "[--suite=rgbos|rgpos, --metric, --ready, --insertion, --cluster, "
          "--ccr, --max-v, --bb-nodes, --bb-threads, --procs, --top]",

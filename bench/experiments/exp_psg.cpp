@@ -106,7 +106,7 @@ void run_table1(const ExpContext& ctx) {
 }  // namespace
 
 void register_psg_experiments(ExperimentRegistry& r) {
-  r.add({"table1", "table1_psg", "psg",
+  r.add({"table1", "psg",
          "UNC/BNP schedule lengths on the peer-set graphs", run_table1});
 }
 

@@ -155,11 +155,11 @@ void run_table3(const ExpContext& ctx) { run_table_rgbos(ctx, /*unc=*/false); }
 }  // namespace
 
 void register_rgbos_experiments(ExperimentRegistry& r) {
-  r.add({"table2", "table2_rgbos_unc", "rgbos",
+  r.add({"table2", "rgbos",
          "UNC %-degradation from B&B optima on RGBOS "
          "[--procs, --bb-nodes, --bb-threads, --max-v]",
          run_table2});
-  r.add({"table3", "table3_rgbos_bnp", "rgbos",
+  r.add({"table3", "rgbos",
          "BNP %-degradation from B&B optima on RGBOS "
          "[--procs, --bb-nodes, --bb-threads, --max-v]",
          run_table3});

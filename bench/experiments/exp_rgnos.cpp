@@ -229,15 +229,15 @@ void run_ext_unc_cs(const ExpContext& ctx) {
 }  // namespace
 
 void register_rgnos_experiments(ExperimentRegistry& r) {
-  r.add({"fig2", "fig2_nsl_rgnos", "rgnos",
+  r.add({"fig2", "rgnos",
          "average NSL vs graph size on RGNOS, UNC/BNP/APN "
          "[--max-nodes, --apn-max-nodes, --full]",
          run_fig2});
-  r.add({"fig3", "fig3_procs_rgnos", "rgnos",
+  r.add({"fig3", "rgnos",
          "average processors used vs graph size on RGNOS, UNC/BNP "
          "[--max-nodes, --full]",
          run_fig3});
-  r.add({"ext_unc_cs", "", "rgnos",
+  r.add({"ext_unc_cs", "rgnos",
          "UNC clustering + cluster scheduling vs direct BNP "
          "[--procs, --graphs, --max-v]",
          run_ext_unc_cs});

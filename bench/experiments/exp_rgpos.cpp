@@ -133,11 +133,11 @@ void run_table5(const ExpContext& ctx) { run_table_rgpos(ctx, /*unc=*/false); }
 }  // namespace
 
 void register_rgpos_experiments(ExperimentRegistry& r) {
-  r.add({"table4", "table4_rgpos_unc", "rgpos",
+  r.add({"table4", "rgpos",
          "UNC %-degradation from planted optima on RGPOS "
          "[--procs, --max-v]",
          run_table4});
-  r.add({"table5", "table5_rgpos_bnp", "rgpos",
+  r.add({"table5", "rgpos",
          "BNP %-degradation from planted optima on RGPOS "
          "[--procs, --max-v]",
          run_table5});

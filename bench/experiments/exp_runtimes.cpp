@@ -212,11 +212,11 @@ void run_micro(const ExpContext& ctx) {
 }  // namespace
 
 void register_runtime_experiments(ExperimentRegistry& r) {
-  r.add({"table6", "table6_runtimes", "runtimes",
+  r.add({"table6", "runtimes",
          "average scheduling times of all 15 algorithms on RGNOS "
          "[--max-nodes, --full, --reps]",
          run_table6});
-  r.add({"micro", "micro_algorithms", "runtimes",
+  r.add({"micro", "runtimes",
          "per-call scheduling time of every algorithm "
          "[--reps, --max-nodes]",
          run_micro});

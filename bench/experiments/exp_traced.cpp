@@ -122,7 +122,7 @@ void run_fig4(const ExpContext& ctx) {
 }  // namespace
 
 void register_traced_experiments(ExperimentRegistry& r) {
-  r.add({"fig4", "fig4_traced", "traced",
+  r.add({"fig4", "traced",
          "average NSL on traced Cholesky/Gauss graphs, UNC/BNP/APN "
          "[--max-dim, --comm]",
          run_fig4});

@@ -17,7 +17,7 @@ void ExperimentRegistry::add(ExperimentDef def) {
 
 const ExperimentDef* ExperimentRegistry::find(const std::string& name) const {
   for (const ExperimentDef& d : defs_)
-    if (name == d.name || (!d.alias.empty() && name == d.alias)) return &d;
+    if (name == d.name) return &d;
   return nullptr;
 }
 

@@ -54,7 +54,6 @@ using ExpRunFn = void (*)(const ExpContext&);
 
 struct ExperimentDef {
   std::string name;
-  std::string alias;  // retired standalone-binary name ("" = none)
   std::string family;
   std::string description;  // one line, includes experiment-specific flags
   ExpRunFn run = nullptr;
@@ -63,7 +62,7 @@ struct ExperimentDef {
 class ExperimentRegistry {
  public:
   void add(ExperimentDef def);
-  /// Lookup by name or legacy alias; nullptr when unknown.
+  /// Lookup by name; nullptr when unknown.
   const ExperimentDef* find(const std::string& name) const;
   const std::vector<ExperimentDef>& all() const { return defs_; }
 

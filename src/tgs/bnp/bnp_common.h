@@ -13,17 +13,17 @@
 //    smaller id), exact, for append and insertion placement, in
 //    O(log procs) plus a scan of only the processors busy past max1 that
 //    could still tie or win.
-//  * AppendPairSelector / IncrementalPairSelector -- ETF/DLS
-//    (ready node, processor) pair selection for append and for insertion
-//    placement.
+//  * AppendPairSelector -- ETF/DLS (ready node, processor) pair
+//    selection in closed form for append placement.
 //
 // ETF and DLS are the paper's slow BNP algorithms precisely because they
-// re-evaluate every (ready node, processor) pair at every step; both
-// selectors remove that re-evaluation without changing a single schedule.
+// re-evaluate every (ready node, processor) pair at every step; the
+// selector removes that re-evaluation without changing a single schedule.
+// Insertion placement keeps the per-step scan over the ready set, each
+// node at its best_est_proc (param/param_scheduler.cpp).
 #pragma once
 
 #include <algorithm>
-#include <cstdint>
 #include <vector>
 
 #include "tgs/sched/schedule.h"
@@ -185,28 +185,17 @@ struct PairOrder {
   }
 };
 
-/// Reusable pools of the BNP list phases and the pair selectors, owned by
-/// a SchedWorkspace. Flat per-node vectors replace per-run maps, and every
-/// buffer keeps its capacity across runs, so starting a run is O(procs)
-/// and steady-state runs allocate nothing. Stale entries are never erased:
-/// each user rewrites a node's slots when it admits the node.
+/// Reusable pools of the BNP list phases and the append pair selector,
+/// owned by a SchedWorkspace. Flat per-node vectors replace per-run maps,
+/// and every buffer keeps its capacity across runs, so starting a run is
+/// O(procs) and steady-state runs allocate nothing. Stale entries are
+/// never erased: each user rewrites a node's slots when it admits the node.
 struct PairScratch {
   // The one frozen-arrival store: written when a node becomes ready, read
-  // by the selectors, the dynamic list key and the hole-filling pass.
+  // by the processor choice, the append selector, the dynamic list key and
+  // the hole-filling pass.
   std::vector<ArrivalInfo> arrival;
   std::vector<Time> proc_ends;  // ProcScanner's end-time index
-
-  // IncrementalPairSelector.
-  std::vector<ProcChoice> best;           // per-node best (proc, EST)
-  std::vector<NodeId> tracked;            // nodes currently ready
-
-  // Tracked membership is position-indexed so untracking is O(1), and
-  // tracked nodes are bucketed by their cached best processor so a
-  // placement on p rescores only bucket[p] -- the exact stale set.
-  std::vector<std::uint32_t> tracked_pos;  // node -> index in tracked
-  std::vector<std::uint32_t> bucket_pos;   // node -> index in its bucket
-  std::vector<std::vector<NodeId>> bucket; // proc -> nodes with best.proc==p
-  std::vector<NodeId> bucket_snap;         // node_placed iteration snapshot
 
   // AppendPairSelector: heaps of node ids whose keys are read from the
   // frozen arrivals (A terms: r1, G terms: max1).
@@ -223,15 +212,6 @@ struct PairScratch {
     if (arrival.size() < num_nodes) {
       arrival = {};
       arrival.resize(num_nodes);
-    }
-  }
-
-  /// Size the cached-best pools for `num_nodes` nodes (grow-only).
-  void bind(std::size_t num_nodes) {
-    if (best.size() < num_nodes) {
-      best.resize(num_nodes);
-      tracked_pos.resize(num_nodes, 0);
-      bucket_pos.resize(num_nodes, 0);
     }
   }
 };
@@ -312,140 +292,6 @@ class AppendPairSelector {
   const ProcScanner* scanner_;
   PairOrder order_;
   PairScratch* scratch_;
-};
-
-/// Insertion-mode incremental (ready node, processor) pair selection.
-///
-/// Invariant: placing a task on processor q only mutates timeline q, and a
-/// ready node's arrival summary is frozen (its parents are placed and never
-/// move). So after a placement, a cached best (proc, EST) pair stays exact
-/// unless (a) it sits on q -- its EST may have grown, rescan the node -- or
-/// (b) ProcScanner::scan_count() grew -- the newly opened processors must
-/// be scored against every cached pair (an empty processor can only win
-/// strictly, so ties keep preferring smaller ids). ESTs on untouched
-/// processors cannot shrink (occupying a timeline never makes earliest_fit
-/// earlier), hence no other cached best can be beaten. Selection order --
-/// and therefore every schedule -- is byte-identical to the exhaustive
-/// per-step rescan; the goldens and the naive-reference property tests
-/// enforce this.
-///
-/// Per-node bests are exact at all times, so a scheduling step is one
-/// O(ready) argmin over best() instead of O(ready x procs) EST probes.
-class IncrementalPairSelector {
- public:
-  /// Runs on the scanner's schedule. `scratch` must outlive the selector.
-  IncrementalPairSelector(const ProcScanner& scanner, PairScratch& scratch)
-      : sched_(&scanner.schedule()),
-        scanner_(&scanner),
-        scratch_(&scratch),
-        scanned_(scanner.scan_count()) {
-    scratch.bind_arrival(sched_->graph().num_nodes());
-    scratch.bind(sched_->graph().num_nodes());
-    if (scratch.bucket.size() < static_cast<std::size_t>(scanner.limit()))
-      scratch.bucket.resize(static_cast<std::size_t>(scanner.limit()));
-    scratch.tracked.clear();
-    for (std::vector<NodeId>& b : scratch.bucket) b.clear();
-  }
-
-  /// Admit a node whose parents are all placed: freeze its arrival
-  /// summary and score processors [0, scan_count). Membership is the
-  /// tracked list.
-  void node_ready(NodeId n) {
-    scratch_->arrival[n] = arrival_of(*sched_, n);
-    scratch_->tracked_pos[n] =
-        static_cast<std::uint32_t>(scratch_->tracked.size());
-    scratch_->tracked.push_back(n);
-    rescore(n, /*fresh=*/true);
-  }
-
-  /// Report that `n` (previously ready) was placed on `p`. Call after
-  /// Schedule::place and ProcScanner::note_placement; re-scores exactly
-  /// the cached pairs the placement could have invalidated. In the common
-  /// case (no new processor opened) that is bucket[p] -- the nodes whose
-  /// cached best sits on p -- so a placement costs O(|bucket[p]|) rescore
-  /// work, not an O(ready) scan.
-  void node_placed(NodeId n, ProcId p) {
-    PairScratch& sc = *scratch_;
-    {
-      const std::uint32_t i = sc.tracked_pos[n];
-      sc.tracked[i] = sc.tracked.back();
-      sc.tracked_pos[sc.tracked[i]] = i;
-      sc.tracked.pop_back();
-      bucket_remove(n);  // n's cached best.proc, which may differ from p
-    }
-    const int count = scanner_->scan_count();
-    if (count > scanned_) {
-      // Rare (at most `limit` times per run): a fresh processor opened, so
-      // every cached pair must see it. Its id exceeds every cached id, so
-      // only a strict improvement can move the best.
-      const TaskGraph& g = sched_->graph();
-      for (NodeId m : sc.tracked) {
-        if (sc.best[m].proc == p) {
-          rescore(m, /*fresh=*/false);
-          continue;
-        }
-        const ArrivalInfo& arr = sc.arrival[m];
-        ProcChoice pc = sc.best[m];
-        for (ProcId q = static_cast<ProcId>(scanned_); q < count; ++q) {
-          const Time t =
-              sched_->earliest_start_on(q, arr.ready_on(q), g.weight(m), true);
-          if (t < pc.start) pc = {q, t};  // strict: ties keep smaller id
-        }
-        if (pc.proc != sc.best[m].proc || pc.start != sc.best[m].start)
-          set_best(m, pc);
-      }
-    } else {
-      // Snapshot: rescoring moves nodes between buckets mid-iteration.
-      sc.bucket_snap.assign(sc.bucket[p].begin(), sc.bucket[p].end());
-      for (NodeId m : sc.bucket_snap) rescore(m, /*fresh=*/false);
-    }
-    scanned_ = count;
-  }
-
-  /// Cached best (processor, EST) of ready node `n`; exact under the
-  /// invariant above.
-  const ProcChoice& best(NodeId n) const { return scratch_->best[n]; }
-
- private:
-  void bucket_insert(NodeId m) {
-    std::vector<NodeId>& b = scratch_->bucket[scratch_->best[m].proc];
-    scratch_->bucket_pos[m] = static_cast<std::uint32_t>(b.size());
-    b.push_back(m);
-  }
-
-  void bucket_remove(NodeId m) {
-    std::vector<NodeId>& b = scratch_->bucket[scratch_->best[m].proc];
-    const std::uint32_t i = scratch_->bucket_pos[m];
-    b[i] = b.back();
-    scratch_->bucket_pos[b[i]] = i;
-    b.pop_back();
-  }
-
-  /// Every best[] write funnels through here: bucket membership follows
-  /// the cached processor. An unchanged recompute never reaches this
-  /// function.
-  void set_best(NodeId m, const ProcChoice& pc) {
-    bucket_remove(m);
-    scratch_->best[m] = pc;
-    bucket_insert(m);
-  }
-
-  void rescore(NodeId m, bool fresh) {
-    const ProcChoice pc =
-        best_est_proc(*scanner_, m, scratch_->arrival[m], /*insertion=*/true);
-    if (fresh) {
-      scratch_->best[m] = pc;
-      bucket_insert(m);
-    } else if (pc.proc != scratch_->best[m].proc ||
-               pc.start != scratch_->best[m].start) {
-      set_best(m, pc);
-    }
-  }
-
-  const Schedule* sched_;
-  const ProcScanner* scanner_;
-  PairScratch* scratch_;
-  int scanned_;  // scan_count the cached pairs are valid for
 };
 
 /// The body of LAST, the one BNP algorithm no parameter point expresses

@@ -58,10 +58,7 @@ class ListPhase {
         break;
       case ParamReady::kPairEtf:
       case ParamReady::kPairDls:
-        if (clustered_)
-          run_pair_clustered();
-        else
-          run_pair_selector();
+        run_pair();
         break;
     }
     return std::move(sched_);
@@ -100,29 +97,20 @@ class ListPhase {
     while (!ready_.empty()) {
       ws_.deadline().poll();
       const NodeId n = pick_list();
-      ProcId p;
-      Time start;
-      if (clustered_) {
-        p = ps_.assign[n];
-        start = est_on(n, p);
-      } else {
-        const ProcChoice c = best_est_proc(scanner_, n, pair_.arrival[n], fit_);
-        p = c.proc;
-        start = c.start;
-      }
-      place(n, p, start);
+      const ProcChoice c = choice(n);
+      place(n, c.proc, c.start);
     }
   }
 
   // ETF minimizes (EST, rank); DLS maximizes dl = key - EST with ties on
-  // earlier start then smaller id (PairOrder). Append placement gives each
-  // ready node's EST a closed form, so AppendPairSelector picks the pair
-  // in a few heap operations per step and no step visits the whole ready
-  // set (docs/perf.md, "BNP pair selection"). Insertion gaps break the
-  // closed form: there the cached bests of IncrementalPairSelector feed a
-  // linear argmin over the ready set.
-  void run_pair_selector() {
-    if (!fit_) {
+  // earlier start then smaller id (PairOrder). Append placement without a
+  // cluster map gives each ready node's EST a closed form, so
+  // AppendPairSelector picks the pair in a few heap operations per step
+  // and no step visits the whole ready set (docs/perf.md, "BNP pair
+  // selection"). Insertion gaps and a fixed cluster map break the closed
+  // form: there each step scans the ready set, every node at its choice().
+  void run_pair() {
+    if (!fit_ && !clustered_) {
       AppendPairSelector& sel =
           append_sel_.emplace(scanner_, pair_order(), pair_);
       admit_all();
@@ -134,32 +122,23 @@ class ListPhase {
       }
       return;
     }
-    IncrementalPairSelector& sel = insert_sel_.emplace(scanner_, pair_);
     admit_all();
     while (!ready_.empty()) {
       ws_.deadline().poll();
-      const NodeId n = scan_pick([&](NodeId m) { return sel.best(m).start; });
-      place(n, sel.best(n).proc, sel.best(n).start);
+      const NodeId n = scan_pick([&](NodeId m) { return choice(m).start; });
+      const ProcChoice c = choice(n);
+      place(n, c.proc, c.start);
     }
   }
 
-  // Pair policies under a fixed cluster map degenerate to a per-step scan
-  // of EST on each node's forced processor (the selectors assume free
-  // processor choice, so they do not apply here).
-  void run_pair_clustered() {
-    admit_all();
-    while (!ready_.empty()) {
-      ws_.deadline().poll();
-      const NodeId n =
-          scan_pick([&](NodeId m) { return est_on(m, ps_.assign[m]); });
-      place(n, ps_.assign[n], est_on(n, ps_.assign[n]));
-    }
-  }
-
-  /// Earliest start of ready node `m` on `p` under the run's placement.
-  Time est_on(NodeId m, ProcId p) const {
-    return sched_.earliest_start_on(p, pair_.arrival[m].ready_on(p),
-                                    g_.weight(m), fit_);
+  /// Processor and earliest start of ready node `m` under the run's
+  /// placement: its cluster's processor under a cluster map, else the
+  /// best over the scan window (ties: the smaller id).
+  ProcChoice choice(NodeId m) const {
+    if (!clustered_) return best_est_proc(scanner_, m, pair_.arrival[m], fit_);
+    const ProcId p = ps_.assign[m];
+    return {p, sched_.earliest_start_on(p, pair_.arrival[m].ready_on(p),
+                                        g_.weight(m), fit_)};
   }
 
   PairOrder pair_order() const {
@@ -199,7 +178,6 @@ class ListPhase {
   /// sees the placement, then the children it made ready.
   void note_placed(NodeId n, ProcId p) {
     if (append_sel_) append_sel_->node_placed(p);
-    if (insert_sel_) insert_sel_->node_placed(n, p);
     ready_.mark_scheduled(n);
     admit_children(n);
   }
@@ -215,13 +193,11 @@ class ListPhase {
   }
 
   /// A node that just became ready freezes its arrival summary (the pair
-  /// selectors freeze it themselves) and enters the policy's incremental
+  /// selector freezes it itself) and enters the policy's incremental
   /// state: the pair selector, or the list heap.
   void admit(NodeId n) {
     if (append_sel_) {
       append_sel_->node_ready(n);
-    } else if (insert_sel_) {
-      insert_sel_->node_ready(n);
     } else {
       pair_.arrival[n] = arrival_of(sched_, n);
       if (list_heap_live_) push_list(n);
@@ -267,8 +243,7 @@ class ListPhase {
   const bool hole_;
   const bool dynamic_;
   bool list_heap_live_ = false;  // run_list admissions feed ps_.list_heap
-  std::optional<AppendPairSelector> append_sel_;       // pair, append/hole
-  std::optional<IncrementalPairSelector> insert_sel_;  // pair, insert
+  std::optional<AppendPairSelector> append_sel_;  // pair, append/hole
   Schedule sched_;
   ProcScanner scanner_;
   ReadyList ready_;

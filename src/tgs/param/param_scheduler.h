@@ -15,9 +15,9 @@
 //     opt.num_procs when they exceed a bounded machine).
 //  3. list phase: the ready policy picks the next node (and processor),
 //     the insertion policy places it; kHole back-fills the idle gap the
-//     placement created. Pair policies without a cluster run on the
-//     pair selectors of bnp/bnp_common.h: AppendPairSelector for append
-//     and hole placement, IncrementalPairSelector for insertion.
+//     placement created. Pair policies with append or hole placement and
+//     no cluster run on AppendPairSelector (bnp/bnp_common.h); the others
+//     scan the ready set each step, every node at its processor choice.
 //
 // Determinism: every choice breaks ties by (rank, node id, processor id),
 // and rank itself encodes the smallest-id tie-break, so equal inputs give

@@ -188,14 +188,6 @@ int Timeline::tree_query(std::size_t node, std::size_t l, std::size_t r,
   throw std::logic_error("Timeline gap index inconsistent");
 }
 
-bool Timeline::fits(Time start, Cost dur) const {
-  const std::size_t c = chunk_by_end(start);
-  if (c == chunks_.size()) return true;
-  // First interval with iv.end > start could overlap.
-  const auto it = lower_by_end(chunks_[c].ivs, start);
-  return it->start >= start + dur;
-}
-
 void Timeline::occupy(std::int64_t owner, Time start, Cost dur) {
   if (chunks_.empty()) {
     chunks_.push_back(Chunk{take_buffer()});

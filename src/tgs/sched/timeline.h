@@ -46,9 +46,6 @@ class Timeline {
   /// cache line so its speed does not swing with unrelated code layout.
   Time earliest_fit(Time ready, Cost dur, bool insertion) const;
 
-  /// True if [start, start+dur) does not overlap any existing interval.
-  bool fits(Time start, Cost dur) const;
-
   /// Insert an interval; throws std::logic_error if it overlaps. Equal
   /// start times order by end (zero-width intervals first, so interval
   /// ends stay globally non-decreasing); identical (start, end) pairs

@@ -1,6 +1,6 @@
 // SchedWorkspace: reusable per-worker scratch threaded through
 // Scheduler::run so a 250-graph x 15-algorithm sweep stops paying a fresh
-// set of allocations (attribute vectors, arrival summaries, pair caches)
+// set of allocations (attribute vectors, arrival summaries, pair heaps)
 // for every single run. One workspace per worker thread; bind it to each
 // new graph with begin_graph() and pass it to every run on that graph.
 //
@@ -11,9 +11,9 @@
 //    pass all want static levels; MCP wants ALAP; DSC, MD and DCP want
 //    b-levels).
 //  * PairScratch -- the frozen per-node arrivals, the processor end-time
-//    index and the pools of the (ready node, processor) pair selectors
-//    (bnp/bnp_common.h). Stored behind a pointer so sched/ does not include
-//    bnp/ headers.
+//    index and the pools of the append (ready node, processor) pair
+//    selector (bnp/bnp_common.h). Stored behind a pointer so sched/ does
+//    not include bnp/ headers.
 //  * ApnSweepScratch -- the per-processor buffers of the one-to-all APN
 //    probes (apn/apn_common.h), so the per-step sweeps of MH / DLS(APN) /
 //    BSA allocate nothing in steady state.

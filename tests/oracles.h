@@ -13,8 +13,19 @@
 #include "tgs/graph/task_graph.h"
 #include "tgs/net/topology.h"
 #include "tgs/sched/schedule.h"
+#include "tgs/sched/timeline.h"
 
 namespace tgs {
+
+/// True if [start, start + dur) overlaps no interval of `tl`: the first
+/// interval in start order that ends after `start` begins at or after
+/// start + dur. So a zero-length block strictly inside an interval does
+/// not fit, although Timeline::earliest_fit places one anywhere.
+inline bool fits(const Timeline& tl, Time start, Cost dur) {
+  for (const Interval& iv : tl.intervals())
+    if (iv.end > start) return iv.start >= start + dur;
+  return true;
+}
 
 /// Nodes with no children, in id order.
 inline std::vector<NodeId> exit_nodes(const TaskGraph& g) {

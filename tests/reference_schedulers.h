@@ -1,9 +1,9 @@
 // Naive reference implementations of the pair-selection schedulers: the
 // textbook O(steps x ready x procs) loops that ETF, DLS and DLS(APN) used
-// before the incremental pair selector (bnp/bnp_common.h). They are the
-// ground truth the property tests (test_pair_selector.cpp) and the
-// before/after benchmarks (bench/perf/) compare against: the incremental
-// versions must reproduce these schedules byte-for-byte.
+// before the pair selectors (bnp/bnp_common.h). They are the ground truth
+// the property tests (test_pair_selector.cpp) and the before/after
+// benchmarks (bench/perf/) compare against: the production schedulers
+// must reproduce these schedules byte-for-byte.
 //
 // Deliberately kept as straight-line copies of the retired loops -- do not
 // "optimize" them; their simplicity is the point.
@@ -140,83 +140,6 @@ inline NetSchedule naive_dls_apn(const TaskGraph& g,
     ready.mark_scheduled(best_n);
   }
   return ns;
-}
-
-/// The ETF loop rebuilt on IncrementalPairSelector, which serves insertion
-/// mode only -- the production ETF is append-only, so the selector is
-/// exercised through this harness and the insertion-mode param points.
-inline Schedule incremental_etf(const TaskGraph& g, const SchedOptions& opt,
-                                SchedWorkspace& ws) {
-  const std::vector<Time> sl = static_levels(g);
-  Schedule sched(g, effective_procs(g, opt));
-  std::vector<Time> ends;
-  ProcScanner scanner(sched, effective_procs(g, opt), ends);
-  ReadyList ready(g);
-  IncrementalPairSelector sel(scanner, ws.pair_scratch());
-  for (NodeId n : ready.ready()) sel.node_ready(n);
-
-  while (!ready.empty()) {
-    NodeId best_n = kNoNode;
-    Time best_t = kTimeInf;
-    for (NodeId m : ready.ready()) {
-      const Time t = sel.best(m).start;
-      const bool better =
-          t < best_t ||
-          (t == best_t && best_n != kNoNode &&
-           (sl[m] > sl[best_n] || (sl[m] == sl[best_n] && m < best_n)));
-      if (best_n == kNoNode || better) {
-        best_n = m;
-        best_t = t;
-      }
-    }
-    const ProcId best_p = sel.best(best_n).proc;
-    sched.place(best_n, best_p, best_t);
-    scanner.note_placement(best_p);
-    sel.node_placed(best_n, best_p);
-    ready.mark_scheduled(best_n);
-    for (const Adj& c : g.children(best_n))
-      if (ready.is_ready(c.node)) sel.node_ready(c.node);
-  }
-  return sched;
-}
-
-/// DLS on the insertion-mode incremental selector.
-inline Schedule incremental_dls(const TaskGraph& g, const SchedOptions& opt,
-                                SchedWorkspace& ws) {
-  const std::vector<Time> sl = static_levels(g);
-  Schedule sched(g, effective_procs(g, opt));
-  std::vector<Time> ends;
-  ProcScanner scanner(sched, effective_procs(g, opt), ends);
-  ReadyList ready(g);
-  IncrementalPairSelector sel(scanner, ws.pair_scratch());
-  for (NodeId n : ready.ready()) sel.node_ready(n);
-
-  while (!ready.empty()) {
-    NodeId best_n = kNoNode;
-    Time best_start = 0;
-    Time best_dl = 0;
-    for (NodeId m : ready.ready()) {
-      const Time est = sel.best(m).start;
-      const Time dl = sl[m] - est;
-      const bool better =
-          best_n == kNoNode || dl > best_dl ||
-          (dl == best_dl &&
-           (est < best_start || (est == best_start && m < best_n)));
-      if (better) {
-        best_n = m;
-        best_start = est;
-        best_dl = dl;
-      }
-    }
-    const ProcId best_p = sel.best(best_n).proc;
-    sched.place(best_n, best_p, best_start);
-    scanner.note_placement(best_p);
-    sel.node_placed(best_n, best_p);
-    ready.mark_scheduled(best_n);
-    for (const Adj& c : g.children(best_n))
-      if (ready.is_ready(c.node)) sel.node_ready(c.node);
-  }
-  return sched;
 }
 
 }  // namespace tgs::reference

@@ -119,11 +119,6 @@ TEST(Registry, CoversThePaperExperimentSet) {
     EXPECT_FALSE(def->description.empty()) << name;
     EXPECT_FALSE(def->family.empty()) << name;
   }
-  // Retired standalone-binary names keep resolving as aliases.
-  for (const char* alias : {"table2_rgbos_unc", "fig2_nsl_rgnos",
-                            "table6_runtimes", "micro_algorithms"}) {
-    EXPECT_NE(experiments().find(alias), nullptr) << alias;
-  }
   EXPECT_EQ(experiments().find("no_such_experiment"), nullptr);
 }
 

@@ -1,11 +1,11 @@
 // Property and adversarial tests of the pair-selection core
-// (bnp/bnp_common.h): the closed-form append selector and the cached
-// insertion selector must reproduce the naive exhaustive re-evaluation
-// BYTE-FOR-BYTE -- same node, same processor, same start, every step --
-// over random RGNOS / RGPOS / PSG graphs, tie-heavy FFTs, zero-cost and
-// edgeless graphs, bounded and unbounded machines, and under arbitrary
-// placement policies. reference_schedulers.h holds the naive ground-truth
-// loops (the retired pre-selector implementations).
+// (bnp/bnp_common.h): the closed-form append selector and the per-step
+// insertion scan over best_est_proc must reproduce the naive exhaustive
+// re-evaluation BYTE-FOR-BYTE -- same node, same processor, same start,
+// every step -- over random RGNOS / RGPOS / PSG graphs, tie-heavy FFTs,
+// zero-cost and edgeless graphs, bounded and unbounded machines, and under
+// arbitrary placement policies. reference_schedulers.h holds the naive
+// ground-truth loops (the retired pre-selector implementations).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -76,14 +76,14 @@ TEST(PairSelector, EtfAndDlsMatchNaiveOverGraphsProcsAndInsertion) {
       SchedOptions opt;
       opt.num_procs = procs;
       const std::string tag = g.name() + " procs=" + std::to_string(procs);
-      // Insertion mode runs on IncrementalPairSelector ...
+      // Insertion mode is the parameter points' per-step scan ...
       expect_identical(reference::naive_etf(g, opt, true),
-                       reference::incremental_etf(g, opt, ws),
+                       make_scheduler("param:sl/etf/insert")->run(g, opt, ws),
                        "insertion ETF " + tag);
       expect_identical(reference::naive_dls(g, opt, true),
-                       reference::incremental_dls(g, opt, ws),
+                       make_scheduler("param:sl/dls/insert")->run(g, opt, ws),
                        "insertion DLS " + tag);
-      // ... and the production schedulers, append mode, on
+      // ... and the named schedulers, append mode, run on
       // AppendPairSelector.
       expect_identical(reference::naive_etf(g, opt, false),
                        make_scheduler("ETF")->run(g, opt, ws), "ETF " + tag);
@@ -267,13 +267,13 @@ std::vector<int> rank_of(const std::vector<Time>& key) {
   return rank;
 }
 
-// Drive the selectors with an arbitrary deterministic placement policy
-// (not the ETF/DLS argmin) and, after every mutation, check each ready
-// node's best pair against the exhaustive processor scan -- and, for
-// the append selector, its ETF and DLS picks against the exhaustive
-// argmin. This covers invalidation and saturation paths the
-// algorithm-shaped runs may never hit on a given graph.
-TEST(PairSelector, CachedBestsStayExactUnderArbitraryPlacements) {
+// Drive the append selector with an arbitrary deterministic placement
+// policy (not the ETF/DLS argmin) and, after every mutation, check each
+// ready node's best pair against the exhaustive processor scan and its
+// ETF and DLS picks against the exhaustive argmin. This covers
+// saturation paths the algorithm-shaped runs may never hit on a given
+// graph.
+TEST(PairSelector, AppendSelectorStaysExactUnderArbitraryPlacements) {
   std::vector<TaskGraph> graphs;
   for (const std::uint64_t seed : {5u, 6u})
     graphs.push_back(rgnos_graph(rgnos(40, 1.0, 3, seed)));
@@ -282,72 +282,56 @@ TEST(PairSelector, CachedBestsStayExactUnderArbitraryPlacements) {
     const std::vector<Time> sl = static_levels(g);
     const std::vector<int> rank = rank_of(sl);
     for (const int procs : {0, 2, 4}) {
-      for (const bool insertion : {false, true}) {
-        SchedOptions opt;
-        opt.num_procs = procs;
-        Schedule sched(g, effective_procs(g, opt));
-        std::vector<Time> ends;
-        ProcScanner scanner(sched, effective_procs(g, opt), ends);
-        ReadyList ready(g);
-        PairScratch etf_scratch, dls_scratch, insert_scratch;
-        const PairOrder etf_order{sl.data(), rank.data(), false};
-        const PairOrder dls_order{sl.data(), rank.data(), true};
-        AppendPairSelector etf(scanner, etf_order, etf_scratch);
-        AppendPairSelector dls(scanner, dls_order, dls_scratch);
-        IncrementalPairSelector incr(scanner, insert_scratch);
-        const auto admit = [&](NodeId n) {
-          if (insertion) {
-            incr.node_ready(n);
-          } else {
-            etf.node_ready(n);
-            dls.node_ready(n);
-          }
-        };
-        for (NodeId n : ready.ready()) admit(n);
+      SchedOptions opt;
+      opt.num_procs = procs;
+      Schedule sched(g, effective_procs(g, opt));
+      std::vector<Time> ends;
+      ProcScanner scanner(sched, effective_procs(g, opt), ends);
+      ReadyList ready(g);
+      PairScratch etf_scratch, dls_scratch;
+      const PairOrder etf_order{sl.data(), rank.data(), false};
+      const PairOrder dls_order{sl.data(), rank.data(), true};
+      AppendPairSelector etf(scanner, etf_order, etf_scratch);
+      AppendPairSelector dls(scanner, dls_order, dls_scratch);
+      const auto admit = [&](NodeId n) {
+        etf.node_ready(n);
+        dls.node_ready(n);
+      };
+      for (NodeId n : ready.ready()) admit(n);
 
-        const std::string tag = g.name() + " procs=" + std::to_string(procs) +
-                                " insertion=" + std::to_string(insertion);
-        reference::Arrival probe;
-        std::uint64_t h = static_cast<std::uint64_t>(procs + 7) *
-                          0x9E3779B97F4A7C15ull;
-        while (!ready.empty()) {
-          for (NodeId m : ready.ready()) {
-            const ProcChoice want = reference::best_est_proc_scan(
-                sched, m, scanner, insertion, probe);
-            const ProcChoice got = insertion ? incr.best(m) : etf.best(m);
-            ASSERT_EQ(got.proc, want.proc) << tag << " node " << m;
-            ASSERT_EQ(got.start, want.start) << tag << " node " << m;
-            if (!insertion) {
-              ASSERT_EQ(append_est(scanner, arrival_of(sched, m)), want.start)
-                  << tag << " node " << m;
-              ASSERT_EQ(dls.best(m).proc, want.proc) << tag << " node " << m;
-            }
-          }
-          if (!insertion) {
-            ASSERT_EQ(etf.pick(), naive_pick(sched, scanner, ready, etf_order))
-                << tag;
-            ASSERT_EQ(dls.pick(), naive_pick(sched, scanner, ready, dls_order))
-                << tag;
-          }
-          h = h * 6364136223846793005ull + 1442695040888963407ull;
-          const NodeId n = ready.ready()[(h >> 33) % ready.size()];
-          h = h * 6364136223846793005ull + 1442695040888963407ull;
-          const ProcId q = static_cast<ProcId>(
-              (h >> 33) % static_cast<std::uint64_t>(scanner.scan_count()));
-          const Time t = sched.earliest_start_on(q, sched.data_ready(n, q),
-                                                 g.weight(n), insertion);
-          sched.place(n, q, t);
-          scanner.note_placement(q);
-          if (insertion) {
-            incr.node_placed(n, q);
-          } else {
-            etf.node_placed(q);
-            dls.node_placed(q);
-          }
-          ready.mark_scheduled(n);
-          for (const Adj& c : g.children(n))
-            if (ready.is_ready(c.node)) admit(c.node);
+      const std::string tag = g.name() + " procs=" + std::to_string(procs);
+      reference::Arrival probe;
+      std::uint64_t h =
+          static_cast<std::uint64_t>(procs + 7) * 0x9E3779B97F4A7C15ull;
+      while (!ready.empty()) {
+        for (NodeId m : ready.ready()) {
+          const ProcChoice want =
+              reference::best_est_proc_scan(sched, m, scanner, false, probe);
+          const ProcChoice got = etf.best(m);
+          ASSERT_EQ(got.proc, want.proc) << tag << " node " << m;
+          ASSERT_EQ(got.start, want.start) << tag << " node " << m;
+          ASSERT_EQ(append_est(scanner, arrival_of(sched, m)), want.start)
+              << tag << " node " << m;
+          ASSERT_EQ(dls.best(m).proc, want.proc) << tag << " node " << m;
         }
+        ASSERT_EQ(etf.pick(), naive_pick(sched, scanner, ready, etf_order))
+            << tag;
+        ASSERT_EQ(dls.pick(), naive_pick(sched, scanner, ready, dls_order))
+            << tag;
+        h = h * 6364136223846793005ull + 1442695040888963407ull;
+        const NodeId n = ready.ready()[(h >> 33) % ready.size()];
+        h = h * 6364136223846793005ull + 1442695040888963407ull;
+        const ProcId q = static_cast<ProcId>(
+            (h >> 33) % static_cast<std::uint64_t>(scanner.scan_count()));
+        const Time t = sched.earliest_start_on(q, sched.data_ready(n, q),
+                                               g.weight(n), false);
+        sched.place(n, q, t);
+        scanner.note_placement(q);
+        etf.node_placed(q);
+        dls.node_placed(q);
+        ready.mark_scheduled(n);
+        for (const Adj& c : g.children(n))
+          if (ready.is_ready(c.node)) admit(c.node);
       }
     }
   }
@@ -355,8 +339,8 @@ TEST(PairSelector, CachedBestsStayExactUnderArbitraryPlacements) {
 
 // Adversarial: a placement that fills a node's best processor while a
 // fresh processor stands open must move the node's best pair onto the
-// fresh processor -- in both selectors.
-TEST(PairSelector, NewlyOpenedProcessorInvalidatesCachedPair) {
+// fresh processor.
+TEST(PairSelector, NewlyOpenedProcessorMovesAppendPair) {
   // Three independent tasks; no edges, so every EST is pure timeline.
   TaskGraphBuilder b("adversarial");
   b.add_node(10);
@@ -366,71 +350,47 @@ TEST(PairSelector, NewlyOpenedProcessorInvalidatesCachedPair) {
   const std::vector<Time> key(3, 0);
   const std::vector<int> rank = {0, 1, 2};
 
-  for (const bool insertion : {false, true}) {
-    Schedule sched(g, 3);
-    std::vector<Time> ends;
-    ProcScanner scanner(sched, 3, ends);
-    ReadyList ready(g);
-    PairScratch scratch;
-    AppendPairSelector append(scanner, {key.data(), rank.data(), false},
-                              scratch);
-    PairScratch insert_scratch;
-    IncrementalPairSelector incr(scanner, insert_scratch);
-    const auto best = [&](NodeId n) {
-      return insertion ? incr.best(n) : append.best(n);
-    };
-    const auto place = [&](NodeId n, ProcId p) {
-      sched.place(n, p, 0);
-      scanner.note_placement(p);
-      if (insertion)
-        incr.node_placed(n, p);
-      else
-        append.node_placed(p);
-      ready.mark_scheduled(n);
-    };
-    for (NodeId n : ready.ready()) {
-      if (insertion)
-        incr.node_ready(n);
-      else
-        append.node_ready(n);
-    }
+  Schedule sched(g, 3);
+  std::vector<Time> ends;
+  ProcScanner scanner(sched, 3, ends);
+  ReadyList ready(g);
+  PairScratch scratch;
+  AppendPairSelector append(scanner, {key.data(), rank.data(), false},
+                            scratch);
+  const auto place = [&](NodeId n, ProcId p) {
+    sched.place(n, p, 0);
+    scanner.note_placement(p);
+    append.node_placed(p);
+    ready.mark_scheduled(n);
+  };
+  for (NodeId n : ready.ready()) append.node_ready(n);
 
-    // Initially only processor 0 is in the scan window.
-    EXPECT_EQ(best(1).proc, 0);
-    EXPECT_EQ(best(1).start, 0);
-    if (!insertion) {
-      EXPECT_EQ(append.pick(), 0);
-    }
+  // Initially only processor 0 is in the scan window.
+  EXPECT_EQ(append.best(1).proc, 0);
+  EXPECT_EQ(append.best(1).start, 0);
+  EXPECT_EQ(append.pick(), 0);
 
-    // Place node 0 on processor 0: the window grows to {0, 1} and nodes
-    // 1, 2 (best on the now-busy processor 0) must move to the fresh one.
-    place(0, 0);
-    EXPECT_EQ(scanner.scan_count(), 2);
-    EXPECT_EQ(best(1).proc, 1);
-    EXPECT_EQ(best(1).start, 0);
-    EXPECT_EQ(best(2).proc, 1);
-    EXPECT_EQ(best(2).start, 0);
-    if (!insertion) {
-      EXPECT_EQ(append.pick(), 1);
-    }
+  // Place node 0 on processor 0: the window grows to {0, 1} and nodes
+  // 1, 2 (best on the now-busy processor 0) must move to the fresh one.
+  place(0, 0);
+  EXPECT_EQ(scanner.scan_count(), 2);
+  EXPECT_EQ(append.best(1).proc, 1);
+  EXPECT_EQ(append.best(1).start, 0);
+  EXPECT_EQ(append.best(2).proc, 1);
+  EXPECT_EQ(append.best(2).start, 0);
+  EXPECT_EQ(append.pick(), 1);
 
-    // Occupy the fresh processor 1: node 2's best sits on it, so the
-    // placement must push node 2 onto newly opened processor 2, not back
-    // onto processor 0 (busy until t=10).
-    place(1, 1);
-    EXPECT_EQ(scanner.scan_count(), 3);
-    EXPECT_EQ(best(2).proc, 2);
-    EXPECT_EQ(best(2).start, 0);
-    if (!insertion) {
-      EXPECT_EQ(append_est(scanner, arrival_of(sched, 2)), 0);
-    }
-    reference::Arrival probe;
-    EXPECT_EQ(
-        reference::best_est_proc_scan(sched, 2, scanner, insertion, probe).proc,
-        2);
-    EXPECT_EQ(
-        best_est_proc(scanner, 2, arrival_of(sched, 2), insertion).proc, 2);
-  }
+  // Occupy the fresh processor 1: node 2's best sits on it, so the
+  // placement must push node 2 onto newly opened processor 2, not back
+  // onto processor 0 (busy until t=10).
+  place(1, 1);
+  EXPECT_EQ(scanner.scan_count(), 3);
+  EXPECT_EQ(append.best(2).proc, 2);
+  EXPECT_EQ(append.best(2).start, 0);
+  EXPECT_EQ(append_est(scanner, arrival_of(sched, 2)), 0);
+  reference::Arrival probe;
+  EXPECT_EQ(reference::best_est_proc_scan(sched, 2, scanner, false, probe).proc,
+            2);
 }
 
 // best_est_proc against the exhaustive scan of reference_proc_choice.h, in
@@ -440,7 +400,8 @@ TEST(PairSelector, NewlyOpenedProcessorInvalidatesCachedPair) {
 // the end after a short delay. Unit weights and zero costs tie starts
 // across processors, and bounded machines keep the window narrower than
 // the limit until every processor is used. The counters check that each
-// case the pruned choice treats apart was reached.
+// case the pruned choice treats apart was reached, and that an insertion
+// choice moved onto a processor that opened with the last placement.
 TEST(BestEstProc, MatchesExhaustiveScanOnSchedulesWithHoles) {
   std::vector<TaskGraph> graphs;
   graphs.push_back(rgnos_graph(rgnos(60, 1.0, 3, 71)));
@@ -449,7 +410,8 @@ TEST(BestEstProc, MatchesExhaustiveScanOnSchedulesWithHoles) {
   graphs.push_back(fft_graph(16));
   graphs.push_back(zero_cost(rgnos_graph(rgnos(50, 1.0, 4, 74))));
   graphs.push_back(entry_only(24));
-  std::size_t no_proc1 = 0, proc1_idle = 0, narrow = 0, ties = 0, in_gap = 0;
+  std::size_t no_proc1 = 0, proc1_idle = 0, narrow = 0, ties = 0, in_gap = 0,
+              opened = 0;
   for (const TaskGraph& g : graphs) {
     for (const int procs : {2, 3, 8, 64}) {
       Schedule sched(g, procs);
@@ -464,8 +426,11 @@ TEST(BestEstProc, MatchesExhaustiveScanOnSchedulesWithHoles) {
         return (h >> 33) % bound;
       };
       const std::string tag = g.name() + " procs=" + std::to_string(procs);
+      int last_count = scanner.scan_count();
       while (!ready.empty()) {
         const int count = scanner.scan_count();
+        const bool fresh_opened = count > last_count && scanner.used() < count;
+        last_count = count;
         for (NodeId m : ready.ready()) {
           const ArrivalInfo a = arrival_of(sched, m);
           reference::arrival_into(sched, m, ref);
@@ -485,6 +450,7 @@ TEST(BestEstProc, MatchesExhaustiveScanOnSchedulesWithHoles) {
             ties += at_best > 1;
             in_gap += insertion && want.proc != a.proc1 &&
                       want.start < sched.timeline(want.proc).end_time();
+            opened += insertion && fresh_opened && want.proc == count - 1;
           }
           no_proc1 += a.proc1 == kNoProc;
           proc1_idle += a.proc1 != kNoProc &&
@@ -510,6 +476,7 @@ TEST(BestEstProc, MatchesExhaustiveScanOnSchedulesWithHoles) {
   EXPECT_GT(narrow, 0u);
   EXPECT_GT(ties, 0u);
   EXPECT_GT(in_gap, 0u);
+  EXPECT_GT(opened, 0u);
 }
 
 // Two network schedules are the same schedule: every task, every message

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "oracles.h"
 #include "reference_timeline.h"
 #include "tgs/sched/timeline.h"
 #include "tgs/util/mem.h"
@@ -20,7 +21,7 @@ TEST(Timeline, EmptyFitsAnywhere) {
   Timeline tl;
   EXPECT_EQ(tl.earliest_fit(0, 5, false), 0);
   EXPECT_EQ(tl.earliest_fit(7, 5, true), 7);
-  EXPECT_TRUE(tl.fits(100, 50));
+  EXPECT_TRUE(fits(tl, 100, 50));
   EXPECT_EQ(tl.end_time(), 0);
 }
 
@@ -71,10 +72,10 @@ TEST(Timeline, OccupyRejectsOverlap) {
 TEST(Timeline, FitsBoundaryConditions) {
   Timeline tl;
   tl.occupy(1, 10, 10);
-  EXPECT_TRUE(tl.fits(0, 10));
-  EXPECT_TRUE(tl.fits(20, 10));
-  EXPECT_FALSE(tl.fits(19, 2));
-  EXPECT_FALSE(tl.fits(9, 2));
+  EXPECT_TRUE(fits(tl, 0, 10));
+  EXPECT_TRUE(fits(tl, 20, 10));
+  EXPECT_FALSE(fits(tl, 19, 2));
+  EXPECT_FALSE(fits(tl, 9, 2));
 }
 
 TEST(Timeline, ReleaseRemovesInterval) {
@@ -83,7 +84,7 @@ TEST(Timeline, ReleaseRemovesInterval) {
   tl.occupy(8, 10, 10);
   EXPECT_TRUE(tl.release(7));
   EXPECT_FALSE(tl.release(7));
-  EXPECT_TRUE(tl.fits(0, 10));
+  EXPECT_TRUE(fits(tl, 0, 10));
   EXPECT_EQ(tl.size(), 1u);
 }
 
@@ -157,7 +158,7 @@ TEST(Timeline, ReleaseWithHintThenReoccupySameSlot) {
   Timeline tl;
   for (int i = 0; i < 50; ++i) tl.occupy(i, i * 10, 10);
   EXPECT_TRUE(tl.release(25, 250));
-  EXPECT_TRUE(tl.fits(250, 10));
+  EXPECT_TRUE(fits(tl, 250, 10));
   tl.occupy(99, 250, 10);
   EXPECT_EQ(tl.size(), 50u);
   EXPECT_EQ(tl.intervals()[25].owner, 99);
@@ -271,7 +272,7 @@ TEST(Timeline, GapIndexMatchesFlatReferenceUnderChurn) {
           fit(ready, dur);
           EXPECT_EQ(tl.earliest_fit(ready, dur, false),
                     ref.earliest_fit(ready, dur, false));
-          EXPECT_EQ(tl.fits(ready, dur), ref.fits(ready, dur));
+          EXPECT_EQ(fits(tl, ready, dur), ref.fits(ready, dur));
         }
         ASSERT_EQ(tl.max_gap(), flat_max_gap(ref)) << "step " << step;
         if (step % 256 == 0) {
@@ -365,7 +366,7 @@ TEST(Timeline, RealBlockAfterZeroWidthAtSameStart) {
   EXPECT_EQ(ivs[1].owner, 2);
   EXPECT_EQ(tl.earliest_fit(12, 3, true), 15);
   EXPECT_EQ(tl.earliest_fit(0, 3, true), 0);
-  EXPECT_FALSE(tl.fits(12, 3));
+  EXPECT_FALSE(fits(tl, 12, 3));
   EXPECT_THROW(tl.occupy(3, 12, 1), std::logic_error);
   EXPECT_TRUE(tl.release(2, 10));
   EXPECT_EQ(tl.end_time(), 10);
