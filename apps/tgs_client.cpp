@@ -32,6 +32,7 @@
 #include "tgs/serve/json.h"
 #include "tgs/serve/socket.h"
 #include "tgs/util/cli.h"
+#include "tgs/util/names.h"
 #include "tgs/util/rng.h"
 
 namespace {
@@ -169,7 +170,7 @@ int main(int argc, char** argv) {
     int seq = 0;
     for (long r = 0; r < repeat; ++r) {
       for (const std::string& algo : algos) {
-        const std::string id = "c" + std::to_string(seq++);
+        const std::string id = numbered_name("c", seq++);
         const auto build = [&](int attempt) {
           JsonObject o;
           o.add("id", id).add("algo", algo).add("graph", graph_text);

@@ -44,6 +44,7 @@
 #include "tgs/net/topology.h"
 #include "tgs/sched/timeline.h"
 #include "tgs/sched/workspace.h"
+#include "tgs/serve/cache.h"
 #include "tgs/serve/protocol.h"
 #include "tgs/util/mem.h"
 
@@ -329,6 +330,22 @@ void BM_ParseRequest_Reference(benchmark::State& state) {
                           static_cast<std::int64_t>(line.size()));
 }
 BENCHMARK(BM_ParseRequest_Reference)->Arg(500);
+
+// What tgs_serve's reader does with a graph text it has seen before,
+// instead of graph_from_string and graph_fingerprint: the keyed hash of
+// the text and a hit in the graph memo.
+void BM_GraphMemoProbe(benchmark::State& state) {
+  const std::string text =
+      graph_to_string(bench_graph(static_cast<NodeId>(state.range(0))));
+  GraphMemo memo(1);
+  memo.insert(memo.key_of(text), GraphFingerprint{});
+  GraphFingerprint fp;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(memo.lookup(memo.key_of(text), &fp));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_GraphMemoProbe)->Arg(500);
 
 // ------------------------------------------------------------ giant tier --
 

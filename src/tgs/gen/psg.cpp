@@ -1,6 +1,7 @@
 #include "tgs/gen/psg.h"
 
 #include "tgs/gen/structured.h"
+#include "tgs/util/names.h"
 
 namespace tgs {
 
@@ -83,9 +84,9 @@ TaskGraph psg_pipelines16() {
   const NodeId src = b.add_node(4, "src");
   NodeId a[4], c[4];
   for (int i = 0; i < 4; ++i)
-    a[i] = b.add_node(6 + i, "a" + std::to_string(i + 1));
+    a[i] = b.add_node(6 + i, numbered_name("a", i + 1));
   for (int i = 0; i < 4; ++i)
-    c[i] = b.add_node(5 + i, "b" + std::to_string(i + 1));
+    c[i] = b.add_node(5 + i, numbered_name("b", i + 1));
   const NodeId mix1 = b.add_node(3, "x1");
   const NodeId mix2 = b.add_node(3, "x2");
   const NodeId pre = b.add_node(2, "pre");

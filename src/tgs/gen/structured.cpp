@@ -3,6 +3,8 @@
 #include <string>
 #include <vector>
 
+#include "tgs/util/names.h"
+
 namespace tgs {
 
 TaskGraph fork_join(NodeId width, Cost node_cost, Cost edge_cost) {
@@ -10,7 +12,7 @@ TaskGraph fork_join(NodeId width, Cost node_cost, Cost edge_cost) {
   const NodeId src = b.add_node(node_cost, "fork");
   std::vector<NodeId> mid(width);
   for (NodeId i = 0; i < width; ++i)
-    mid[i] = b.add_node(node_cost, "w" + std::to_string(i + 1));
+    mid[i] = b.add_node(node_cost, numbered_name("w", i + 1));
   const NodeId sink = b.add_node(node_cost, "join");
   for (NodeId i = 0; i < width; ++i) {
     b.add_edge(src, mid[i], edge_cost);

@@ -12,7 +12,7 @@ std::string to_dot(const TaskGraph& g, const std::vector<NodeId>& highlight) {
   os << "  rankdir=TB;\n  node [shape=circle, fontsize=10];\n";
   for (NodeId i = 0; i < g.num_nodes(); ++i) {
     os << "  " << i << " [label=\""
-       << (g.has_labels() ? g.label(i) : "n" + std::to_string(i + 1)) << "\\n"
+       << node_name(g, i) << "\\n"
        << g.weight(i) << "\"";
     if (hot.count(i)) os << ", style=filled, fillcolor=lightcoral";
     os << "];\n";

@@ -4,6 +4,8 @@
 #include <queue>
 #include <stdexcept>
 
+#include "tgs/util/names.h"
+
 namespace tgs {
 
 Cost TaskGraph::edge_cost(NodeId u, NodeId v) const {
@@ -19,6 +21,10 @@ const std::string& TaskGraph::label(NodeId n) const {
   static const std::string kEmpty;
   if (labels_.empty()) return kEmpty;
   return labels_[n];
+}
+
+std::string node_name(const TaskGraph& g, NodeId n) {
+  return g.has_labels() ? g.label(n) : numbered_name("n", n + 1);
 }
 
 double TaskGraph::ccr() const {

@@ -106,6 +106,10 @@ class TaskGraph {
   Cost total_edge_cost_ = 0;  // for ccr()
 };
 
+/// Node n's label, or "n<n+1>" when the graph has none: the name listings
+/// and error messages print.
+std::string node_name(const TaskGraph& g, NodeId n);
+
 /// Mutable builder. add_node returns dense ids in call order. finalize()
 /// throws std::invalid_argument on cycles, self-loops, duplicate edges,
 /// non-positive node weights, or node weights plus edge costs summing to

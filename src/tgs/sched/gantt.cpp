@@ -5,12 +5,6 @@
 
 namespace tgs {
 
-namespace {
-std::string node_name(const TaskGraph& g, NodeId n) {
-  return g.has_labels() ? g.label(n) : "n" + std::to_string(n + 1);
-}
-}  // namespace
-
 std::string schedule_listing(const Schedule& s) {
   const TaskGraph& g = s.graph();
   std::ostringstream os;

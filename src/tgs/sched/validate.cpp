@@ -4,12 +4,6 @@
 
 namespace tgs {
 
-namespace {
-std::string node_name(const TaskGraph& g, NodeId n) {
-  return g.has_labels() ? g.label(n) : "n" + std::to_string(n + 1);
-}
-}  // namespace
-
 ValidationResult validate_schedule(const Schedule& s, int max_procs) {
   const TaskGraph& g = s.graph();
   ValidationResult r;

@@ -61,8 +61,9 @@ struct Server::ConnCtx {
   std::thread thread;
 };
 
-/// A schedule request after reader-side resolution: graph parsed and
-/// fingerprinted, algorithm built from the right registry, cache key built.
+/// A schedule request after reader-side resolution: graph parsed,
+/// algorithm built from the right registry, cache key built from the
+/// graph's fingerprint (unless the request opted out of the cache).
 /// Everything a worker needs, immutable from here on.
 struct Server::ResolvedRequest {
   ServeRequest req;
@@ -82,7 +83,8 @@ Server::Server(ServeOptions opt)
     : opt_(opt),
       listener_(opt.socket_path),
       pool_(resolve_workers(opt.workers)),
-      cache_(opt.cache_capacity) {
+      cache_(opt.cache_capacity),
+      memo_(opt.cache_capacity) {
   if (!opt_.journal_path.empty()) {
     journal_.open(opt_.journal_path, opt_.journal_fsync_every);
     // Replay in append order: the journal records inserts oldest-first,
@@ -244,14 +246,36 @@ void Server::handle_schedule(const std::shared_ptr<ConnCtx>& ctx,
     rr->deadline = std::chrono::steady_clock::now() +
                    std::chrono::milliseconds(deadline_ms);
 
-  // Resolution order fixes error precedence: graph, then topology, then
-  // algorithm (documented in docs/serve.md).
-  try {
-    rr->graph =
-        std::make_shared<const TaskGraph>(graph_from_string(graph_text));
-  } catch (const std::exception& e) {
-    return reply_error(ServeError::kBadGraph, e.what());
+  // A graph text the memo holds has parsed before and has this
+  // fingerprint: a cache hit on it is answered without the parse, and a
+  // miss parses it only because the worker needs the graph. A request that
+  // opts out of the cache needs the graph and no fingerprint, so it skips
+  // the memo.
+  const bool memoize = req.use_cache && memo_.enabled();
+  GraphMemo::Key text_key;
+  GraphFingerprint fp;
+  bool fp_known = false;
+  if (memoize) {
+    text_key = memo_.key_of(graph_text);
+    fp_known = memo_.lookup(text_key, &fp);
   }
+  // Parses the graph, or answers bad_graph and returns false.
+  const auto parse_graph = [&] {
+    stats_.count_graph_parse();
+    try {
+      rr->graph =
+          std::make_shared<const TaskGraph>(graph_from_string(graph_text));
+      return true;
+    } catch (const std::exception& e) {
+      reply_error(ServeError::kBadGraph, e.what());
+      return false;
+    }
+  };
+
+  // Resolution order fixes error precedence: graph, then topology, then
+  // algorithm (documented in docs/serve.md). Memoized text cannot fail the
+  // graph check.
+  if (!fp_known && !parse_graph()) return;
   if (rr->is_apn) {
     try {
       Topology::from_spec(req.topology);  // validated here, built by worker
@@ -275,11 +299,19 @@ void Server::handle_schedule(const std::shared_ptr<ConnCtx>& ctx,
     }
   }
 
-  rr->cache_key =
-      make_cache_key(graph_fingerprint(*rr->graph).hex(), rr->algo_class,
-                     rr->resolved_algo, req.topology, req.procs);
-
   if (req.use_cache) {
+    if (!fp_known) {
+      fp = graph_fingerprint(*rr->graph);
+      if (memoize) {
+        try {
+          memo_.insert(text_key, fp);
+        } catch (const std::bad_alloc&) {
+          // The memo is an accelerator: the text just parses next time.
+        }
+      }
+    }
+    rr->cache_key = make_cache_key(fp.hex(), rr->algo_class,
+                                   rr->resolved_algo, req.topology, req.procs);
     CachedSchedule hit;
     if (cache_.lookup(rr->cache_key, &hit)) {
       stats_.record_cache_hit(rr->resolved_algo);
@@ -291,6 +323,7 @@ void Server::handle_schedule(const std::shared_ptr<ConnCtx>& ctx,
       return;
     }
   }
+  if (rr->graph == nullptr && !parse_graph()) return;
 
   // Graceful degradation: under pressure (but before the hard admission
   // bound) low-priority requests get the cache probe above and nothing
@@ -431,6 +464,7 @@ void Server::handle_schedule(const std::shared_ptr<ConnCtx>& ctx,
 std::string Server::render_stats(const std::string& id) const {
   const ServerStats::Snapshot s = stats_.snapshot();
   const ScheduleCache::Counters c = cache_.counters();
+  const GraphMemo::Counters m = memo_.counters();
   JsonObject o;
   if (!id.empty()) o.add("id", id);
   o.add("status", "ok")
@@ -450,7 +484,11 @@ std::string Server::render_stats(const std::string& id) const {
       .add_uint("cache_misses", c.misses)
       .add_uint("cache_evictions", c.evictions)
       .add_uint("cache_size", c.size)
-      .add_uint("cache_capacity", c.capacity);
+      .add_uint("cache_capacity", c.capacity)
+      .add_uint("graph_memo_hits", m.hits)
+      .add_uint("graph_memo_misses", m.misses)
+      .add_uint("graph_memo_size", m.size)
+      .add_uint("graphs_parsed", s.graphs_parsed);
   JsonObject algos;
   for (const ServerStats::AlgoSnapshot& a : s.algos) {
     JsonObject entry;

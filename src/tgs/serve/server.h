@@ -5,7 +5,9 @@
 //   accept thread (serve_forever)
 //     -> one reader thread per connection: parses request lines, answers
 //        stats/ping/shutdown inline, resolves + fingerprints schedule
-//        requests and serves cache hits without ever touching the queue
+//        requests and serves cache hits without ever touching the queue;
+//        a graph text seen before gets its fingerprint from the GraphMemo,
+//        so a hit on it is answered without parsing the graph
 //     -> bounded admission into a ThreadPool of scheduler workers; a full
 //        queue rejects deterministically with an "overloaded" status
 //        carrying the current depth (honest backpressure, never blocking
@@ -43,7 +45,7 @@ struct ServeOptions {
   int workers = 0;
   /// Max schedule jobs admitted but unfinished before rejection.
   std::size_t queue_capacity = 256;
-  /// Schedule-cache entries (0 disables caching).
+  /// Schedule-cache entries, and graph-memo entries (0 disables both).
   std::size_t cache_capacity = 1024;
 
   /// Journal file for crash-safe cache persistence; empty = in-memory
@@ -99,6 +101,7 @@ class Server {
   /// Introspection for tests and the stats op.
   ServerStats& stats() { return stats_; }
   ScheduleCache& cache() { return cache_; }
+  GraphMemo& graph_memo() { return memo_; }
   Journal& journal() { return journal_; }
 
  private:
@@ -120,6 +123,7 @@ class Server {
   UnixListener listener_;
   ThreadPool pool_;
   ScheduleCache cache_;
+  GraphMemo memo_;
   Journal journal_;
   ServerStats stats_;
   std::atomic<bool> stopping_{false};

@@ -62,6 +62,7 @@ ServerStats::Snapshot ServerStats::snapshot() const {
   s.shed_requests = shed_requests_;
   s.retries_observed = retries_observed_;
   s.cache_insert_failures = cache_insert_failures_;
+  s.graphs_parsed = graphs_parsed_;
   for (const auto& [name, as] : algos_) {
     AlgoSnapshot a;
     a.algo = name;

@@ -58,6 +58,9 @@ class ServerStats {
   void count_retry_observed() { bump(&retries_observed_); }
   void count_cache_insert_failure() { bump(&cache_insert_failures_); }
 
+  /// One graph_from_string call on the request path.
+  void count_graph_parse() { bump(&graphs_parsed_); }
+
   /// Record one computed schedule for `algo` taking `micros`.
   void record_latency(const std::string& algo, std::uint64_t micros);
 
@@ -82,6 +85,7 @@ class ServerStats {
     std::uint64_t shed_requests = 0;
     std::uint64_t retries_observed = 0;
     std::uint64_t cache_insert_failures = 0;
+    std::uint64_t graphs_parsed = 0;
     std::vector<AlgoSnapshot> algos;  // sorted by algorithm name
   };
   Snapshot snapshot() const;
@@ -106,6 +110,7 @@ class ServerStats {
   std::uint64_t shed_requests_ = 0;
   std::uint64_t retries_observed_ = 0;
   std::uint64_t cache_insert_failures_ = 0;
+  std::uint64_t graphs_parsed_ = 0;
   std::map<std::string, AlgoStats> algos_;
 };
 

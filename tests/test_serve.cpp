@@ -9,8 +9,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
@@ -290,6 +293,57 @@ TEST(ScheduleCache, StoresValueContent) {
   EXPECT_EQ(out.procs_used, 7);
   EXPECT_EQ(out.num_messages, 9u);
   EXPECT_EQ(out.schedule_text, "tgssched1 ...");
+}
+
+// ------------------------------------------------------------- graph memo --
+
+TEST(GraphMemo, KeyCoversEveryByteAndTheLength) {
+  const GraphMemo memo(4);
+  const std::string text = graph_to_string(random_graph(3, 20));
+  const GraphMemo::Key key = memo.key_of(text);
+  EXPECT_EQ(key, memo.key_of(std::string(text)));
+  EXPECT_EQ(key.size, text.size());
+  // One flipped bit anywhere -- first byte, the 32-byte blocks, the tail
+  // -- changes the key.
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    std::string t = text;
+    t[i] ^= 1;
+    ASSERT_NE(memo.key_of(t), key) << "byte " << i;
+  }
+  // Zero bytes are text, not padding: every length of them keys apart.
+  std::set<std::pair<std::uint64_t, std::uint64_t>> zeros;
+  for (std::size_t n = 0; n <= 70; ++n) {
+    const GraphMemo::Key k = memo.key_of(std::string(n, '\0'));
+    zeros.insert({k.hi, k.lo});
+  }
+  EXPECT_EQ(zeros.size(), 71u);
+  // Each memo draws its own seeds, so one text keys apart across memos.
+  EXPECT_NE(GraphMemo(4).key_of(text), key);
+}
+
+TEST(GraphMemo, LruEvictionAndCounters) {
+  GraphMemo memo(2);
+  const GraphMemo::Key a = memo.key_of("a"), b = memo.key_of("b"),
+                       c = memo.key_of("c");
+  memo.insert(a, {1, 1});
+  memo.insert(b, {2, 2});
+  GraphFingerprint out;
+  EXPECT_TRUE(memo.lookup(a, &out));  // refreshes a: LRU order is b, a
+  EXPECT_EQ(out, (GraphFingerprint{1, 1}));
+  memo.insert(c, {3, 3});  // evicts b
+  EXPECT_FALSE(memo.lookup(b, &out));
+  EXPECT_TRUE(memo.lookup(c, &out));
+  EXPECT_EQ(out, (GraphFingerprint{3, 3}));
+  const GraphMemo::Counters n = memo.counters();
+  EXPECT_EQ(n.hits, 2u);
+  EXPECT_EQ(n.misses, 1u);
+  EXPECT_EQ(n.size, 2u);
+
+  GraphMemo off(0);
+  EXPECT_FALSE(off.enabled());
+  off.insert(a, {1, 1});
+  EXPECT_FALSE(off.lookup(a, &out));
+  EXPECT_EQ(off.counters().size, 0u);
 }
 
 // ------------------------------------------------------------------ stats --
@@ -592,6 +646,226 @@ TEST(Server, DlsApnAliasSharesTheCacheEntry) {
       ServerFixture::ask_on(conn, schedule_request(g, "DLS", "ring4"));
   EXPECT_TRUE(b.get_bool("cached", false));
   EXPECT_EQ(a.get_number("makespan", -1), b.get_number("makespan", -2));
+}
+
+// ------------------------------------------------------ server: graph memo --
+
+JsonValue stats_of(ServerFixture& f) { return f.ask(R"({"op":"stats"})"); }
+
+double stat(const JsonValue& stats, const char* field) {
+  return stats.get_number(field, -1);
+}
+
+/// `line` with every "\n" escape written as "\u000a" instead. Graph text
+/// holds no backslash of its own, so these are exactly its newlines.
+std::string with_unicode_newlines(std::string line) {
+  for (std::size_t at = line.find("\\n"); at != std::string::npos;
+       at = line.find("\\n", at))
+    line.replace(at, 2, "\\u000a");
+  return line;
+}
+
+/// A schedule request for `text` whose graph string writes each byte as a
+/// \u00XX escape with probability `unicode_share`, and otherwise as JSON
+/// requires ('\n' as \n, '"' and '\\' escaped). The decoded text is
+/// `text` whatever the share.
+std::string request_escaping(const std::string& text, const std::string& algo,
+                             double unicode_share, std::mt19937_64& rng) {
+  std::bernoulli_distribution as_unicode(unicode_share);
+  std::string line = R"({"id":"m","algo":")" + algo +
+                     R"(","schedule":true,"graph":")";
+  for (const char c : text) {
+    const unsigned char u = static_cast<unsigned char>(c);
+    if (as_unicode(rng) || (u < 0x20 && c != '\n')) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(u));
+      line += buf;
+    } else if (c == '\n') {
+      line += "\\n";
+    } else if (c == '"' || c == '\\') {
+      line += '\\';
+      line += c;
+    } else {
+      line += c;
+    }
+  }
+  return line + "\"}";
+}
+
+/// The reply a request for `text` must get: graph_from_string's error as a
+/// bad_graph, or the direct run's makespan and schedule text.
+void expect_reply_matches_direct(const JsonValue& r, const std::string& text,
+                                 const std::string& algo) {
+  std::optional<TaskGraph> g;
+  try {
+    g.emplace(graph_from_string(text));
+  } catch (const std::exception& e) {
+    EXPECT_EQ(r.get_string("code", ""), "bad_graph") << algo;
+    EXPECT_EQ(r.get_string("message", ""), e.what()) << algo;
+    return;
+  }
+  ASSERT_EQ(r.get_string("status", ""), "ok")
+      << algo << ": " << r.get_string("message", "");
+  const Schedule direct = make_scheduler(algo)->run(*g, SchedOptions{});
+  EXPECT_EQ(static_cast<Time>(r.get_number("makespan", -1)), direct.makespan())
+      << algo;
+  EXPECT_EQ(r.get_string("schedule", ""), schedule_to_string(direct)) << algo;
+}
+
+TEST(Server, ReescapedGraphHitsTheMemoAndTheCacheWithoutAParse) {
+  ServerFixture f;
+  const std::string line =
+      schedule_request(random_graph(41), "MCP", "", -1, /*want_schedule=*/true);
+  const std::string reescaped = with_unicode_newlines(line);
+  ASSERT_NE(reescaped, line);
+  ASSERT_EQ(parse_request(reescaped).graph_text,
+            parse_request(line).graph_text);
+
+  UnixConn conn = f.connect();
+  const JsonValue first = ServerFixture::ask_on(conn, line);
+  ASSERT_EQ(first.get_string("status", ""), "ok");
+  EXPECT_FALSE(first.get_bool("cached", true));
+  conn.write_line(line);
+  std::string plain_hit, escaped_hit;
+  ASSERT_TRUE(conn.read_line(&plain_hit));
+  conn.write_line(reescaped);
+  ASSERT_TRUE(conn.read_line(&escaped_hit));
+  // Both resubmissions are cache hits, and one escaping of the graph
+  // answers byte for byte like the other.
+  EXPECT_TRUE(json_parse(escaped_hit).get_bool("cached", false));
+  EXPECT_EQ(escaped_hit, plain_hit);
+
+  // Both were answered from the memo: one parse in three requests.
+  const JsonValue s = stats_of(f);
+  EXPECT_EQ(stat(s, "graph_memo_hits"), 2.0);
+  EXPECT_EQ(stat(s, "graph_memo_misses"), 1.0);
+  EXPECT_EQ(stat(s, "graph_memo_size"), 1.0);
+  EXPECT_EQ(stat(s, "graphs_parsed"), 1.0);
+  EXPECT_EQ(stat(s, "cache_hits"), 2.0);
+}
+
+TEST(Server, CorruptedGraphMissesTheMemoAndFailsAsOnAFreshServer) {
+  ServerFixture f;
+  const TaskGraph g = random_graph(43);
+  std::string text = graph_to_string(g);
+  ASSERT_EQ(f.ask(schedule_request(g, "MCP")).get_string("status", ""), "ok");
+  // One byte of an edge line: "edge 0 x ..." does not parse.
+  text[text.find("edge ") + 7] = 'x';
+  const std::string line =
+      JsonObject().add("graph", text).add("algo", "MCP").str();
+  const JsonValue r = f.ask(line);
+  EXPECT_EQ(r.get_string("code", ""), "bad_graph");
+  ServerFixture fresh;
+  EXPECT_EQ(r.get_string("message", ""),
+            fresh.ask(line).get_string("message", ""));
+  expect_reply_matches_direct(r, text, "MCP");
+  const JsonValue s = stats_of(f);
+  EXPECT_EQ(stat(s, "graph_memo_hits"), 0.0);
+  EXPECT_EQ(stat(s, "graph_memo_misses"), 2.0);
+  EXPECT_EQ(stat(s, "graph_memo_size"), 1.0);
+}
+
+TEST(Server, BadGraphIsNeverMemoized) {
+  ServerFixture f;
+  const std::string line =
+      R"({"graph":"tgs1 g 2 1\nnode 0 3\nnode 1 0\nedge 0 1 1\n","algo":"MCP"})";
+  for (int i = 0; i < 2; ++i) {
+    const JsonValue r = f.ask(line);
+    EXPECT_EQ(r.get_string("code", ""), "bad_graph") << i;
+    EXPECT_EQ(stat(stats_of(f), "graph_memo_size"), 0.0) << i;
+  }
+  const JsonValue s = stats_of(f);
+  EXPECT_EQ(stat(s, "graph_memo_hits"), 0.0);
+  EXPECT_EQ(stat(s, "graph_memo_misses"), 2.0);
+  EXPECT_EQ(stat(s, "graphs_parsed"), 2.0);
+}
+
+TEST(Server, RelabeledGraphMissesTheMemoButHitsTheCache) {
+  ServerFixture f;
+  const TaskGraph g = random_graph(47);
+  std::string text = graph_to_string(g);
+  ASSERT_FALSE(f.ask(schedule_request(g, "ETF")).get_bool("cached", true));
+  // New name, and a label on node 0: a new text, the same fingerprint.
+  text.replace(text.find(g.name()), g.name().size(), "renamed");
+  text.insert(text.find('\n', text.find("node 0 ")), " first");
+  const JsonValue r =
+      f.ask(JsonObject().add("graph", text).add("algo", "ETF").str());
+  EXPECT_TRUE(r.get_bool("cached", false));
+  const JsonValue s = stats_of(f);
+  EXPECT_EQ(stat(s, "graph_memo_hits"), 0.0);
+  EXPECT_EQ(stat(s, "graph_memo_misses"), 2.0);
+  EXPECT_EQ(stat(s, "graph_memo_size"), 2.0);
+  EXPECT_EQ(stat(s, "cache_hits"), 1.0);
+}
+
+TEST(Server, MemoPastItsCapacityAndDisabledMatchDirectRuns) {
+  // Eight graphs through a three-entry memo, twice over, so entries are
+  // evicted and re-added; and the same stream with the memo off.
+  for (const std::size_t capacity : {std::size_t{3}, std::size_t{0}}) {
+    ServeOptions opt;
+    opt.cache_capacity = capacity;
+    ServerFixture f(opt);
+    UnixConn conn = f.connect();
+    for (int round = 0; round < 2; ++round) {
+      for (std::uint64_t seed = 60; seed < 68; ++seed) {
+        const TaskGraph g = random_graph(seed, 30);
+        for (const char* algo : {"MCP", "HLFET"}) {
+          const JsonValue r = ServerFixture::ask_on(
+              conn, schedule_request(g, algo, "", -1, /*want_schedule=*/true));
+          expect_reply_matches_direct(r, graph_to_string(g), algo);
+        }
+      }
+    }
+    const JsonValue s = stats_of(f);
+    EXPECT_LE(stat(s, "graph_memo_size"), static_cast<double>(capacity));
+    if (capacity == 0) {
+      EXPECT_EQ(stat(s, "graph_memo_hits"), 0.0);
+      EXPECT_EQ(stat(s, "graph_memo_misses"), 0.0);
+      EXPECT_EQ(stat(s, "graphs_parsed"), 32.0);
+    } else {
+      // Each graph's second algorithm finds it in the memo.
+      EXPECT_GE(stat(s, "graph_memo_hits"), 16.0);
+    }
+  }
+}
+
+TEST(Server, MemoStreamOfRepeatsReescapingsAndMutationsMatchesDirectRuns) {
+  // One server, a seeded stream: resubmissions of earlier texts, the same
+  // texts with random \u00XX escapes, and one-byte mutations that become
+  // texts of their own. Every reply must be what graph_from_string plus a
+  // direct run say it is.
+  ServerFixture f;
+  std::mt19937_64 rng(20261019);
+  std::vector<std::string> texts;
+  for (std::uint64_t seed = 80; seed < 84; ++seed)
+    texts.push_back(graph_to_string(random_graph(seed, 25)));
+  const std::string mutants = "0123456789 -xn\n";
+  const char* const algos[] = {"MCP", "ETF", "HLFET", "DLS"};
+  UnixConn conn = f.connect();
+  for (int i = 0; i < 150; ++i) {
+    std::string text = texts[rng() % texts.size()];
+    double unicode_share = 0;
+    switch (rng() % 3) {
+      case 0:  // resubmit as is
+        break;
+      case 1:  // re-escape
+        unicode_share = (rng() % 4 + 1) / 4.0;
+        break;
+      default:  // mutate one byte; later requests may resubmit it
+        text[rng() % text.size()] = mutants[rng() % mutants.size()];
+        texts.push_back(text);
+        break;
+    }
+    const std::string algo = algos[rng() % 4];
+    const JsonValue r = ServerFixture::ask_on(
+        conn, request_escaping(text, algo, unicode_share, rng));
+    expect_reply_matches_direct(r, text, algo);
+  }
+  const JsonValue s = stats_of(f);
+  EXPECT_GT(stat(s, "graph_memo_hits"), 0.0);
+  EXPECT_GT(stat(s, "graph_memo_misses"), 0.0);
+  EXPECT_GT(stat(s, "cache_hits"), 0.0);
+  EXPECT_GT(stat(s, "requests_error"), 0.0);  // some mutants do not parse
 }
 
 TEST(Server, ConcurrentMixedClientsMatchDirectRuns) {

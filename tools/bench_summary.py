@@ -283,7 +283,8 @@ def serve_stats(paths):
         print(f"    {field:<22} {fmt(peak(field))}")
     print("  cache:")
     for field in ("cache_hits", "cache_misses", "cache_evictions",
-                  "cache_size", "cache_capacity"):
+                  "cache_size", "cache_capacity", "graph_memo_hits",
+                  "graph_memo_misses", "graph_memo_size", "graphs_parsed"):
         print(f"    {field:<22} {fmt(peak(field))}")
 
     journals = [s.get("journal") for s in snaps
