@@ -200,7 +200,7 @@ BENCHMARK(BM_Ez_Reference)->Arg(500);
 // ready node under append and under insertion placement.
 struct ProcChoiceBench {
   explicit ProcChoiceBench(int procs)
-      : g(bench_graph(2000)), sched(g, procs), scanner(sched, procs, ends) {
+      : g(bench_graph(2000)), sched(g, procs), scanner(sched, procs, pair) {
     ReadyList rl(g);
     while (sched.placed_count() < 1000) {
       const NodeId n = rl.ready().front();
@@ -220,7 +220,7 @@ struct ProcChoiceBench {
 
   TaskGraph g;
   Schedule sched;
-  std::vector<Time> ends;
+  PairScratch pair;
   ProcScanner scanner;
   std::vector<NodeId> ready;
   std::vector<ArrivalInfo> arrival;

@@ -4,11 +4,13 @@
 
 namespace tgs {
 
-ProcScanner::ProcScanner(const Schedule& s, int limit, std::vector<Time>& ends)
+ProcScanner::ProcScanner(const Schedule& s, int limit, PairScratch& scratch)
     : sched_(&s), limit_(limit) {
   if (s.num_procs() < limit)
     throw std::logic_error("ProcScanner: schedule has fewer than limit procs");
-  ends_.init(limit, ends);
+  ends_.init(limit, scratch.proc_ends);
+  scratch.proc_probes.assign(static_cast<std::size_t>(limit), ProbeSummary{});
+  probes_ = scratch.proc_probes.data();
 }
 
 ArrivalInfo arrival_of(const Schedule& s, NodeId n) {
@@ -49,16 +51,14 @@ ProcChoice best_est_proc(const ProcScanner& scanner, NodeId n,
   const int count = scanner.scan_count();
   // Off proc1 the data is ready at max1, so no processor but proc1 starts
   // before max1, and the first processor idle by max1 starts exactly then.
-  // Under append placement every other processor starts at its end time,
-  // so the smallest end wins when none is idle.
+  // When none is idle, the first one ending first starts at its end: under
+  // append placement every other processor starts at its end time, and an
+  // insertion fit never starts past it, so the answer is that end or
+  // earlier either way. (With none idle the window holds no fresh
+  // processor, so it spans every processor and min_end() is its own.)
   const int idle = ends.first_at_most(a.max1, count);
-  ProcChoice best{kNoProc, kTimeInf};
-  if (idle >= 0) {
-    best = {static_cast<ProcId>(idle), a.max1};
-  } else if (!insertion) {
-    const int q = ends.min_end_proc(count);
-    best = {static_cast<ProcId>(q), ends.end_of(q)};
-  }
+  const int q = idle >= 0 ? idle : ends.first_at_most(ends.min_end(), count);
+  ProcChoice best{static_cast<ProcId>(q), idle >= 0 ? a.max1 : ends.end_of(q)};
   // proc1 exactly: its data-ready time r1 may undercut max1.
   const auto offer = [&best](ProcId p, Time t) {
     if (t < best.start || (t == best.start && p < best.proc)) best = {p, t};
@@ -69,15 +69,16 @@ ProcChoice best_est_proc(const ProcScanner& scanner, NodeId n,
   // Insertion: a processor busy past max1 may hold a gap at or after max1,
   // so its start lies in [max1, end]. Only processors below the idle one
   // can tie or win, and once max1 cannot beat the best (start, id) in id
-  // order no later one can either.
+  // order no later one can either. A processor whose summary rules out
+  // every gap starts at its end, which never beats the best in hand (the
+  // idle processor's max1, or the smallest end at a smaller id), so its
+  // timeline is not touched; the others are probed only up to the best
+  // start, as a fit past it cannot win.
   const int stop = idle >= 0 ? idle : count;
   for (ProcId p = 0; p < stop; ++p) {
     if (a.max1 > best.start || (a.max1 == best.start && p > best.proc)) break;
-    if (p == a.proc1) continue;
-    const Timeline& tl = s.timeline(p);
-    // No gap can hold the block: it appends at the end, past max1.
-    offer(p, tl.max_gap() < dur ? tl.end_time()
-                                : tl.earliest_fit(a.max1, dur, true));
+    if (p == a.proc1 || scanner.probe(p).appends(a.max1, dur)) continue;
+    offer(p, s.timeline(p).earliest_fit(a.max1, dur, true, best.start));
   }
   return best;
 }

@@ -12,7 +12,9 @@
 //  * best_est_proc -- the processor a node starts earliest on (ties: the
 //    smaller id), exact, for append and insertion placement, in
 //    O(log procs) plus a scan of only the processors busy past max1 that
-//    could still tie or win.
+//    could still tie or win; a processor's timeline is probed only when
+//    its ProbeSummary leaves a gap that can hold the node, and only up to
+//    the best start in hand.
 //  * AppendPairSelector -- ETF/DLS (ready node, processor) pair
 //    selection in closed form for append placement.
 //
@@ -36,8 +38,9 @@ namespace tgs {
 /// against processor p is max(ready, end_time(p)), so "the best processor
 /// for arrival time X" reduces to two ordered queries answered in
 /// O(log P): the smallest-id processor already idle by X (its EST is
-/// exactly X, and lower-id processors all end later), else the processor
-/// ending first. Backed by a caller-owned buffer so reruns do not allocate.
+/// exactly X, and lower-id processors all end later), else the first one
+/// idle by min_end(). Backed by a caller-owned buffer so reruns do not
+/// allocate.
 class ProcEndIndex {
  public:
   void init(int nprocs, std::vector<Time>& storage) {
@@ -69,14 +72,6 @@ class ProcEndIndex {
     return find_at_most(1, 0, base_, x, count);
   }
 
-  /// p in [0, count) minimizing end_of(p), smallest id on ties.
-  int min_end_proc(int count) const {
-    Time bv = kTimeInf;
-    int bp = -1;
-    min_rec(1, 0, base_, count, bv, bp);
-    return bp;
-  }
-
  private:
   int find_at_most(int node, int lo, int hi, Time x, int count) const {
     if (lo >= count || (*seg_)[node] > x) return -1;
@@ -87,30 +82,37 @@ class ProcEndIndex {
     return find_at_most(2 * node + 1, mid, hi, x, count);
   }
 
-  void min_rec(int node, int lo, int hi, int count, Time& bv, int& bp) const {
-    if (lo >= count || (*seg_)[node] >= bv) return;  // left-first keeps ties
-    if (hi - lo == 1) {
-      bv = (*seg_)[node];
-      bp = lo;
-      return;
-    }
-    const int mid = (lo + hi) / 2;
-    min_rec(2 * node, lo, mid, count, bv, bp);
-    min_rec(2 * node + 1, mid, hi, count, bv, bp);
-  }
-
   int base_ = 1;
   std::vector<Time>* seg_ = nullptr;
 };
 
+/// What an insertion probe needs to know of a processor before it touches
+/// the processor's timeline: Timeline::max_gap and last_gap_end, copied
+/// into one flat array so the scan over processors stays in cache.
+struct ProbeSummary {
+  Time max_gap = 0;
+  Time last_gap_end = 0;
+
+  /// True when an insertion fit of `dur` > 0 (task weights are positive)
+  /// at or after `ready` is the timeline's end: every gap is too small or
+  /// ends too early (Timeline::earliest_fit's exits).
+  bool appends(Time ready, Cost dur) const {
+    return max_gap < dur || ready + dur > last_gap_end;
+  }
+};
+
+struct PairScratch;
+
 /// Tracks how many processors hold at least one task, assuming algorithms
 /// always pick the lowest-numbered empty processor when opening a new one,
-/// and keeps a ProcEndIndex of every processor's timeline end.
+/// and keeps a ProcEndIndex of every processor's timeline end plus every
+/// processor's ProbeSummary.
 class ProcScanner {
  public:
   /// `s` must hold at least `limit` timelines and have nothing placed;
-  /// `ends` backs the end-time index. Both must outlive the scanner.
-  ProcScanner(const Schedule& s, int limit, std::vector<Time>& ends);
+  /// `scratch` backs the end-time index and the probe summaries. Both must
+  /// outlive the scanner.
+  ProcScanner(const Schedule& s, int limit, PairScratch& scratch);
 
   /// Number of processors worth scanning: every used one plus one fresh,
   /// capped by the machine size.
@@ -120,11 +122,14 @@ class ProcScanner {
   int used() const { return used_; }
   const Schedule& schedule() const { return *sched_; }
   const ProcEndIndex& ends() const { return ends_; }
+  const ProbeSummary& probe(ProcId p) const { return probes_[p]; }
 
   /// Report a placement on `p`, after Schedule::place.
   void note_placement(ProcId p) {
     used_ = std::max(used_, static_cast<int>(p) + 1);
-    const Time end = sched_->timeline(p).end_time();
+    const Timeline& tl = sched_->timeline(p);
+    probes_[p] = {tl.max_gap(), tl.last_gap_end()};
+    const Time end = tl.end_time();
     if (end != ends_.end_of(p)) ends_.set(p, end);  // a hole fill keeps it
   }
 
@@ -133,6 +138,7 @@ class ProcScanner {
   int limit_;
   int used_ = 0;
   ProcEndIndex ends_;
+  ProbeSummary* probes_ = nullptr;  // PairScratch::proc_probes, per proc
 };
 
 /// Frozen arrival summary of a ready node (all parents placed). A parent's
@@ -196,6 +202,7 @@ struct PairScratch {
   // the hole-filling pass.
   std::vector<ArrivalInfo> arrival;
   std::vector<Time> proc_ends;  // ProcScanner's end-time index
+  std::vector<ProbeSummary> proc_probes;  // ProcScanner's probe summaries
 
   // AppendPairSelector: heaps of node ids whose keys are read from the
   // frozen arrivals (A terms: r1, G terms: max1).

@@ -36,8 +36,7 @@ Schedule last_schedule(const TaskGraph& g, const SchedOptions& opt,
   std::vector<Cost> to_scheduled(g.num_nodes(), 0);
 
   Schedule sched(g, effective_procs(g, opt));
-  ProcScanner scanner(sched, effective_procs(g, opt),
-                      ws.pair_scratch().proc_ends);
+  ProcScanner scanner(sched, effective_procs(g, opt), ws.pair_scratch());
   ReadyList ready(g);
 
   while (!ready.empty()) {

@@ -44,8 +44,7 @@ class ListPhase {
         dynamic_(spec.ready == ParamReady::kDynamic),
         sched_(g, clustered_ ? 0 : effective_procs(g, opt)),
         // A cluster map fixes every processor, so the scanner goes unused.
-        scanner_(sched_, clustered_ ? 0 : effective_procs(g, opt),
-                 pair_.proc_ends),
+        scanner_(sched_, clustered_ ? 0 : effective_procs(g, opt), pair_),
         ready_(g) {
     pair_.bind_arrival(g.num_nodes());
   }
@@ -237,7 +236,7 @@ class ListPhase {
   const TaskGraph& g_;
   SchedWorkspace& ws_;
   ParamScratch& ps_;
-  PairScratch& pair_;  // frozen arrivals and the scanner's end index
+  PairScratch& pair_;  // frozen arrivals and the scanner's indexes
   const bool clustered_;
   const bool fit_;
   const bool hole_;

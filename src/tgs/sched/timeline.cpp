@@ -132,6 +132,8 @@ void Timeline::erase_interval(std::size_t c, std::size_t pos) {
     if (c + 1 < chunks_.size()) update_leaf(c + 1);
   }
   end_time_ = chunks_.empty() ? 0 : chunks_.back().last_end();
+  // The merged gap ends at a later interval's start, so by end_time().
+  last_gap_end_ = std::max(last_gap_end_, end_time_);
 }
 
 int Timeline::first_chunk_with_gap(std::size_t lo, Cost dur) const {
@@ -150,19 +152,23 @@ int Timeline::tree_query(std::size_t node, std::size_t l, std::size_t r,
 }
 
 [[gnu::aligned(64)]] Time Timeline::earliest_fit(Time ready, Cost dur,
-                                                bool insertion) const {
+                                                bool insertion,
+                                                Time bound) const {
   if (size_ == 0) return ready;
   if (!insertion) return std::max(ready, end_time_);
   if (dur == 0) return ready;  // a zero-length block fits anywhere
   if (ready >= end_time_) return ready;
   // No idle stretch before end_time() can hold the block.
   if (max_gap() < dur) return end_time_;
+  // Every gap ends before the block could, starting at `ready` or later.
+  if (ready + dur > last_gap_end_) return end_time_;
 
   // In the chunk holding `ready`, intervals ending at or before `ready`
   // cannot constrain the placement. The block fits at `ready` or in a
   // later gap of the chunk; every later gap is one of the chunk's internal
   // gaps, so they are scanned only when the chunk's largest one can hold
-  // the block.
+  // the block. A gap cursor past `bound` answers with itself: every later
+  // fit starts there or later.
   const std::size_t r = chunk_by_end(ready);
   {
     const Chunk& ch = chunks_[r];
@@ -170,13 +176,15 @@ int Timeline::tree_query(std::size_t node, std::size_t l, std::size_t r,
     if (ready + dur <= it->start) return ready;
     if (ch.max_gap >= dur) {
       for (auto prev = it++; it != ch.ivs.end(); prev = it++)
-        if (it->start - prev->end >= dur) return prev->end;
+        if (prev->end > bound || it->start - prev->end >= dur)
+          return prev->end;
     }
   }
   // No fit by the end of chunk r; the cursor sits at its last end. Descend
   // the gap tree to the first later chunk whose entry gap or largest
   // internal gap can hold the block -- every skipped chunk provably
   // cannot.
+  if (chunks_[r].last_end() > bound) return chunks_[r].last_end();
   const int c = first_chunk_with_gap(r + 1, dur);
   if (c < 0) return end_time_;
   const std::size_t ci = static_cast<std::size_t>(c);
@@ -194,14 +202,18 @@ void Timeline::occupy(std::int64_t owner, Time start, Cost dur) {
     chunks_.back().ivs.push_back(Interval{start, start + dur, owner});
     size_ = 1;
     end_time_ = start + dur;
+    last_gap_end_ = start;
     rebuild_tree();
     return;
   }
   // Append fast path (the dominant pattern: list schedulers extend the
   // frontier): lands strictly after every existing interval, no overlap
   // possible, and the new trailing gap updates the chunk max in O(1).
+  // Only an append opens a gap ending later than every other; one that
+  // lands in a gap splits it into parts ending no later than it did.
   if (Chunk& last = chunks_.back();
       start >= end_time_ && start > last.ivs.back().start) {
+    if (start > end_time_) last_gap_end_ = start;
     last.max_gap = std::max(last.max_gap, start - last.last_end());
     last.ivs.push_back(Interval{start, start + dur, owner});
     ++size_;
@@ -294,6 +306,7 @@ void Timeline::clear() {
   tree_base_ = 0;
   size_ = 0;
   end_time_ = 0;
+  last_gap_end_ = 0;
 }
 
 std::vector<Interval> Timeline::intervals() const {

@@ -42,9 +42,12 @@ class Timeline {
   /// insertion=false: returns max(ready, end-of-last-interval).
   /// insertion=true : first gap (including before the first interval and
   /// after the last) that can hold dur starting no earlier than ready.
-  /// dur == 0 fits anywhere >= ready. The definition is aligned to a
+  /// dur == 0 fits anywhere >= ready. An insertion fit above `bound` may
+  /// return any value above `bound` instead: a caller holding a start it
+  /// must beat stops the gap scan there. The definition is aligned to a
   /// cache line so its speed does not swing with unrelated code layout.
-  Time earliest_fit(Time ready, Cost dur, bool insertion) const;
+  Time earliest_fit(Time ready, Cost dur, bool insertion,
+                    Time bound = kTimeInf) const;
 
   /// Insert an interval; throws std::logic_error if it overlaps. Equal
   /// start times order by end (zero-width intervals first, so interval
@@ -77,6 +80,14 @@ class Timeline {
   Time max_gap() const {
     return size_ == 0 ? 0 : std::max(chunks_.front().first_start(), tree_[1]);
   }
+
+  /// An upper bound on the end of every idle gap before end_time(),
+  /// counting the one from time 0 to the first interval (0 when there is
+  /// none). An occupy() that leaves a gap before it sets it to the new
+  /// start, and release() raises it to the new end_time(); only clear()
+  /// and refilling an emptied timeline lower it. When ready + dur exceeds
+  /// it, an insertion fit is end_time(): every gap ends too early.
+  Time last_gap_end() const { return last_gap_end_; }
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
@@ -144,6 +155,7 @@ class Timeline {
   std::size_t tree_base_ = 0;  // leaf offset (power of two >= chunk count)
   std::size_t size_ = 0;       // total interval count
   Time end_time_ = 0;          // end of the last interval
+  Time last_gap_end_ = 0;      // no idle gap ends after it
 };
 
 }  // namespace tgs

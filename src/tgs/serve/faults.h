@@ -81,9 +81,6 @@ class FaultPlan {
   /// Disarm everything and zero the hit/fired counters.
   void clear();
 
-  /// Base seed of the deterministic percent decisions (default 1).
-  void set_seed(std::uint64_t seed);
-
   /// True and the rule's argument (via `arg`, if non-null) when point `p`
   /// fires on this hit. Counts the hit either way.
   bool fire(FaultPoint p, std::int64_t* arg = nullptr);
@@ -99,6 +96,10 @@ class FaultPlan {
   }
 
  private:
+  /// Base seed of the deterministic percent decisions (default 1); set by
+  /// the spec's `seed=` clause.
+  void set_seed(std::uint64_t seed);
+
   struct PointState {
     bool armed = false;
     FaultRule rule;

@@ -32,10 +32,6 @@ class LatencyHist {
   /// 0 when empty.
   std::uint64_t quantile_micros(double q) const;
 
-  const std::array<std::uint64_t, kBuckets>& buckets() const {
-    return buckets_;
-  }
-
  private:
   std::array<std::uint64_t, kBuckets> buckets_{};
   std::uint64_t count_ = 0;

@@ -31,7 +31,7 @@ Schedule md_schedule(const TaskGraph& g, const SchedOptions& opt,
                      SchedWorkspace& ws) {
   const int limit = effective_procs(g, opt);
   Schedule sched(g, limit);
-  ProcScanner scanner(sched, limit, ws.pair_scratch().proc_ends);
+  ProcScanner scanner(sched, limit, ws.pair_scratch());
   ReadyList ready(g);
 
   // blevel' on the unmodified graph (edge costs kept): placements do not

@@ -46,8 +46,8 @@ inline NodeId argmax_priority(const std::vector<NodeId>& candidates,
 inline Schedule original_hlfet(const TaskGraph& g, const SchedOptions& opt) {
   const std::vector<Time> sl = static_levels(g);
   Schedule sched(g, effective_procs(g, opt));
-  std::vector<Time> ends;
-  ProcScanner scanner(sched, effective_procs(g, opt), ends);
+  PairScratch pair;
+  ProcScanner scanner(sched, effective_procs(g, opt), pair);
   ReadyList ready(g);
   Arrival probe;
 
@@ -66,8 +66,8 @@ inline Schedule original_hlfet(const TaskGraph& g, const SchedOptions& opt) {
 inline Schedule original_ish(const TaskGraph& g, const SchedOptions& opt) {
   const std::vector<Time> sl = static_levels(g);
   Schedule sched(g, effective_procs(g, opt));
-  std::vector<Time> ends;
-  ProcScanner scanner(sched, effective_procs(g, opt), ends);
+  PairScratch pair;
+  ProcScanner scanner(sched, effective_procs(g, opt), pair);
   ReadyList ready(g);
   Arrival probe;
 
@@ -126,8 +126,8 @@ inline Schedule original_mcp(const TaskGraph& g, const SchedOptions& opt) {
   });
 
   Schedule sched(g, effective_procs(g, opt));
-  std::vector<Time> ends;
-  ProcScanner scanner(sched, effective_procs(g, opt), ends);
+  PairScratch pair;
+  ProcScanner scanner(sched, effective_procs(g, opt), pair);
   Arrival probe;
   for (NodeId n : order) {
     const ProcChoice choice =

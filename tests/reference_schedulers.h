@@ -30,8 +30,8 @@ inline Schedule naive_etf(const TaskGraph& g, const SchedOptions& opt,
                           bool insertion = false) {
   const std::vector<Time> sl = static_levels(g);
   Schedule sched(g, effective_procs(g, opt));
-  std::vector<Time> ends;
-  ProcScanner scanner(sched, effective_procs(g, opt), ends);
+  PairScratch pair;
+  ProcScanner scanner(sched, effective_procs(g, opt), pair);
   ReadyList ready(g);
 
   while (!ready.empty()) {
@@ -69,8 +69,8 @@ inline Schedule naive_dls(const TaskGraph& g, const SchedOptions& opt,
                           bool insertion = false) {
   const std::vector<Time> sl = static_levels(g);
   Schedule sched(g, effective_procs(g, opt));
-  std::vector<Time> ends;
-  ProcScanner scanner(sched, effective_procs(g, opt), ends);
+  PairScratch pair;
+  ProcScanner scanner(sched, effective_procs(g, opt), pair);
   ReadyList ready(g);
 
   while (!ready.empty()) {

@@ -285,8 +285,8 @@ TEST(PairSelector, AppendSelectorStaysExactUnderArbitraryPlacements) {
       SchedOptions opt;
       opt.num_procs = procs;
       Schedule sched(g, effective_procs(g, opt));
-      std::vector<Time> ends;
-      ProcScanner scanner(sched, effective_procs(g, opt), ends);
+      PairScratch pair;
+      ProcScanner scanner(sched, effective_procs(g, opt), pair);
       ReadyList ready(g);
       PairScratch etf_scratch, dls_scratch;
       const PairOrder etf_order{sl.data(), rank.data(), false};
@@ -351,8 +351,8 @@ TEST(PairSelector, NewlyOpenedProcessorMovesAppendPair) {
   const std::vector<int> rank = {0, 1, 2};
 
   Schedule sched(g, 3);
-  std::vector<Time> ends;
-  ProcScanner scanner(sched, 3, ends);
+  PairScratch pair;
+  ProcScanner scanner(sched, 3, pair);
   ReadyList ready(g);
   PairScratch scratch;
   AppendPairSelector append(scanner, {key.data(), rank.data(), false},
@@ -399,24 +399,40 @@ TEST(PairSelector, NewlyOpenedProcessorMovesAppendPair) {
 // processor of the window, either into the first gap that fits or past
 // the end after a short delay. Unit weights and zero costs tie starts
 // across processors, and bounded machines keep the window narrower than
-// the limit until every processor is used. The counters check that each
-// case the pruned choice treats apart was reached, and that an insertion
-// choice moved onto a processor that opened with the last placement.
+// the limit until every processor is used; a Cholesky graph, whose gaps
+// mostly end before its nodes are ready, runs on 8 and 64 processors. The
+// counters check that each case the pruned choice treats apart was
+// reached, and that an insertion choice moved onto a processor that
+// opened with the last placement.
+//
+// Where the insertion scan's bound is known from the answer alone, the
+// test replays the scan's exits: with no processor idle by max1 and the
+// processor ending first winning at its end (the append seed), every
+// processor but proc1 is visited against that end; with a processor idle
+// by max1 and the answer at max1, those up to the answer are visited
+// against max1. There the counters see a summary that rules out every gap
+// although one is large enough (it ends too early), and a probe the bound
+// cut short; every bounded probe must answer exactly at or below its
+// bound and above it otherwise.
 TEST(BestEstProc, MatchesExhaustiveScanOnSchedulesWithHoles) {
-  std::vector<TaskGraph> graphs;
-  graphs.push_back(rgnos_graph(rgnos(60, 1.0, 3, 71)));
-  graphs.push_back(rgnos_graph(rgnos(60, 10.0, 5, 72)));
-  graphs.push_back(rgnos_graph(rgnos(60, 0.1, 1, 73)));
-  graphs.push_back(fft_graph(16));
-  graphs.push_back(zero_cost(rgnos_graph(rgnos(50, 1.0, 4, 74))));
-  graphs.push_back(entry_only(24));
+  std::vector<std::pair<TaskGraph, std::vector<int>>> cases;
+  const std::vector<int> all_procs = {2, 3, 8, 64};
+  cases.emplace_back(rgnos_graph(rgnos(60, 1.0, 3, 71)), all_procs);
+  cases.emplace_back(rgnos_graph(rgnos(60, 10.0, 5, 72)), all_procs);
+  cases.emplace_back(rgnos_graph(rgnos(60, 0.1, 1, 73)), all_procs);
+  cases.emplace_back(fft_graph(16), all_procs);
+  cases.emplace_back(zero_cost(rgnos_graph(rgnos(50, 1.0, 4, 74))),
+                     all_procs);
+  cases.emplace_back(entry_only(24), all_procs);
+  cases.emplace_back(cholesky_graph(20), std::vector<int>{8, 64});
   std::size_t no_proc1 = 0, proc1_idle = 0, narrow = 0, ties = 0, in_gap = 0,
-              opened = 0;
-  for (const TaskGraph& g : graphs) {
-    for (const int procs : {2, 3, 8, 64}) {
+              opened = 0, seed_won = 0, tie_below_idle = 0, summary_skips = 0,
+              bound_cuts = 0;
+  for (const auto& [g, proc_counts] : cases) {
+    for (const int procs : proc_counts) {
       Schedule sched(g, procs);
-      std::vector<Time> ends;
-      ProcScanner scanner(sched, procs, ends);
+      PairScratch pair;
+      ProcScanner scanner(sched, procs, pair);
       ReadyList ready(g);
       reference::Arrival ref;
       std::uint64_t h =
@@ -426,6 +442,31 @@ TEST(BestEstProc, MatchesExhaustiveScanOnSchedulesWithHoles) {
         return (h >> 33) % bound;
       };
       const std::string tag = g.name() + " procs=" + std::to_string(procs);
+      // Replays the insertion scan's visits to processors [0, stop) other
+      // than proc1 against a known bound.
+      const auto replay = [&](NodeId m, const ArrivalInfo& a, int stop,
+                              Time bound) {
+        const Cost dur = g.weight(m);
+        for (ProcId p = 0; p < stop; ++p) {
+          if (p == a.proc1) continue;
+          const Timeline& tl = sched.timeline(p);
+          ASSERT_EQ(scanner.probe(p).max_gap, tl.max_gap()) << tag;
+          ASSERT_EQ(scanner.probe(p).last_gap_end, tl.last_gap_end()) << tag;
+          if (scanner.probe(p).appends(a.max1, dur)) {
+            ASSERT_EQ(tl.earliest_fit(a.max1, dur, true), tl.end_time())
+                << tag << " node " << m << " proc " << p;
+            summary_skips += tl.max_gap() >= dur;
+            continue;
+          }
+          const Time exact = tl.earliest_fit(a.max1, dur, true);
+          const Time cut = tl.earliest_fit(a.max1, dur, true, bound);
+          if (exact <= bound)
+            ASSERT_EQ(cut, exact) << tag << " node " << m << " proc " << p;
+          else
+            ASSERT_GT(cut, bound) << tag << " node " << m << " proc " << p;
+          bound_cuts += cut != exact;
+        }
+      };
       int last_count = scanner.scan_count();
       while (!ready.empty()) {
         const int count = scanner.scan_count();
@@ -451,6 +492,21 @@ TEST(BestEstProc, MatchesExhaustiveScanOnSchedulesWithHoles) {
             in_gap += insertion && want.proc != a.proc1 &&
                       want.start < sched.timeline(want.proc).end_time();
             opened += insertion && fresh_opened && want.proc == count - 1;
+            if (!insertion) continue;
+            const ProcEndIndex& ends = scanner.ends();
+            const int idle = ends.first_at_most(a.max1, count);
+            if (idle < 0) {
+              ProcId q = 0;  // the processor ending first, smallest id
+              for (ProcId p = 1; p < count; ++p)
+                if (ends.end_of(p) < ends.end_of(q)) q = p;
+              if (want.proc == q && want.start == ends.end_of(q)) {
+                ++seed_won;
+                replay(m, a, count, want.start);
+              }
+            } else if (want.start == a.max1) {
+              tie_below_idle += want.proc < idle && want.proc != a.proc1;
+              replay(m, a, std::min(idle, want.proc + 1), a.max1);
+            }
           }
           no_proc1 += a.proc1 == kNoProc;
           proc1_idle += a.proc1 != kNoProc &&
@@ -477,6 +533,10 @@ TEST(BestEstProc, MatchesExhaustiveScanOnSchedulesWithHoles) {
   EXPECT_GT(ties, 0u);
   EXPECT_GT(in_gap, 0u);
   EXPECT_GT(opened, 0u);
+  EXPECT_GT(seed_won, 0u);
+  EXPECT_GT(tie_below_idle, 0u);
+  EXPECT_GT(summary_skips, 0u);
+  EXPECT_GT(bound_cuts, 0u);
 }
 
 // Two network schedules are the same schedule: every task, every message

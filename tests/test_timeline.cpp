@@ -193,16 +193,29 @@ Time flat_max_gap(const FlatTimeline& ref) {
   return gap;
 }
 
+// Latest end of an idle stretch of positive length before a flat interval
+// list's last end, counting the one from time 0 (0 when there is none).
+Time flat_last_gap_end(const FlatTimeline& ref) {
+  const std::vector<Interval>& ivs = ref.intervals();
+  Time last = 0;
+  for (std::size_t i = 0; i < ivs.size(); ++i) {
+    const Time gap_start = i == 0 ? 0 : ivs[i - 1].end;
+    if (ivs[i].start > gap_start) last = ivs[i].start;
+  }
+  return last;
+}
+
 }  // namespace
 
 // Classifies an insertion-mode query by the exit of earliest_fit that
 // answers it, from the chunk layout the timeline keeps private.
 struct TimelineInspector {
-  enum class Exit { kOther, kNoGap, kAtReady, kLaterChunk };
+  enum class Exit { kOther, kNoGap, kGapsEndEarly, kAtReady, kLaterChunk };
 
   static Exit classify(const Timeline& tl, Time ready, Cost dur, Time at) {
     if (tl.empty() || dur == 0 || ready >= tl.end_time()) return Exit::kOther;
     if (tl.max_gap() < dur) return Exit::kNoGap;
+    if (ready + dur > tl.last_gap_end()) return Exit::kGapsEndEarly;
     if (at == ready) return Exit::kAtReady;
     const Timeline::Chunk& ch = tl.chunks_[tl.chunk_by_end(ready)];
     if (ch.max_gap < dur && at >= ch.last_end() && at < tl.end_time())
@@ -219,34 +232,55 @@ TEST(Timeline, GapIndexMatchesFlatReferenceUnderChurn) {
   // interval sequences must stay identical. Durations include zero-width
   // blocks; starts collide on purpose (dense value range). A second round
   // churns the same timeline after clear(), which keeps its chunk buffers
-  // for reuse, against a fresh flat store.
+  // for reuse, against a fresh flat store. After every step last_gap_end()
+  // must bound every gap's end; the exit it guards must answer queries
+  // after a release from the middle (which raises it to end_time()) and
+  // after clear() (which resets it). Each query is repeated with a bound:
+  // at or below it the answer is exact, above it any value above it.
   using Exit = TimelineInspector::Exit;
-  int exits[4] = {};
+  int exits[5] = {};
+  int early_after_middle_release = 0, early_after_clear = 0, bound_cuts = 0;
   for (std::uint64_t seed : {1ull, 7ull, 1998ull}) {
     Rng rng(seed);
+    Rng bound_rng(seed + 1);  // bounds leave the churn's draws unchanged
     Timeline tl;
     FlatTimeline ref;
     std::vector<std::pair<std::int64_t, Time>> live;  // owner -> start
     std::int64_t next_owner = 0;
+    bool middle_released = false;  // since the round began
+    int round = 0;
     // Every insertion query goes through `fit`, which checks it against
     // the flat store and tallies which early exit answered it.
     const auto fit = [&](Time ready, Cost dur) {
       const Time at = tl.earliest_fit(ready, dur, true);
       EXPECT_EQ(at, ref.earliest_fit(ready, dur, true))
           << "ready " << ready << " dur " << dur;
-      ++exits[static_cast<int>(
-          TimelineInspector::classify(tl, ready, dur, at))];
+      const Exit exit = TimelineInspector::classify(tl, ready, dur, at);
+      ++exits[static_cast<int>(exit)];
+      if (exit == Exit::kGapsEndEarly) {
+        early_after_middle_release += middle_released;
+        early_after_clear += round == 1;
+      }
+      const Time bound = bound_rng.uniform_int(0, 4000);
+      const Time cut = tl.earliest_fit(ready, dur, true, bound);
+      if (at <= bound)
+        EXPECT_EQ(cut, at) << "ready " << ready << " dur " << dur;
+      else
+        EXPECT_GT(cut, bound) << "ready " << ready << " dur " << dur;
+      bound_cuts += cut != at;
       return at;
     };
-    for (int round = 0; round < 2; ++round) {
+    for (; round < 2; ++round) {
       if (round == 1) {
         tl.clear();
         ASSERT_TRUE(tl.empty());
         ASSERT_EQ(tl.end_time(), 0);
         ASSERT_EQ(tl.max_gap(), 0);
+        ASSERT_EQ(tl.last_gap_end(), 0);
         ASSERT_EQ(tl.earliest_fit(5, 10, true), 5);
         ref = FlatTimeline();
         live.clear();
+        middle_released = false;
       }
       for (int step = 0; step < 4000; ++step) {
         const int op = static_cast<int>(rng.uniform_int(0, 9));
@@ -264,6 +298,7 @@ TEST(Timeline, GapIndexMatchesFlatReferenceUnderChurn) {
           const auto [owner, start] = live[i];
           live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
           const bool hinted = rng.bernoulli(0.7);
+          middle_released |= start < ref.intervals().back().start;
           ASSERT_TRUE(hinted ? tl.release(owner, start) : tl.release(owner));
           ASSERT_TRUE(ref.release(owner));
         } else {  // probe-only round
@@ -275,6 +310,8 @@ TEST(Timeline, GapIndexMatchesFlatReferenceUnderChurn) {
           EXPECT_EQ(fits(tl, ready, dur), ref.fits(ready, dur));
         }
         ASSERT_EQ(tl.max_gap(), flat_max_gap(ref)) << "step " << step;
+        ASSERT_GE(tl.last_gap_end(), flat_last_gap_end(ref))
+            << "step " << step;
         if (step % 256 == 0) {
           ASSERT_EQ(tl.intervals(), ref.intervals());
           ASSERT_EQ(tl.size(), ref.intervals().size());
@@ -289,9 +326,14 @@ TEST(Timeline, GapIndexMatchesFlatReferenceUnderChurn) {
     }
   }
   // Each O(1) exit answered queries, and every answer matched the flat
-  // store: no gap long enough anywhere, a fit at `ready` itself, and a
-  // chunk too fragmented to hold the block with a fit in a later chunk.
+  // store: no gap long enough anywhere, every gap ending too early, a fit
+  // at `ready` itself, and a chunk too fragmented to hold the block with a
+  // fit in a later chunk.
   EXPECT_GT(exits[static_cast<int>(Exit::kNoGap)], 0);
+  EXPECT_GT(exits[static_cast<int>(Exit::kGapsEndEarly)], 0);
+  EXPECT_GT(early_after_middle_release, 0);
+  EXPECT_GT(early_after_clear, 0);
+  EXPECT_GT(bound_cuts, 0);
   EXPECT_GT(exits[static_cast<int>(Exit::kAtReady)], 0);
   EXPECT_GT(exits[static_cast<int>(Exit::kLaterChunk)], 0);
 }

@@ -85,7 +85,7 @@ def main():
         got = cur[slow] / cur[fast] if cur[fast] > 0 else float("inf")
         ok = got >= want
         print(f"  {'ok' if ok else 'REGRESS':8} {slow} / {fast} = "
-              f"{got:5.1f}x (need >= {want:.1f}x)")
+              f"{got:5.3g}x (need >= {want:.3g}x)")
         if not ok:
             failed.append(spec)
 
