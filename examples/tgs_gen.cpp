@@ -1,7 +1,7 @@
 // Command-line benchmark-graph generator: writes any of the paper's
 // suites as .tgs files for external consumption.
 //
-//   ./examples/tgs_gen --suite=rgnos --nodes=200 --ccr=1.0 \
+//   ./examples/tgs_gen --suite=rgnos --nodes=200 --ccr=1.0
 //       --parallelism=3 --seed=7 --out=graph.tgs
 //   ./examples/tgs_gen --suite=cholesky --dim=16 --comm=5 --out=chol.tgs
 //   ./examples/tgs_gen --suite=psg --index=0 --out=psg0.tgs

@@ -2,16 +2,10 @@
 
 #include <cstdio>
 
+#include "tgs/util/rng.h"
+
 namespace tgs {
 namespace {
-
-// splitmix64 finalizer -- full-avalanche mixing of one 64-bit word.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 // Two independently-seeded accumulator lanes; each absorbed word is mixed
 // with the running state so word order matters (the canonical encoding is

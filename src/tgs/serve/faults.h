@@ -53,7 +53,7 @@ enum class FaultPoint {
   kWorkerStall,    // a scheduler worker sleeps `arg` ms before running
   kJournalTorn,    // a journal append writes a partial record, as if the
                    // process died mid-write; the journal seals itself
-  kCacheOom,       // ScheduleCache::insert throws std::bad_alloc
+  kCacheOom,       // a schedule-cache insert throws std::bad_alloc
   kCount
 };
 

@@ -90,14 +90,23 @@ Server::Server(ServeOptions opt)
     // Replay in append order: the journal records inserts oldest-first,
     // so replay reproduces the cache's recency order (and LRU eviction
     // keeps only the newest entries if the journal outgrew the cache).
-    for (const auto& [key, value] : journal_.recovery().entries) {
-      try {
-        cache_.insert(key, value);
-      } catch (const std::bad_alloc&) {
-        stats_.count_cache_insert_failure();
-        break;
-      }
-    }
+    for (const auto& [key, value] : journal_.recovery().entries)
+      if (!cache_insert(key, value)) break;
+  }
+}
+
+bool Server::cache_insert(const std::string& key,
+                          const CachedSchedule& value) {
+  try {
+    // Scripted allocation failure: the cache is an accelerator, so both
+    // callers must survive an insert that throws as a real OOM would.
+    if (cache_.enabled() && FaultPlan::hit(FaultPoint::kCacheOom))
+      throw std::bad_alloc();
+    cache_.insert(key, value);
+    return true;
+  } catch (const std::bad_alloc&) {
+    stats_.count(Counter::kCacheInsertFailures);
+    return false;
   }
 }
 
@@ -166,8 +175,8 @@ void Server::handle_connection(const std::shared_ptr<ConnCtx>& ctx) {
     // A bounded request never OOMs the daemon: answer with a structured
     // error, then drop the connection -- with no line framing left we
     // cannot resynchronize on this socket.
-    stats_.count_request();
-    stats_.count_error();
+    stats_.count(Counter::kRequestsTotal);
+    stats_.count(Counter::kRequestsError);
     write_response(ctx, render_error("", ServeError::kBadRequest, e.what()));
   } catch (const std::exception&) {
     // Mid-line close, read timeout, or I/O error: drop the connection.
@@ -191,28 +200,28 @@ void Server::write_response(const std::shared_ptr<ConnCtx>& ctx,
 void Server::handle_line(const std::shared_ptr<ConnCtx>& ctx,
                          const std::string& line) {
   if (line.empty()) return;  // tolerate blank keep-alive lines
-  stats_.count_request();
+  stats_.count(Counter::kRequestsTotal);
   ServeRequest req;
   try {
     req = parse_request(line);
   } catch (const ProtocolError& e) {
-    stats_.count_error();
+    stats_.count(Counter::kRequestsError);
     write_response(ctx, render_error("", e.code(), e.what()));
     return;
   }
 
   if (req.op == "ping") {
-    stats_.count_ok();
+    stats_.count(Counter::kRequestsOk);
     write_response(ctx, render_pong(req.id));
     return;
   }
   if (req.op == "stats") {
-    stats_.count_ok();
+    stats_.count(Counter::kRequestsOk);
     write_response(ctx, render_stats(req.id));
     return;
   }
   if (req.op == "shutdown") {
-    stats_.count_ok();
+    stats_.count(Counter::kRequestsOk);
     write_response(ctx, render_shutdown_ack(req.id));
     request_stop();
     return;
@@ -223,11 +232,11 @@ void Server::handle_line(const std::shared_ptr<ConnCtx>& ctx,
 void Server::handle_schedule(const std::shared_ptr<ConnCtx>& ctx,
                              ServeRequest req) {
   const auto reply_error = [&](ServeError code, const std::string& msg) {
-    stats_.count_error();
+    stats_.count(Counter::kRequestsError);
     write_response(ctx, render_error(req.id, code, msg));
   };
 
-  if (req.retry > 0) stats_.count_retry_observed();
+  if (req.retry > 0) stats_.count(Counter::kRetriesObserved);
 
   // The queued request carries the parsed graph, not its text.
   const std::string graph_text = std::exchange(req.graph_text, {});
@@ -261,7 +270,7 @@ void Server::handle_schedule(const std::shared_ptr<ConnCtx>& ctx,
   }
   // Parses the graph, or answers bad_graph and returns false.
   const auto parse_graph = [&] {
-    stats_.count_graph_parse();
+    stats_.count(Counter::kGraphsParsed);
     try {
       rr->graph =
           std::make_shared<const TaskGraph>(graph_from_string(graph_text));
@@ -315,7 +324,7 @@ void Server::handle_schedule(const std::shared_ptr<ConnCtx>& ctx,
     CachedSchedule hit;
     if (cache_.lookup(rr->cache_key, &hit)) {
       stats_.record_cache_hit(rr->resolved_algo);
-      stats_.count_ok();
+      stats_.count(Counter::kRequestsOk);
       write_response(ctx, render_schedule_response(
                               req.id, rr->resolved_algo, rr->algo_class, hit,
                               /*cached=*/true, /*micros=*/0,
@@ -330,10 +339,7 @@ void Server::handle_schedule(const std::shared_ptr<ConnCtx>& ctx,
   // more -- the compute queue is kept for high-priority work. The client
   // backs off and retries; by then the entry may have been computed for
   // someone else and becomes a cache hit.
-  const std::size_t shed_at =
-      opt_.shed_low_priority_at > 0
-          ? opt_.shed_low_priority_at
-          : opt_.queue_capacity - opt_.queue_capacity / 4;
+  const std::size_t shed_at = opt_.queue_capacity - opt_.queue_capacity / 4;
 
   // Admission control: a full queue answers immediately instead of
   // buffering unboundedly. fetch_add-then-check keeps the bound exact
@@ -350,8 +356,8 @@ void Server::handle_schedule(const std::shared_ptr<ConnCtx>& ctx,
     reject_reason = "queue at capacity";
   }
   if (reject_reason != nullptr) {
-    stats_.count_rejected();
-    if (shed) stats_.count_shed();
+    stats_.count(Counter::kRequestsRejected);
+    if (shed) stats_.count(Counter::kShedRequests);
     JsonObject o;
     if (!req.id.empty()) o.add("id", req.id);
     o.add("status", "error")
@@ -407,34 +413,25 @@ void Server::handle_schedule(const std::shared_ptr<ConnCtx>& ctx,
         // capacity-only scratch, so the workspace (and this worker) are
         // immediately reusable.
         inflight_.fetch_sub(1);
-        stats_.count_deadline_exceeded();
-        stats_.count_error();
+        stats_.count(Counter::kDeadlineExceeded);
+        stats_.count(Counter::kRequestsError);
         write_response(ctx, render_error(rr->req.id,
                                          ServeError::kDeadlineExceeded,
                                          e.what()));
         return;
       } catch (const std::exception& e) {
         inflight_.fetch_sub(1);
-        stats_.count_error();
+        stats_.count(Counter::kRequestsError);
         write_response(ctx,
                        render_error(rr->req.id, ServeError::kInternal,
                                     e.what()));
         return;
       }
       const std::uint64_t micros = micros_since(started);
-      bool inserted = false;
-      if (rr->req.use_cache) {
-        try {
-          cache_.insert(rr->cache_key, result);
-          inserted = true;
-        } catch (const std::bad_alloc&) {
-          // Memory pressure on insert: the result still goes to the
-          // client, it just isn't cached (or journaled -- the journal
-          // mirrors the cache).
-          stats_.count_cache_insert_failure();
-        }
-      }
-      if (inserted && journal_.is_open()) {
+      // A result that fails to cache still goes to the client; it is not
+      // journaled either, since the journal mirrors the cache.
+      if (rr->req.use_cache && cache_insert(rr->cache_key, result) &&
+          journal_.is_open()) {
         // Durability before visibility: the entry is on disk (per the
         // fsync policy) before any client sees the response, so a crash
         // after this point replays it on restart.
@@ -445,7 +442,7 @@ void Server::handle_schedule(const std::shared_ptr<ConnCtx>& ctx,
           journal_.compact(cache_.snapshot());
       }
       stats_.record_latency(rr->resolved_algo, micros);
-      stats_.count_ok();
+      stats_.count(Counter::kRequestsOk);
       inflight_.fetch_sub(1);
       write_response(ctx, render_schedule_response(
                               rr->req.id, rr->resolved_algo, rr->algo_class,
@@ -455,14 +452,13 @@ void Server::handle_schedule(const std::shared_ptr<ConnCtx>& ctx,
   } catch (const std::exception&) {
     // Pool already stopping (shutdown raced the admission check).
     inflight_.fetch_sub(1);
-    stats_.count_rejected();
+    stats_.count(Counter::kRequestsRejected);
     write_response(ctx, render_error(req.id, ServeError::kOverloaded,
                                      "server shutting down"));
   }
 }
 
 std::string Server::render_stats(const std::string& id) const {
-  const ServerStats::Snapshot s = stats_.snapshot();
   const ScheduleCache::Counters c = cache_.counters();
   const GraphMemo::Counters m = memo_.counters();
   JsonObject o;
@@ -471,26 +467,19 @@ std::string Server::render_stats(const std::string& id) const {
       .add("op", "stats")
       .add_int("workers", pool_.size())
       .add_uint("queue_depth", pool_.queue_depth())
-      .add_uint("queue_capacity", opt_.queue_capacity)
-      .add_uint("requests_total", s.requests_total)
-      .add_uint("requests_ok", s.requests_ok)
-      .add_uint("requests_error", s.requests_error)
-      .add_uint("requests_rejected", s.requests_rejected)
-      .add_uint("deadline_exceeded", s.deadline_exceeded)
-      .add_uint("shed_requests", s.shed_requests)
-      .add_uint("retries_observed", s.retries_observed)
-      .add_uint("cache_insert_failures", s.cache_insert_failures)
-      .add_uint("cache_hits", c.hits)
+      .add_uint("queue_capacity", opt_.queue_capacity);
+  for (std::size_t i = 0; i < std::size(kCounterNames); ++i)
+    o.add_uint(kCounterNames[i], stats_.value(static_cast<Counter>(i)));
+  o.add_uint("cache_hits", c.hits)
       .add_uint("cache_misses", c.misses)
       .add_uint("cache_evictions", c.evictions)
       .add_uint("cache_size", c.size)
       .add_uint("cache_capacity", c.capacity)
       .add_uint("graph_memo_hits", m.hits)
       .add_uint("graph_memo_misses", m.misses)
-      .add_uint("graph_memo_size", m.size)
-      .add_uint("graphs_parsed", s.graphs_parsed);
+      .add_uint("graph_memo_size", m.size);
   JsonObject algos;
-  for (const ServerStats::AlgoSnapshot& a : s.algos) {
+  for (const ServerStats::AlgoSnapshot& a : stats_.algos()) {
     JsonObject entry;
     entry.add_uint("computed", a.computed)
         .add_uint("cache_hits", a.cache_hits)

@@ -19,6 +19,12 @@
 //        pipelined connection may interleave out of request order, which
 //        is what the echoed `id` field is for.
 //
+// The schedule cache and the graph memo are one BoundedLru each
+// (serve/cache.h). Workers and journal replay both store into the cache
+// through cache_insert(), the one place an insert failure (memory, or the
+// scripted cache_oom fault) is absorbed and counted. Event counts go to
+// ServerStats' counter table (serve/stats.h), which render_stats() walks.
+//
 // Results are byte-identical to direct Scheduler::run / ApnScheduler::run
 // calls on the same inputs: the server adds routing, not policy.
 #pragma once
@@ -43,7 +49,9 @@ struct ServeOptions {
   std::string socket_path = "/tmp/tgs_serve.sock";
   /// Scheduler worker threads; < 1 = hardware concurrency.
   int workers = 0;
-  /// Max schedule jobs admitted but unfinished before rejection.
+  /// Max schedule jobs admitted but unfinished before rejection. From
+  /// queue_capacity - queue_capacity/4 inflight on, low-priority cache
+  /// misses are shed instead of queued.
   std::size_t queue_capacity = 256;
   /// Schedule-cache entries, and graph-memo entries (0 disables both).
   std::size_t cache_capacity = 1024;
@@ -67,10 +75,6 @@ struct ServeOptions {
   /// SO_RCVTIMEO/SO_SNDTIMEO on accepted connections, so a stalled or
   /// vanished peer cannot pin a reader thread forever; 0 = blocking.
   int io_timeout_ms = 0;
-
-  /// Inflight depth at which low-priority cache misses are shed instead
-  /// of queued; 0 = derive as 3/4 of queue_capacity.
-  std::size_t shed_low_priority_at = 0;
 
   /// Per-request line bound; oversized requests get a structured
   /// bad_request instead of growing the read buffer without limit.
@@ -114,6 +118,9 @@ class Server {
   void handle_schedule(const std::shared_ptr<ConnCtx>& ctx,
                        ServeRequest req);
   std::string render_stats(const std::string& id) const;
+  /// cache_.insert, absorbing std::bad_alloc (real, or the scripted
+  /// cache_oom fault) as a counted failure; true when the entry was stored.
+  bool cache_insert(const std::string& key, const CachedSchedule& value);
   void reap_finished_connections(bool join_all);
 
   static void write_response(const std::shared_ptr<ConnCtx>& ctx,

@@ -51,30 +51,15 @@ void ServerStats::record_cache_hit(const std::string& algo) {
   ++algos_[algo].cache_hits;
 }
 
-ServerStats::Snapshot ServerStats::snapshot() const {
+std::vector<ServerStats::AlgoSnapshot> ServerStats::algos() const {
   std::lock_guard<std::mutex> lock(mu_);
-  Snapshot s;
-  s.requests_total = requests_total_;
-  s.requests_ok = requests_ok_;
-  s.requests_error = requests_error_;
-  s.requests_rejected = requests_rejected_;
-  s.deadline_exceeded = deadline_exceeded_;
-  s.shed_requests = shed_requests_;
-  s.retries_observed = retries_observed_;
-  s.cache_insert_failures = cache_insert_failures_;
-  s.graphs_parsed = graphs_parsed_;
+  std::vector<AlgoSnapshot> out;
   for (const auto& [name, as] : algos_) {
-    AlgoSnapshot a;
-    a.algo = name;
-    a.computed = as.lat.count();
-    a.cache_hits = as.cache_hits;
-    a.total_micros = as.lat.total_micros();
-    a.p50_micros = as.lat.quantile_micros(0.5);
-    a.p90_micros = as.lat.quantile_micros(0.9);
-    a.max_micros = as.lat.max_micros();
-    s.algos.push_back(std::move(a));
+    out.push_back({name, as.lat.count(), as.cache_hits,
+                   as.lat.total_micros(), as.lat.quantile_micros(0.5),
+                   as.lat.quantile_micros(0.9), as.lat.max_micros()});
   }
-  return s;
+  return out;
 }
 
 }  // namespace tgs

@@ -10,7 +10,10 @@
 #pragma once
 
 #include <array>
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <string>
@@ -39,23 +42,43 @@ class LatencyHist {
   std::uint64_t max_ = 0;
 };
 
-/// Aggregated request counters. One instance per server; all methods are
-/// thread-safe.
+/// The server's event counters. Adding one is one row here and its name
+/// in kCounterNames; the stats op reports every row under that name.
+enum class Counter {
+  kRequestsTotal,
+  kRequestsOk,
+  kRequestsError,
+  kRequestsRejected,
+  // Robustness counters (the fault/degradation surface of the stats op).
+  kDeadlineExceeded,
+  kShedRequests,
+  kRetriesObserved,
+  kCacheInsertFailures,
+  kGraphsParsed,  // graph_from_string calls on the request path
+  kCount,
+};
+
+inline constexpr const char* kCounterNames[] = {
+    "requests_total", "requests_ok", "requests_error", "requests_rejected",
+    "deadline_exceeded", "shed_requests", "retries_observed",
+    "cache_insert_failures", "graphs_parsed",
+};
+static_assert(std::size(kCounterNames) ==
+              static_cast<std::size_t>(Counter::kCount));
+
+/// Aggregated request counters and per-algorithm latencies. One instance
+/// per server; all methods are thread-safe. Counters are relaxed atomics,
+/// so counting takes no lock; the mutex guards only the latency map.
 class ServerStats {
  public:
-  void count_request() { bump(&requests_total_); }
-  void count_ok() { bump(&requests_ok_); }
-  void count_error() { bump(&requests_error_); }
-  void count_rejected() { bump(&requests_rejected_); }
-
-  // Robustness counters (the fault/degradation surface of the stats op).
-  void count_deadline_exceeded() { bump(&deadline_exceeded_); }
-  void count_shed() { bump(&shed_requests_); }
-  void count_retry_observed() { bump(&retries_observed_); }
-  void count_cache_insert_failure() { bump(&cache_insert_failures_); }
-
-  /// One graph_from_string call on the request path.
-  void count_graph_parse() { bump(&graphs_parsed_); }
+  void count(Counter c) {
+    counters_[static_cast<std::size_t>(c)].fetch_add(
+        1, std::memory_order_relaxed);
+  }
+  std::uint64_t value(Counter c) const {
+    return counters_[static_cast<std::size_t>(c)].load(
+        std::memory_order_relaxed);
+  }
 
   /// Record one computed schedule for `algo` taking `micros`.
   void record_latency(const std::string& algo, std::uint64_t micros);
@@ -72,19 +95,8 @@ class ServerStats {
     std::uint64_t p90_micros = 0;
     std::uint64_t max_micros = 0;
   };
-  struct Snapshot {
-    std::uint64_t requests_total = 0;
-    std::uint64_t requests_ok = 0;
-    std::uint64_t requests_error = 0;
-    std::uint64_t requests_rejected = 0;
-    std::uint64_t deadline_exceeded = 0;
-    std::uint64_t shed_requests = 0;
-    std::uint64_t retries_observed = 0;
-    std::uint64_t cache_insert_failures = 0;
-    std::uint64_t graphs_parsed = 0;
-    std::vector<AlgoSnapshot> algos;  // sorted by algorithm name
-  };
-  Snapshot snapshot() const;
+  /// One entry per algorithm seen, sorted by name.
+  std::vector<AlgoSnapshot> algos() const;
 
  private:
   struct AlgoStats {
@@ -92,21 +104,8 @@ class ServerStats {
     std::uint64_t cache_hits = 0;
   };
 
-  void bump(std::uint64_t* counter) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++*counter;
-  }
-
+  std::array<std::atomic<std::uint64_t>, std::size(kCounterNames)> counters_{};
   mutable std::mutex mu_;
-  std::uint64_t requests_total_ = 0;
-  std::uint64_t requests_ok_ = 0;
-  std::uint64_t requests_error_ = 0;
-  std::uint64_t requests_rejected_ = 0;
-  std::uint64_t deadline_exceeded_ = 0;
-  std::uint64_t shed_requests_ = 0;
-  std::uint64_t retries_observed_ = 0;
-  std::uint64_t cache_insert_failures_ = 0;
-  std::uint64_t graphs_parsed_ = 0;
   std::map<std::string, AlgoStats> algos_;
 };
 

@@ -1,14 +1,13 @@
 #include "tgs/util/rng.h"
 
 #include <cmath>
+#include <utility>
 
 namespace tgs {
 
 std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
+  // mix64 adds the increment itself: it finalizes the advanced state.
+  return mix64(std::exchange(state, state + 0x9E3779B97F4A7C15ULL));
 }
 
 namespace {

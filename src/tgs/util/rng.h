@@ -48,6 +48,17 @@ class Rng {
   std::array<std::uint64_t, 4> s_;
 };
 
+/// The SplitMix64 finalizer: a bijective, full-avalanche mix of one word.
+/// splitmix64, graph fingerprints and the serve graph memo's keys are all
+/// built on it, so its output must never change: fingerprints are cache
+/// keys, and journals written by earlier daemons store them.
+constexpr std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
 /// SplitMix64 step; exposed for deterministic seed derivation in callers.
 std::uint64_t splitmix64(std::uint64_t& state);
 

@@ -56,7 +56,9 @@ TEST_F(ClusterMapFixture, ClustersStayTogether) {
   const Schedule s = map_clusters_sarkar(graph, clusters, 4);
   for (NodeId a = 0; a < graph.num_nodes(); ++a)
     for (NodeId b = a + 1; b < graph.num_nodes(); ++b)
-      if (clusters[a] == clusters[b]) EXPECT_EQ(s.proc(a), s.proc(b));
+      if (clusters[a] == clusters[b]) {
+        EXPECT_EQ(s.proc(a), s.proc(b));
+      }
 }
 
 TEST_F(ClusterMapFixture, SarkarConsidersOrderRcpDoesNot) {

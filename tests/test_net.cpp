@@ -93,7 +93,9 @@ TEST(Routing, CliqueSingleHop) {
   const RoutingTable r(t);
   for (int a = 0; a < 4; ++a)
     for (int b = 0; b < 4; ++b)
-      if (a != b) EXPECT_EQ(r.distance(a, b), 1);
+      if (a != b) {
+        EXPECT_EQ(r.distance(a, b), 1);
+      }
 }
 
 TEST(Routing, RingShortestPath) {

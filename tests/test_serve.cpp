@@ -35,6 +35,7 @@
 #include "tgs/serve/server.h"
 #include "tgs/serve/socket.h"
 #include "tgs/serve/stats.h"
+#include "tgs/util/names.h"
 
 namespace tgs {
 namespace {
@@ -58,6 +59,20 @@ TEST(Fingerprint, EqualGraphsHashEqual) {
   EXPECT_EQ(graph_fingerprint(a), graph_fingerprint(b));
   EXPECT_EQ(graph_fingerprint(a).hex(), graph_fingerprint(b).hex());
   EXPECT_EQ(graph_fingerprint(a).hex().size(), 32u);
+}
+
+TEST(Fingerprint, ValuesArePinned) {
+  // Fingerprints are cache keys, and journals written by earlier daemons
+  // store them: the hash of a fixed graph must never move.
+  EXPECT_EQ(graph_fingerprint(small_graph()).hex(),
+            "167ff2283c05561d494c4983b8004543");
+  EXPECT_EQ(graph_fingerprint(graph_from_string(
+                                  "tgs1 g 4 3\n"
+                                  "node 0 5 a\nnode 1 6 b\nnode 2 7 c\n"
+                                  "node 3 8 d\n"
+                                  "edge 0 1 2\nedge 0 2 3\nedge 1 3 4\n"))
+                .hex(),
+            "0be73ca8803d707bb368f94ee27da4d3");
 }
 
 TEST(Fingerprint, FileLineOrderAndLabelsDoNotMatter) {
@@ -337,6 +352,7 @@ TEST(GraphMemo, LruEvictionAndCounters) {
   const GraphMemo::Counters n = memo.counters();
   EXPECT_EQ(n.hits, 2u);
   EXPECT_EQ(n.misses, 1u);
+  EXPECT_EQ(n.evictions, 1u);
   EXPECT_EQ(n.size, 2u);
 
   GraphMemo off(0);
@@ -552,6 +568,25 @@ TEST(Server, StatsOpReportsCountersAndHistograms) {
   EXPECT_EQ(mcp->get_number("computed", 0), 1.0);
   EXPECT_EQ(mcp->get_number("cache_hits", 0), 1.0);
   EXPECT_GE(mcp->get_number("p50_us", -1), 0.0);
+
+  // Every counter, cache and memo field appears exactly once among the
+  // top-level fields, which all come before the "algos" object.
+  conn.write_line(R"({"op":"stats"})");
+  std::string raw;
+  ASSERT_TRUE(conn.read_line(&raw));
+  const std::string top = raw.substr(0, raw.find("\"algos\":"));
+  std::vector<std::string> fields(std::begin(kCounterNames),
+                                  std::end(kCounterNames));
+  fields.insert(fields.end(),
+                {"cache_hits", "cache_misses", "cache_evictions", "cache_size",
+                 "cache_capacity", "graph_memo_hits", "graph_memo_misses",
+                 "graph_memo_size"});
+  for (const std::string& field : fields) {
+    const std::string quoted = "\"" + field + "\":";
+    const std::size_t at = top.find(quoted);
+    EXPECT_NE(at, std::string::npos) << field;
+    EXPECT_EQ(top.find(quoted, at + 1), std::string::npos) << field;
+  }
 }
 
 TEST(Server, MalformedRequestsGetStructuredErrors) {
@@ -868,6 +903,43 @@ TEST(Server, MemoStreamOfRepeatsReescapingsAndMutationsMatchesDirectRuns) {
   EXPECT_GT(stat(s, "requests_error"), 0.0);  // some mutants do not parse
 }
 
+TEST(Server, StatsCountersAreExactUnderConcurrentClients) {
+  // Each client pings and asks for its own graphs, each twice in a row:
+  // the first parses and misses, the second hits the memo and the cache.
+  ServerFixture f;
+  constexpr int kClients = 8, kPings = 500, kGraphs = 5;
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&f, c] {
+      UnixConn conn = f.connect();
+      for (int i = 0; i < kPings; ++i)
+        EXPECT_EQ(ServerFixture::ask_on(conn, R"({"op":"ping"})")
+                      .get_string("status", ""),
+                  "ok");
+      for (int i = 0; i < kGraphs; ++i) {
+        const TaskGraph g =
+            random_graph(static_cast<std::uint64_t>(1000 + c * kGraphs + i),
+                         20);
+        for (int rep = 0; rep < 2; ++rep)
+          EXPECT_EQ(ServerFixture::ask_on(conn, schedule_request(g, "MCP"))
+                        .get_bool("cached", rep == 0),
+                    rep == 1);
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  const JsonValue s = stats_of(f);
+  const double requests = kClients * (kPings + 2 * kGraphs) + 1;  // + stats
+  EXPECT_EQ(stat(s, "requests_total"), requests);
+  EXPECT_EQ(stat(s, "requests_ok"), requests);
+  EXPECT_EQ(stat(s, "requests_error"), 0.0);
+  EXPECT_EQ(stat(s, "cache_hits") + stat(s, "cache_misses"),
+            2.0 * kClients * kGraphs);
+  EXPECT_EQ(stat(s, "cache_hits"), 1.0 * kClients * kGraphs);
+  EXPECT_EQ(stat(s, "graphs_parsed"), 1.0 * kClients * kGraphs);
+}
+
 TEST(Server, ConcurrentMixedClientsMatchDirectRuns) {
   // The acceptance demo: concurrent connections running 3+ BNP and 2 APN
   // algorithms, every response byte-identical to a direct run.
@@ -926,7 +998,7 @@ TEST(Server, PipelinedRequestsAllComeBack) {
   const TaskGraph g = random_graph(55);
   for (int i = 0; i < kN; ++i) {
     JsonObject o;
-    o.add("id", "p" + std::to_string(i))
+    o.add("id", numbered_name("p", i))
         .add("graph", graph_to_string(g))
         .add("algo", i % 2 == 0 ? "MCP" : "ETF")
         .add("cache", false);

@@ -84,7 +84,9 @@ TEST(FaultPlan, SkipCountAndArgScript) {
   for (int hit = 0; hit < 7; ++hit) {
     const bool fired = FaultPlan::hit(FaultPoint::kWorkerStall, &arg);
     EXPECT_EQ(fired, hit >= 2 && hit <= 4) << "hit " << hit;
-    if (fired) EXPECT_EQ(arg, 250);
+    if (fired) {
+      EXPECT_EQ(arg, 250);
+    }
   }
   EXPECT_EQ(FaultPlan::global().fired(FaultPoint::kWorkerStall), 3u);
 }
@@ -173,8 +175,9 @@ TEST(LineFraming, LongLineSplitOverShortReadsComesBackExact) {
     EXPECT_EQ(line, third);
     writer.join();
     EXPECT_FALSE(reader.read_line(&line));
-    if (chunk != 0)
+    if (chunk != 0) {
       EXPECT_GT(FaultPlan::global().fired(FaultPoint::kReadShort), 0u);
+    }
   }
 }
 
@@ -565,20 +568,27 @@ TEST(ServerFaults, OversizedRequestGetsStructuredBadRequest) {
   EXPECT_EQ(ok.get_string("status", ""), "ok");
 }
 
+/// Writes three schedule requests for fresh graphs on `busy` without
+/// reading the replies: with every job stalled, three are then in flight,
+/// which is the shed threshold of a queue of 4 (4 - 4/4).
+void fill_to_shed_threshold(UnixConn& busy, std::uint64_t seed) {
+  for (std::uint64_t i = 0; i < 3; ++i)
+    busy.write_line(schedule_request(random_graph(seed + i), "MCP"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+}
+
 TEST(ServerFaults, LowPriorityRequestsAreShedUnderLoad) {
   FaultGuard fg("worker_stall*:400");
   ServeOptions opt;
   opt.workers = 1;
-  opt.queue_capacity = 8;
-  opt.shed_low_priority_at = 1;
+  opt.queue_capacity = 4;
   ServerFixture f(opt);
-  const TaskGraph g = random_graph(53);
 
-  // Occupy the lone worker (stalled 400 ms), then offer a low-priority
-  // request: with one job inflight the shed threshold is met.
+  // Occupy the lone worker (each job stalled 400 ms) and the queue behind
+  // it, then offer a low-priority request: with three jobs inflight the
+  // shed threshold is met.
   UnixConn busy = f.connect();
-  busy.write_line(schedule_request(g, "MCP"));
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  fill_to_shed_threshold(busy, 50);
 
   const JsonValue shed = f.ask(
       schedule_request(random_graph(54), "ETF", "\"priority\":\"low\""));
@@ -586,13 +596,15 @@ TEST(ServerFaults, LowPriorityRequestsAreShedUnderLoad) {
   EXPECT_EQ(shed.get_string("code", ""), "overloaded");
   EXPECT_NE(shed.get_string("message", "").find("shed"), std::string::npos);
 
-  // A high-priority request at the same depth is still admitted.
+  // A high-priority request at the same depth is still admitted (3 < 4).
   const JsonValue high = f.ask(schedule_request(random_graph(55), "ETF"));
   EXPECT_EQ(high.get_string("status", ""), "ok");
 
-  std::string reply;
-  EXPECT_TRUE(busy.read_line(&reply));  // the stalled job still completes
-  EXPECT_EQ(json_parse(reply).get_string("status", ""), "ok");
+  for (int i = 0; i < 3; ++i) {  // the stalled jobs still complete
+    std::string reply;
+    EXPECT_TRUE(busy.read_line(&reply));
+    EXPECT_EQ(json_parse(reply).get_string("status", ""), "ok");
+  }
 
   const JsonValue s = f.ask(R"({"op":"stats"})");
   EXPECT_EQ(s.get_number("shed_requests", 0), 1.0);
@@ -603,24 +615,25 @@ TEST(ServerFaults, ShedRequestsStillGetCacheHits) {
   FaultGuard fg;
   ServeOptions opt;
   opt.workers = 1;
-  opt.shed_low_priority_at = 1;
+  opt.queue_capacity = 4;
   ServerFixture f(opt);
   const TaskGraph g = random_graph(59);
   // Populate the cache while idle...
   ASSERT_EQ(f.ask(schedule_request(g, "MCP")).get_string("status", ""), "ok");
 
-  // ...then wedge the worker and ask again at low priority: the cache
-  // probe answers before shedding is even considered.
-  FaultPlan::global().arm_spec("worker_stall:300");
+  // ...then wedge the worker at the shed threshold and ask again at low
+  // priority: the cache probe answers before shedding is even considered.
+  FaultPlan::global().arm_spec("worker_stall*:300");
   UnixConn busy = f.connect();
-  busy.write_line(schedule_request(random_graph(60), "MCP"));
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
+  fill_to_shed_threshold(busy, 60);
   const JsonValue hit =
       f.ask(schedule_request(g, "MCP", "\"priority\":\"low\""));
   EXPECT_EQ(hit.get_string("status", ""), "ok");
   EXPECT_TRUE(hit.get_bool("cached", false));
-  std::string reply;
-  EXPECT_TRUE(busy.read_line(&reply));
+  for (int i = 0; i < 3; ++i) {
+    std::string reply;
+    EXPECT_TRUE(busy.read_line(&reply));
+  }
 }
 
 TEST(ServerFaults, CacheOomIsAbsorbedAndCounted) {
