@@ -1,9 +1,15 @@
-// Golden JSONL regression tests: one tiny, fully deterministic
-// configuration per experiment family, compared field-by-field against
-// the committed snapshots under tests/golden/. A schema change (field
-// added, renamed, reordered) or a metric drift (an algorithm silently
-// scheduling differently, a generator drawing different graphs) fails
-// tier-1 here instead of silently corrupting downstream results.
+// Golden regression tests: one tiny, fully deterministic configuration
+// per experiment, compared against the committed snapshots under
+// tests/golden/. Each case pins two outputs:
+//  * <name>.jsonl, the record stream, field by field -- a schema change
+//    (field added, renamed, reordered) or a metric drift (an algorithm
+//    silently scheduling differently, a generator drawing different
+//    graphs) fails tier-1 here instead of silently corrupting downstream
+//    results;
+//  * <name>.tables, every bench_results/*.csv table the run writes,
+//    concatenated in file-name order under a "## <file>" line, byte for
+//    byte -- so the rendered pivots, column order and summaries are
+//    pinned too, not only the records they fold.
 //
 // These snapshots pin THIS repository's deterministic behaviour, not
 // paper numbers. To regenerate after a deliberate change:
@@ -17,6 +23,7 @@
 #include <unistd.h>
 
 #include <cstdlib>
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -37,69 +44,95 @@ namespace {
 namespace fs = std::filesystem;
 
 struct GoldenCase {
-  std::string family;
-  std::string file;  // under tests/golden/
-  std::vector<std::string> args;
+  std::string experiment;  // also names tests/golden/<experiment>.*
+  std::vector<std::string> flags;
 };
 
 // Fixed seed, 2 worker threads (byte-identical to 1 by the determinism
-// guarantee), --no-timing wherever a wall clock could leak in.
+// guarantee), --no-timing wherever a wall clock could leak in. Registry
+// order; the cases without an --algo subset reuse test_bench_experiments'
+// reduced configurations.
 const std::vector<GoldenCase>& golden_cases() {
   static const std::vector<GoldenCase> cases{
-      {"psg", "table1.jsonl",
-       {"--experiment=table1", "--algo=MCP,DCP"}},
+      {"table1", {"--algo=MCP,DCP"}},
       // --bb-threads=8 pins the PARALLEL branch-and-bound path against the
       // committed snapshot (which --bb-threads=1 reproduces byte-for-byte
       // by the round-synchronous determinism guarantee).
-      {"rgbos", "table2.jsonl",
-       {"--experiment=table2", "--max-v=12", "--bb-nodes=200",
-        "--algo=DCP", "--bb-threads=8"}},
-      {"rgpos", "table4.jsonl",
-       {"--experiment=table4", "--max-v=50", "--algo=DCP"}},
-      {"rgnos", "fig2.jsonl",
-       {"--experiment=fig2", "--max-nodes=50", "--algo=DCP,MCP,BSA"}},
-      {"traced", "fig4.jsonl",
-       {"--experiment=fig4", "--max-dim=8", "--algo=DCP,MCP,BSA"}},
-      {"ablations", "ablate_insertion.jsonl",
-       {"--experiment=ablate_insertion", "--graphs=1", "--nodes=40"}},
-      {"ablations", "ablate_bb.jsonl",
-       {"--experiment=ablate_bb", "--max-nodes=10", "--bb-nodes=300",
-        "--naive-nodes=2000", "--no-timing", "--bb-threads=8"}},
-      {"runtimes", "table6.jsonl",
-       {"--experiment=table6", "--max-nodes=50", "--no-timing",
-        "--algo=MCP,DCP"}},
+      {"table2",
+       {"--max-v=12", "--bb-nodes=200", "--algo=DCP", "--bb-threads=8"}},
+      {"table3", {"--max-v=12", "--bb-nodes=500"}},
+      {"table4", {"--max-v=50", "--algo=DCP"}},
+      {"table5", {"--max-v=100"}},
+      {"fig2", {"--max-nodes=50", "--algo=DCP,MCP,BSA"}},
+      {"fig3", {"--max-nodes=50"}},
+      {"ext_unc_cs", {"--max-v=50", "--graphs=2"}},
+      {"fig4", {"--max-dim=8", "--algo=DCP,MCP,BSA"}},
+      {"ablate_bb",
+       {"--max-nodes=10", "--bb-nodes=300", "--naive-nodes=2000",
+        "--no-timing", "--bb-threads=8"}},
+      {"ablate_ccr", {"--graphs=2", "--nodes=60"}},
+      {"ablate_insertion", {"--graphs=1", "--nodes=40"}},
+      {"ablate_priority", {"--graphs=2", "--nodes=60", "--no-timing"}},
+      {"ablate_topology", {"--graphs=2", "--nodes=40"}},
+      {"table6", {"--max-nodes=50", "--no-timing", "--algo=MCP,DCP"}},
+      {"micro", {"--reps=1", "--no-timing", "--algo=MCP,DCP"}},
       // One RGBOS graph x 8 parameter combinations (the CI smoke job runs
       // this exact case against the same snapshot).
-      {"param", "param_sweep.jsonl",
-       {"--experiment=param_sweep", "--ccr=1.0", "--max-v=10",
-        "--bb-nodes=200", "--metric=sl,bl", "--ready=static,etf",
-        "--insertion=append", "--cluster=none,lc"}},
+      {"param_sweep",
+       {"--ccr=1.0", "--max-v=10", "--bb-nodes=200", "--metric=sl,bl",
+        "--ready=static,etf", "--insertion=append", "--cluster=none,lc"}},
+      {"giant_sweep", {"--sizes=300,900", "--no-timing", "--algos=MCP,ETF"}},
   };
   return cases;
 }
 
-std::string run_case(const GoldenCase& gc) {
-  const fs::path path =
-      fs::temp_directory_path() /
-      ("tgs_golden_" + gc.file + "_" +
-       std::to_string(static_cast<unsigned long>(::getpid())));
-  std::vector<std::string> args = gc.args;
-  args.insert(args.begin(), "tgs_bench");
-  args.push_back("--seed=7");
-  args.push_back("--threads=2");
-  args.push_back("--out=" + path.string());
-  args.push_back("--quiet");
-  args.push_back("--no-csv");
-  std::vector<char*> argv;
-  for (std::string& a : args) argv.push_back(a.data());
-  const Cli cli(static_cast<int>(argv.size()), argv.data());
-  EXPECT_EQ(run_cli(cli), 0) << gc.file;
+std::string read_file(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream os;
   os << in.rdbuf();
-  std::error_code ec;
-  fs::remove(path, ec);
   return os.str();
+}
+
+struct CaseOutput {
+  std::string jsonl;
+  std::string tables;  // the bench_results/*.csv files, concatenated
+};
+
+/// Runs one case inside a fresh scratch directory, so the CSVs it writes
+/// to ./bench_results/ are exactly this case's tables.
+CaseOutput run_case(const GoldenCase& gc) {
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("tgs_golden_" + gc.experiment + "_" +
+       std::to_string(static_cast<unsigned long>(::getpid())));
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+  fs::create_directories(dir);
+  const fs::path jsonl = dir / "out.jsonl";
+  std::vector<std::string> args{"tgs_bench", "--experiment=" + gc.experiment};
+  args.insert(args.end(), gc.flags.begin(), gc.flags.end());
+  args.push_back("--seed=7");
+  args.push_back("--threads=2");
+  args.push_back("--out=" + jsonl.string());
+  args.push_back("--quiet");
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  const Cli cli(static_cast<int>(argv.size()), argv.data());
+  const fs::path cwd = fs::current_path();
+  fs::current_path(dir);
+  EXPECT_EQ(run_cli(cli), 0) << gc.experiment;
+  fs::current_path(cwd);
+
+  CaseOutput out;
+  out.jsonl = read_file(jsonl);
+  std::vector<fs::path> csvs;
+  for (const auto& entry : fs::directory_iterator(dir / "bench_results", ec))
+    if (entry.path().extension() == ".csv") csvs.push_back(entry.path());
+  std::sort(csvs.begin(), csvs.end());
+  for (const fs::path& csv : csvs)
+    out.tables += "## " + csv.filename().string() + "\n" + read_file(csv);
+  fs::remove_all(dir, ec);
+  return out;
 }
 
 std::vector<std::string> split_lines(const std::string& text) {
@@ -174,26 +207,28 @@ void compare_field_by_field(const std::string& file,
   }
 }
 
-TEST(GoldenJsonl, EveryFamilyMatchesItsSnapshot) {
+TEST(GoldenJsonl, EveryExperimentMatchesItsSnapshots) {
   const fs::path dir{TGS_GOLDEN_DIR};
   const bool update = std::getenv("TGS_UPDATE_GOLDEN") != nullptr;
   for (const GoldenCase& gc : golden_cases()) {
-    SCOPED_TRACE(gc.family + " (" + gc.file + ")");
-    const std::string actual = run_case(gc);
-    ASSERT_FALSE(actual.empty());
-    const fs::path golden = dir / gc.file;
+    SCOPED_TRACE(gc.experiment);
+    const CaseOutput actual = run_case(gc);
+    ASSERT_FALSE(actual.jsonl.empty());
+    ASSERT_FALSE(actual.tables.empty());
+    const fs::path jsonl = dir / (gc.experiment + ".jsonl");
+    const fs::path tables = dir / (gc.experiment + ".tables");
     if (update) {
-      std::ofstream out(golden, std::ios::binary);
-      out << actual;
-      ASSERT_TRUE(out.good()) << "cannot update " << golden;
+      std::ofstream(jsonl, std::ios::binary) << actual.jsonl;
+      std::ofstream(tables, std::ios::binary) << actual.tables;
       continue;
     }
-    ASSERT_TRUE(fs::exists(golden))
-        << golden << " missing; run TGS_UPDATE_GOLDEN=1 ./test_golden_jsonl";
-    std::ifstream in(golden, std::ios::binary);
-    std::ostringstream os;
-    os << in.rdbuf();
-    compare_field_by_field(gc.file, os.str(), actual);
+    ASSERT_TRUE(fs::exists(jsonl) && fs::exists(tables))
+        << gc.experiment << " snapshot missing; run TGS_UPDATE_GOLDEN=1 "
+        << "./test_golden_jsonl";
+    compare_field_by_field(jsonl.filename().string(), read_file(jsonl),
+                           actual.jsonl);
+    EXPECT_EQ(read_file(tables), actual.tables)
+        << tables.filename().string() << ": rendered tables drifted";
   }
 }
 
