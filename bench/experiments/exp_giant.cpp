@@ -25,10 +25,7 @@
 #include <cstdio>
 
 #include "experiments/experiments.h"
-#include "tgs/gen/rgnos.h"
 #include "tgs/gen/traced.h"
-#include "tgs/harness/registry.h"
-#include "tgs/harness/runner.h"
 #include "tgs/util/mem.h"
 #include "tgs/util/rng.h"
 
@@ -94,8 +91,7 @@ void run_giant_sweep(const ExpContext& ctx) {
                                  "ETF",  "DLS",   "param:cp/static/insert"};
   if (cli.has("algos"))
     algos = cli.get_list("algos");
-  check_algo_filter(cli, {algos});
-  algos = filtered_names(cli, algos);
+  const Slate slate(algos, &cli);
 
   // Size axis: --sizes csv of target node counts. The row key is the
   // TARGET (so curves from different workloads align); the realized v and
@@ -107,25 +103,15 @@ void run_giant_sweep(const ExpContext& ctx) {
   } else {
     sizes = {1000, 10000, 50000, 100000};
   }
-
-  std::vector<double> algo_idx;
-  std::vector<std::string> algo_labels;
-  for (std::size_t i = 0; i < algos.size(); ++i) {
-    algo_idx.push_back(static_cast<double>(i));
-    // Canonical scheduler name: "param:..." spec shorthands normalize
-    // (e.g. a trailing "/none"), and the pivot column must match the
-    // RunResult.algo the records carry.
-    algo_labels.push_back(make_scheduler(algos[i])->name());
-  }
   Sweep sweep;
-  sweep.axis("v", sizes).axis("algo", algo_idx, algo_labels);
-
-  OutStream out = make_out(ctx, "giant_sweep");
-  ResultSink sink("giant_sweep", out.get());
+  sweep.axis("v", sizes).axis(
+      "algo", range(0, static_cast<double>(slate.entries().size()) - 1),
+      slate.columns());
 
   const auto job = [&](const JobContext& jc, const SweepPoint& pt) {
     const NodeId v_target = static_cast<NodeId>(pt.param("v"));
-    const std::string& algo = algos[static_cast<std::size_t>(pt.param("algo"))];
+    const SlateEntry& e =
+        slate.entries()[static_cast<std::size_t>(pt.param("algo"))];
     // Same graph for every algorithm at a size: seed depends on v only.
     const TaskGraph g =
         giant_workload(workload, v_target, derive_seed(jc.master_seed, v_target));
@@ -139,15 +125,11 @@ void run_giant_sweep(const ExpContext& ctx) {
     opt.num_procs = procs;
 
     AllocMeter meter;
-    RunResult best = require_valid(
-        run_scheduler(*make_scheduler(algo), g, opt, ws));
+    RunResult best = slate.run(e, g, ws, opt);
     const double alloc_count = static_cast<double>(meter.count());
     const double alloc_mb = static_cast<double>(meter.bytes()) / kMiB;
     for (int i = 1; i < time_reps; ++i)
-      best.seconds = std::min(
-          best.seconds,
-          require_valid(run_scheduler(*make_scheduler(algo), g, opt, ws))
-              .seconds);
+      best.seconds = std::min(best.seconds, slate.run(e, g, ws, opt).seconds);
 
     Record rec = record_from_run(best, "giant", v_target,
                                  ctx.time_value(best.seconds));
@@ -169,19 +151,16 @@ void run_giant_sweep(const ExpContext& ctx) {
     records.push_back(std::move(rec));
     return records;
   };
-  run_sweep(sweep, ctx.seed, ctx.threads, job, sink);
-
-  if (!ctx.quiet)
-    std::printf("Giant-graph tier: workload=%s, procs=%d, min of %d timing "
-                "rep(s), %d worker threads (use --threads=1 for clean "
-                "alloc_* deltas)\n\n",
-                workload.c_str(), procs, time_reps, ctx.threads);
-  PivotStats stats("v", algo_labels);
-  sink.fold("giant", stats);
-  emit(ctx, "giant_sweep",
-       "Giant-graph tier: scheduling seconds per algorithm (mem in JSONL)",
-       stats.render(3));
-  report_sink(ctx, sink, out);
+  run_experiment(ctx, "giant_sweep", sweep, job, [&](const Report& r) {
+    if (!ctx.quiet)
+      std::printf("Giant-graph tier: workload=%s, procs=%d, min of %d timing "
+                  "rep(s), %d worker threads (use --threads=1 for clean "
+                  "alloc_* deltas)\n\n",
+                  workload.c_str(), procs, time_reps, ctx.threads);
+    r.pivot("giant", "v", slate.columns(), 3, "giant_sweep",
+            "Giant-graph tier: scheduling seconds per algorithm (mem in "
+            "JSONL)");
+  });
 }
 
 }  // namespace

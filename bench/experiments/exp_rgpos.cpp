@@ -10,17 +10,9 @@
 // half the cases with <2% average degradation; degradations increase with
 // CCR; at CCR 10 hardly any algorithm finds an optimum. The BNP
 // algorithms produce similar numbers of optima and degradations.
-#include <cmath>
 #include <cstdio>
-#include <map>
 
 #include "experiments/experiments.h"
-#include "tgs/gen/rgpos.h"
-#include "tgs/harness/registry.h"
-#include "tgs/harness/runner.h"
-#include "tgs/sched/metrics.h"
-#include "tgs/util/rng.h"
-#include "tgs/util/stats.h"
 
 namespace tgs::bench {
 namespace {
@@ -30,101 +22,49 @@ void run_table_rgpos(const ExpContext& ctx, bool unc) {
   const std::string exp = unc ? "table4" : "table5";
   const int procs = static_cast<int>(cli.get_int("procs", 4));
   const NodeId max_v = static_cast<NodeId>(cli.get_int("max-v", 500));
-  check_algo_filter(cli, {unc ? unc_names() : bnp_names()});
-  const std::vector<std::string> names =
-      filtered_names(cli, unc ? unc_names() : bnp_names());
+  const Slate slate(cli, {unc ? AlgoClass::kUNC : AlgoClass::kBNP});
 
   Sweep sweep;
-  sweep.axis("ccr", {kRgposCcrs[0], kRgposCcrs[1], kRgposCcrs[2]});
-  std::vector<double> sizes;
-  for (NodeId v = 50; v <= max_v; v += 50) sizes.push_back(v);
-  sweep.axis("v", sizes);
-
-  OutStream out = make_out(ctx, exp);
-  ResultSink sink(exp, out.get());
+  sweep.axis("ccr", {kRgposCcrs[0], kRgposCcrs[1], kRgposCcrs[2]})
+      .axis("v", range(50, max_v, 50));
 
   const auto job = [&](const JobContext& jc, const SweepPoint& pt) {
     const double ccr = pt.param("ccr");
     const NodeId v = static_cast<NodeId>(pt.param("v"));
-    RgposParams params;
-    params.num_nodes = v;
-    params.num_procs = procs;
-    params.ccr = ccr;
-    // width_guard = true for the UNC table: the algorithms are unbounded,
-    // so the planted optimum must be a universal lower bound (gen/rgpos.h).
-    params.width_guard = unc;
-    // The paper's fixed per-(ccr, v) suite keyed by the master seed --
-    // the same pairing rgpos_suite() uses, so retiring the standalone
-    // benches kept every graph identical.
-    std::uint64_t state = jc.master_seed ^
-                          (static_cast<std::uint64_t>(v) << 18) ^
-                          static_cast<std::uint64_t>(std::llround(ccr * 1000));
-    params.seed = splitmix64(state);
-    const RgposGraph r = rgpos_graph(params);
-    const std::string pivot = "ccr" + Table::fmt(ccr, 1);
-    SchedWorkspace& ws = bind_workspace(r.graph);
-
+    // width_guard for the UNC table: the algorithms are unbounded, so the
+    // planted optimum must be a universal lower bound (gen/rgpos.h). The
+    // BNP table runs bounded to the plant, where any schedule is at least
+    // the plant long, so a hit (length <= plant) is an exact match.
+    const RgposGraph g = rgpos_suite_graph(ccr, v, procs, unc, jc.master_seed);
     SchedOptions opt;
-    if (!unc) opt.num_procs = r.num_procs;
-    std::vector<Record> records;
-    for (const std::string& name : names) {
-      const RunResult rr =
-          run_scheduler(*make_scheduler(name), r.graph, opt, ws);
-      const double deg = percent_degradation(rr.length, r.optimal_length);
-      // "Found the optimum" is <= for UNC (the width-guarded plant is a
-      // lower bound, so matching it can only happen from above or at
-      // equality) and == for BNP, matching the retired benches' counting.
-      const bool hit = unc ? rr.length <= r.optimal_length
-                           : rr.length == r.optimal_length;
-      Record rec = record_from_run(rr, pivot, v, deg);
-      rec.num.emplace_back("hit", hit ? 1.0 : 0.0);
-      records.push_back(std::move(rec));
-    }
-    Record ref;
-    ref.pivot = pivot;
-    ref.row = v;
-    ref.column = "L_opt";
-    ref.value = static_cast<double>(r.optimal_length);
-    ref.num.emplace_back("procs", static_cast<double>(r.num_procs));
-    records.push_back(std::move(ref));
+    if (!unc) opt.num_procs = g.num_procs;
+    std::vector<Record> records = degradation_records(
+        slate.run_all(g.graph, bind_workspace(g.graph), opt),
+        g.optimal_length, ccr, v, /*hit_field=*/true);
+    records.push_back(cell(ccr_pivot(ccr), v, "L_opt",
+                           static_cast<double>(g.optimal_length),
+                           {{"procs", static_cast<double>(g.num_procs)}}));
     return records;
   };
-  run_sweep(sweep, ctx.seed, ctx.threads, job, sink);
-
-  if (!ctx.quiet)
-    std::printf("RGPOS / %s: seed=%llu, planted on p=%d processors%s\n\n",
-                unc ? "UNC" : "BNP", static_cast<unsigned long long>(ctx.seed),
-                procs, unc ? " (width-guarded)" : " (bounded to the plant)");
-  std::vector<std::string> columns = names;
-  columns.push_back("L_opt");
-  for (const double ccr : kRgposCcrs) {
-    const std::string pivot = "ccr" + Table::fmt(ccr, 1);
-    PivotStats stats("v", columns);
-    sink.fold(pivot, stats);
-    emit(ctx, exp + "_" + pivot,
-         (unc ? "Table 4" : "Table 5") +
-             std::string(": % degradation from planted optimal, CCR=") +
-             Table::fmt(ccr, 1),
-         stats.render(1));
-  }
-
-  std::map<std::string, StatAccumulator> degs;
-  std::map<std::string, int> hits;
-  for (const JobResult& jr : sink.results())
-    for (const Record& rec : jr.records) {
-      if (rec.column == "L_opt") continue;
-      degs[rec.column].add(rec.value);
-      if (num_field(rec, "hit", 0.0) > 0.0) ++hits[rec.column];
-    }
-  Table summary({"algo", "#opt", "avg % degradation"});
-  for (const std::string& name : names)
-    summary.add_row({name, Table::fmt_int(hits[name]),
-                     Table::fmt(degs[name].mean(), 1)});
-  emit(ctx, exp + "_summary",
-       std::string(unc ? "Table 4" : "Table 5") +
-           ": optima found / average degradation",
-       summary);
-  report_sink(ctx, sink, out);
+  run_experiment(ctx, exp, sweep, job, [&](const Report& r) {
+    if (!ctx.quiet)
+      std::printf("RGPOS / %s: seed=%llu, planted on p=%d processors%s\n\n",
+                  unc ? "UNC" : "BNP",
+                  static_cast<unsigned long long>(ctx.seed), procs,
+                  unc ? " (width-guarded)" : " (bounded to the plant)");
+    std::vector<std::string> columns = slate.columns();
+    columns.push_back("L_opt");
+    for (const double ccr : kRgposCcrs)
+      r.pivot(ccr_pivot(ccr), "v", columns, 1, exp + "_" + ccr_pivot(ccr),
+              (unc ? "Table 4" : "Table 5") +
+                  std::string(": % degradation from planted optimal, CCR=") +
+                  Table::fmt(ccr, 1));
+    emit(ctx, exp + "_summary",
+         std::string(unc ? "Table 4" : "Table 5") +
+             ": optima found / average degradation",
+         optimality_summary(slate.columns(),
+                            tally_optimality(r.sink, "L_opt")));
+  });
 }
 
 void run_table4(const ExpContext& ctx) { run_table_rgpos(ctx, /*unc=*/true); }

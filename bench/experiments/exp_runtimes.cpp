@@ -21,12 +21,7 @@
 #include <cstdio>
 
 #include "experiments/experiments.h"
-#include "tgs/gen/rgnos.h"
-#include "tgs/harness/registry.h"
-#include "tgs/harness/runner.h"
-#include "tgs/net/routing.h"
 #include "tgs/util/rng.h"
-#include "tgs/util/stats.h"
 
 namespace tgs::bench {
 namespace {
@@ -38,16 +33,8 @@ void run_table6(const ExpContext& ctx) {
   const NodeId max_nodes = static_cast<NodeId>(cli.get_int("max-nodes", 500));
   const int time_reps = std::max(1, static_cast<int>(cli.get_int("reps", 1)));
   const auto reps = rgnos_reps(cli.has("full"));
-  check_algo_filter(cli, {unc_names(), bnp_names(), apn_names()});
-  const std::vector<std::string> unc_n = filtered_names(cli, unc_names());
-  const std::vector<std::string> bnp_n = filtered_names(cli, bnp_names());
-  const std::vector<std::string> apn_n = filtered_names(cli, apn_names());
-
-  const Sweep sweep = rgnos_size_sweep(max_nodes, reps.size());
-
-  OutStream out = make_out(ctx, "table6");
-  ResultSink sink("table6", out.get());
-  const RoutingTable routes{Topology::hypercube(3)};
+  const Slate slate(cli, {AlgoClass::kUNC, AlgoClass::kBNP, AlgoClass::kAPN},
+                    [](const std::string& n) { return n + "(APN)"; });
 
   const auto job = [&](const JobContext& jc, const SweepPoint& pt) {
     const NodeId v = static_cast<NodeId>(pt.param("v"));
@@ -59,57 +46,30 @@ void run_table6(const ExpContext& ctx) {
     ws.attrs().static_levels();
     ws.attrs().alap_times();  // also fills b-levels + critical path
 
-    // Run once (the record everything else derives from), then --reps - 1
-    // more times keeping the fastest observation.
-    const auto timed = [&](const auto& once) {
-      RunResult best = require_valid(once());
-      for (int i = 1; i < time_reps; ++i)
-        best.seconds = std::min(best.seconds, require_valid(once()).seconds);
-      return best;
-    };
-
     std::vector<Record> records;
-    for (const std::string& name : unc_n) {
-      const RunResult rr = timed([&] {
-        return run_scheduler(*make_scheduler(name), g.graph, {}, ws);
-      });
-      records.push_back(
-          record_from_run(rr, "table6", v, ctx.time_value(rr.seconds)));
-    }
-    for (const std::string& name : bnp_n) {
-      const RunResult rr = timed([&] {
-        return run_scheduler(*make_scheduler(name), g.graph, {}, ws);
-      });
-      records.push_back(
-          record_from_run(rr, "table6", v, ctx.time_value(rr.seconds)));
-    }
-    for (const std::string& name : apn_n) {
-      RunResult rr = timed([&] {
-        return run_apn_scheduler(*make_apn_scheduler(name), g.graph, routes,
-                                 ws);
-      });
-      rr.algo += "(APN)";
+    for (const SlateEntry& e : slate.entries()) {
+      // Run once (the record everything else derives from), then --reps - 1
+      // more times keeping the fastest observation.
+      RunResult rr = slate.run(e, g.graph, ws);
+      for (int i = 1; i < time_reps; ++i)
+        rr.seconds = std::min(rr.seconds, slate.run(e, g.graph, ws).seconds);
       records.push_back(
           record_from_run(rr, "table6", v, ctx.time_value(rr.seconds)));
     }
     return records;
   };
-  run_sweep(sweep, ctx.seed, ctx.threads, job, sink);
-
-  if (!ctx.quiet)
-    std::printf("RGNOS running times: seed=%llu, %zu graphs per size, min of "
-                "%d timing rep(s), APN on hcube3, %d worker threads\n\n",
-                static_cast<unsigned long long>(ctx.seed), reps.size(),
-                time_reps, ctx.threads);
-  std::vector<std::string> columns = unc_n;
-  for (const std::string& n : bnp_n) columns.push_back(n);
-  for (const std::string& n : apn_n) columns.push_back(n + "(APN)");
-  PivotStats stats("v", columns);
-  sink.fold("table6", stats);
-  emit(ctx, "table6_runtimes",
-       "Table 6: average scheduling times (seconds) on RGNOS",
-       stats.render(4));
-  report_sink(ctx, sink, out);
+  run_experiment(
+      ctx, "table6", rgnos_size_sweep(max_nodes, reps.size()), job,
+      [&](const Report& r) {
+        if (!ctx.quiet)
+          std::printf("RGNOS running times: seed=%llu, %zu graphs per size, "
+                      "min of %d timing rep(s), APN on hcube3, %d worker "
+                      "threads\n\n",
+                      static_cast<unsigned long long>(ctx.seed), reps.size(),
+                      time_reps, ctx.threads);
+        r.pivot("table6", "v", slate.columns(), 4, "table6_runtimes",
+                "Table 6: average scheduling times (seconds) on RGNOS");
+      });
 }
 
 // --------------------------------------------------------------- micro ----
@@ -118,73 +78,41 @@ void run_micro(const ExpContext& ctx) {
   const Cli& cli = *ctx.cli;
   const int reps = std::max(1, static_cast<int>(cli.get_int("reps", 5)));
   const NodeId max_nodes = static_cast<NodeId>(cli.get_int("max-nodes", 300));
-  check_algo_filter(cli, {unc_names(), bnp_names(), apn_names()});
+  // APN DLS is disambiguated from BNP DLS in the column labels.
+  const Slate slate(cli, {AlgoClass::kBNP, AlgoClass::kUNC, AlgoClass::kAPN},
+                    [](const std::string& n) {
+                      return n == "DLS" ? std::string("DLS-APN") : n;
+                    });
 
-  struct Algo {
-    enum Kind { kSched, kApn } kind;
-    std::string name;   // registry name
-    std::string label;  // pivot column (APN DLS disambiguated)
-  };
-  std::vector<Algo> algos;
-  for (const std::string& n : filtered_names(cli, bnp_names()))
-    algos.push_back({Algo::kSched, n, n});
-  for (const std::string& n : filtered_names(cli, unc_names()))
-    algos.push_back({Algo::kSched, n, n});
-  for (const std::string& n : filtered_names(cli, apn_names()))
-    algos.push_back({Algo::kApn, n, n == "DLS" ? "DLS-APN" : n});
-
-  Sweep sweep;
-  std::vector<double> indices;
-  std::vector<std::string> labels;
-  for (std::size_t i = 0; i < algos.size(); ++i) {
-    indices.push_back(i);
-    labels.push_back(algos[i].label);
-  }
   // Fixed probe sizes 100, 300, 500, ... up to --max-nodes (default keeps
   // the historical {100, 300} pair).
-  std::vector<double> sizes{100};
-  for (NodeId v = 300; v <= max_nodes; v += 200) sizes.push_back(v);
-  sweep.axis("v", sizes).axis("algo", indices, labels);
-
-  OutStream out = make_out(ctx, "micro_algorithms");
-  ResultSink sink("micro_algorithms", out.get());
-  const RoutingTable routes{Topology::hypercube(3)};
+  std::vector<double> sizes = range(300, max_nodes, 200);
+  sizes.insert(sizes.begin(), 100);
+  Sweep sweep;
+  sweep.axis("v", sizes).axis(
+      "algo", range(0, static_cast<double>(slate.entries().size()) - 1),
+      slate.columns());
 
   const auto job = [&](const JobContext& jc, const SweepPoint& pt) {
     const NodeId v = static_cast<NodeId>(pt.param("v"));
-    const Algo& algo = algos[static_cast<std::size_t>(pt.param("algo"))];
+    const SlateEntry& e =
+        slate.entries()[static_cast<std::size_t>(pt.param("algo"))];
     std::vector<Record> records;
     // APN message scheduling is quadratic-plus; measure at v=100 only.
-    if (algo.kind == Algo::kApn && v != 100) return records;
+    if (e.cls == AlgoClass::kAPN && v != 100) return records;
 
-    RgnosParams params;
-    params.num_nodes = v;
-    params.ccr = 1.0;
-    params.parallelism = 3;
-    params.seed = derive_seed(jc.master_seed, v);  // same graph for all algos
-    const TaskGraph g = rgnos_graph(params);
+    // The same graph for every algorithm at a size.
+    const TaskGraph g = rgnos_sample(v, 1.0, 3, derive_seed(jc.master_seed, v));
     SchedWorkspace& ws = bind_workspace(g);
 
-    RunResult rr;
+    const RunResult rr = slate.run(e, g, ws);  // the warm-up
     std::vector<double> samples_ms;
-    samples_ms.reserve(static_cast<std::size_t>(reps));
-    for (int i = -1; i < reps; ++i) {  // i == -1 is the warm-up
-      const RunResult sample =
-          algo.kind == Algo::kApn
-              ? run_apn_scheduler(*make_apn_scheduler(algo.name), g, routes,
-                                  ws)
-              : run_scheduler(*make_scheduler(algo.name), g, {}, ws);
-      if (i < 0) {
-        rr = sample;
-        continue;
-      }
-      samples_ms.push_back(sample.seconds * 1e3);
-    }
+    for (int i = 0; i < reps; ++i)
+      samples_ms.push_back(slate.run(e, g, ws).seconds * 1e3);
     const double best_ms =
         *std::min_element(samples_ms.begin(), samples_ms.end());
     double sum_ms = 0.0;
     for (double ms : samples_ms) sum_ms += ms;
-    rr.algo = pt.label("algo");
     Record rec = record_from_run(rr, "micro", v, ctx.time_value(best_ms));
     // The minimum is the noise floor; the median shows whether the floor
     // is representative (docs/perf.md, "Measuring").
@@ -194,19 +122,16 @@ void run_micro(const ExpContext& ctx) {
     records.push_back(std::move(rec));
     return records;
   };
-  run_sweep(sweep, ctx.seed, ctx.threads, job, sink);
-
-  if (!ctx.quiet)
-    std::printf("Scheduling-time micro benchmark: seed=%llu, best of %d runs "
-                "per cell (ms; median/mean in JSONL), %d worker threads\n\n",
-                static_cast<unsigned long long>(ctx.seed), reps, ctx.threads);
-  std::vector<std::string> columns;
-  for (const Algo& a : algos) columns.push_back(a.label);
-  PivotStats stats("v", columns);
-  sink.fold("micro", stats);
-  emit(ctx, "tgs_bench_micro", "Scheduling time per call (ms, min of reps)",
-       stats.render(3));
-  report_sink(ctx, sink, out);
+  run_experiment(ctx, "micro_algorithms", sweep, job, [&](const Report& r) {
+    if (!ctx.quiet)
+      std::printf("Scheduling-time micro benchmark: seed=%llu, best of %d "
+                  "runs per cell (ms; median/mean in JSONL), %d worker "
+                  "threads\n\n",
+                  static_cast<unsigned long long>(ctx.seed), reps,
+                  ctx.threads);
+    r.pivot("micro", "v", slate.columns(), 3, "tgs_bench_micro",
+            "Scheduling time per call (ms, min of reps)");
+  });
 }
 
 }  // namespace

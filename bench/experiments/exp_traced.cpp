@@ -10,14 +10,10 @@
 //
 // The traced graphs are deterministic in (dimension, comm scale) -- no
 // RNG streams are consumed. One job per matrix dimension.
-#include <algorithm>
 #include <cstdio>
 
 #include "experiments/experiments.h"
 #include "tgs/gen/traced.h"
-#include "tgs/harness/registry.h"
-#include "tgs/harness/runner.h"
-#include "tgs/net/routing.h"
 
 namespace tgs::bench {
 namespace {
@@ -30,28 +26,18 @@ void run_fig4(const ExpContext& ctx) {
   // classes to separate; at scale 1.0 every algorithm pins NSL to 1.0 and
   // the figure degenerates.
   const double comm = cli.get_double("comm", 5.0);
-  check_algo_filter(cli, {unc_names(), bnp_names(), apn_names()});
-  const std::vector<std::string> unc_n = filtered_names(cli, unc_names());
-  const std::vector<std::string> bnp_n = filtered_names(cli, bnp_names());
-  const std::vector<std::string> apn_n = filtered_names(cli, apn_names());
-  const auto wants = [](const std::vector<std::string>& names,
-                        const char* name) {
-    return std::find(names.begin(), names.end(), name) != names.end();
+  const Slate slate(cli, {AlgoClass::kUNC, AlgoClass::kBNP, AlgoClass::kAPN});
+  // The Gaussian cross-check runs one algorithm per class, and honours the
+  // --algo filter too.
+  const auto gauss = [](const SlateEntry& e) {
+    return e.column == "DCP" || e.column == "MCP" || e.column == "BSA";
   };
-  // The Gaussian cross-check columns honour the --algo filter too.
-  std::vector<std::string> gauss_n;
-  if (wants(unc_n, "DCP")) gauss_n.push_back("DCP");
-  if (wants(bnp_n, "MCP")) gauss_n.push_back("MCP");
-  if (wants(apn_n, "BSA")) gauss_n.push_back("BSA");
+  std::vector<std::string> gauss_columns;
+  for (const SlateEntry& e : slate.entries())
+    if (gauss(e)) gauss_columns.push_back(e.column);
 
   Sweep sweep;
-  std::vector<double> dims;
-  for (int dim = 8; dim <= max_dim; dim += 4) dims.push_back(dim);
-  sweep.axis("dim", dims);
-
-  OutStream out = make_out(ctx, "fig4");
-  ResultSink sink("fig4", out.get());
-  const RoutingTable routes{Topology::hypercube(3)};
+  sweep.axis("dim", range(8, max_dim, 4));
 
   const auto job = [&](const JobContext&, const SweepPoint& pt) {
     const int dim = static_cast<int>(pt.param("dim"));
@@ -63,60 +49,40 @@ void run_fig4(const ExpContext& ctx) {
     {
       const TaskGraph g = cholesky_graph(dim, comm);
       SchedWorkspace& ws = bind_workspace(g);
-      for (const std::string& name : unc_n) {
-        const RunResult rr = run_scheduler(*make_scheduler(name), g, {}, ws);
-        records.push_back(record_from_run(rr, "fig4a", dim, rr.nsl));
-      }
-      for (const std::string& name : bnp_n) {
-        const RunResult rr = run_scheduler(*make_scheduler(name), g, {}, ws);
-        records.push_back(record_from_run(rr, "fig4b", dim, rr.nsl));
-      }
-      for (const std::string& name : apn_n) {
-        const RunResult rr =
-            run_apn_scheduler(*make_apn_scheduler(name), g, routes, ws);
-        records.push_back(record_from_run(rr, "fig4c", dim, rr.nsl));
+      for (const SlateEntry& e : slate.entries()) {
+        const RunResult rr = slate.run(e, g, ws);
+        records.push_back(
+            record_from_run(rr, panel("fig4", e.cls), dim, rr.nsl));
       }
     }
 
     // Second application (paper: "quite similar for both applications").
-    if (!gauss_n.empty()) {
+    if (!gauss_columns.empty()) {
       const TaskGraph ge = gaussian_elimination_graph(dim, comm);
       SchedWorkspace& ws = bind_workspace(ge);
-      for (const std::string& name : gauss_n) {
-        const RunResult rr =
-            name == "BSA"
-                ? run_apn_scheduler(*make_apn_scheduler(name), ge, routes, ws)
-                : run_scheduler(*make_scheduler(name), ge, {}, ws);
-        Record rec = record_from_run(rr, "fig4x", dim, rr.nsl);
-        rec.str.emplace_back("app", "gauss");
-        records.push_back(std::move(rec));
+      for (const SlateEntry& e : slate.entries()) {
+        if (!gauss(e)) continue;
+        const RunResult rr = slate.run(e, ge, ws);
+        records.push_back(record_from_run(rr, "fig4x", dim, rr.nsl));
+        records.back().str.emplace_back("app", "gauss");
       }
     }
     return records;
   };
-  run_sweep(sweep, ctx.seed, ctx.threads, job, sink);
-
-  if (!ctx.quiet)
-    std::printf("Cholesky traced graphs, comm scale %.1f; APN on hcube3; %d "
-                "worker threads\n\n",
-                comm, ctx.threads);
-  const auto render = [&](const std::string& pivot,
-                          const std::vector<std::string>& cols,
-                          const std::string& name, const std::string& title) {
-    if (cols.empty()) return;
-    PivotStats stats("N", cols);
-    sink.fold(pivot, stats);
-    emit(ctx, name, title, stats.render(3));
-  };
-  render("fig4a", unc_n, "fig4a_traced_unc",
-         "Figure 4(a): average NSL on Cholesky, UNC");
-  render("fig4b", bnp_n, "fig4b_traced_bnp",
-         "Figure 4(b): average NSL on Cholesky, BNP");
-  render("fig4c", apn_n, "fig4c_traced_apn",
-         "Figure 4(c): average NSL on Cholesky, APN");
-  render("fig4x", gauss_n, "fig4x_traced_gauss",
-         "Figure 4 extension: Gaussian elimination cross-check");
-  report_sink(ctx, sink, out);
+  run_experiment(ctx, "fig4", sweep, job, [&](const Report& r) {
+    if (!ctx.quiet)
+      std::printf("Cholesky traced graphs, comm scale %.1f; APN on hcube3; "
+                  "%d worker threads\n\n",
+                  comm, ctx.threads);
+    r.pivot("fig4a", "N", slate.columns(AlgoClass::kUNC), 3,
+            "fig4a_traced_unc", "Figure 4(a): average NSL on Cholesky, UNC");
+    r.pivot("fig4b", "N", slate.columns(AlgoClass::kBNP), 3,
+            "fig4b_traced_bnp", "Figure 4(b): average NSL on Cholesky, BNP");
+    r.pivot("fig4c", "N", slate.columns(AlgoClass::kAPN), 3,
+            "fig4c_traced_apn", "Figure 4(c): average NSL on Cholesky, APN");
+    r.pivot("fig4x", "N", gauss_columns, 3, "fig4x_traced_gauss",
+            "Figure 4 extension: Gaussian elimination cross-check");
+  });
 }
 
 }  // namespace

@@ -73,7 +73,6 @@ class RunDeadline {
     armed_ = true;
   }
   void disarm() { armed_ = false; }
-  bool armed() const { return armed_; }
 
   /// Amortized check; throws DeadlineExceeded once the deadline passes.
   void poll() {

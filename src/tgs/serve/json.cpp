@@ -244,7 +244,7 @@ class JsonParser {
       return;
     }
     for (;;) {
-      v.arr_.push_back(parse_value());
+      parse_value();  // validated, not kept
       skip_ws();
       if (peek() == ',') {
         ++pos_;

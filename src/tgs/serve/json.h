@@ -5,14 +5,15 @@
 // strings with escapes, numbers, booleans, null) with two deliberate
 // simplifications: numbers are stored as double (protocol fields are small
 // integers and ratios), and \uXXXX escapes outside the BMP are encoded as
-// their surrogate code points individually.
+// their surrogate code points individually. No protocol field is an array,
+// so an array is parsed and validated but keeps no elements: it is a value
+// every typed accessor rejects.
 #pragma once
 
 #include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 namespace tgs {
 
@@ -21,12 +22,10 @@ class JsonValue {
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
 
   bool is_null() const { return type_ == Type::kNull; }
-  bool is_array() const { return type_ == Type::kArray; }
   bool is_object() const { return type_ == Type::kObject; }
 
   double as_number() const { return num_; }
   const std::string& as_string() const { return str_; }
-  const std::vector<JsonValue>& as_array() const { return arr_; }
 
   /// Object member lookup; nullptr when absent or not an object.
   const JsonValue* find(const std::string& key) const;
@@ -53,7 +52,6 @@ class JsonValue {
   bool bool_ = false;
   double num_ = 0;
   std::string str_;
-  std::vector<JsonValue> arr_;
   std::map<std::string, JsonValue> obj_;
 };
 

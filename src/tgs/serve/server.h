@@ -103,9 +103,7 @@ class Server {
   int num_workers() const { return pool_.size(); }
 
   /// Introspection for tests and the stats op.
-  ServerStats& stats() { return stats_; }
   ScheduleCache& cache() { return cache_; }
-  GraphMemo& graph_memo() { return memo_; }
   Journal& journal() { return journal_; }
 
  private:

@@ -31,8 +31,21 @@ using Type = ReferenceJson::Type;
 
 std::string value_diff(const JsonValue& got, const ReferenceJson& want);
 
+/// True when `get` throws std::invalid_argument.
+template <typename Get>
+bool rejects(Get get) {
+  try {
+    get();
+  } catch (const std::invalid_argument&) {
+    return true;
+  }
+  return false;
+}
+
 /// Compares member `key` of `parent` with `want`. The typed getters throw
-/// on a member of another type, so a member's type is checked exactly.
+/// on a member of another type, so a member's type is checked exactly; an
+/// array, which keeps no elements, is the non-object member they all
+/// reject.
 std::string member_diff(const JsonValue& parent, const std::string& key,
                         const ReferenceJson& want) {
   const JsonValue* got = parent.find(key);
@@ -54,6 +67,13 @@ std::string member_diff(const JsonValue& parent, const std::string& key,
       }
       case Type::kString:
         return parent.get_string(key, "") == want.str_ ? "" : where + "string";
+      case Type::kArray:
+        return !got->is_object() &&
+                       rejects([&] { parent.get_bool(key, false); }) &&
+                       rejects([&] { parent.get_number(key, 0); }) &&
+                       rejects([&] { parent.get_string(key, ""); })
+                   ? ""
+                   : where + "not an array";
       default: {
         const std::string d = value_diff(*got, want);
         return d.empty() ? "" : where + d;
@@ -65,9 +85,9 @@ std::string member_diff(const JsonValue& parent, const std::string& key,
 }
 
 /// Equal values; returns the first difference, empty when equal. Object
-/// members are compared through member_diff; array elements and a bare
-/// document through as_string/as_number, which tell every type apart but
-/// a bool from "" and 0.
+/// members are compared through member_diff; a bare document through
+/// as_string/as_number, which tell every type apart but a bool or an
+/// array from "" and 0.
 std::string value_diff(const JsonValue& got, const ReferenceJson& want) {
   switch (want.type_) {
     case Type::kNull:
@@ -78,18 +98,8 @@ std::string value_diff(const JsonValue& got, const ReferenceJson& want) {
         if (std::string d = member_diff(got, key, member); !d.empty())
           return d;
       return "";
-    case Type::kArray: {
-      if (!got.is_array()) return "not an array";
-      if (got.as_array().size() != want.arr_.size()) return "array size";
-      for (std::size_t i = 0; i < want.arr_.size(); ++i)
-        if (std::string d = value_diff(got.as_array()[i], want.arr_[i]);
-            !d.empty())
-          return "[" + std::to_string(i) + "] " + d;
-      return "";
-    }
     default:
-      if (got.is_null() || got.is_array() || got.is_object())
-        return "not a scalar";
+      if (got.is_null() || got.is_object()) return "not a scalar";
       if (got.as_string() != want.str_) return "string";
       if (got.as_number() != want.num_ &&
           !(got.as_number() != got.as_number() && want.num_ != want.num_))

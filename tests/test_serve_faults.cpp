@@ -435,7 +435,6 @@ TEST(Deadline, UnarmedDeadlineNeverFires) {
   const TaskGraph g = random_graph(7, 40);
   SchedWorkspace ws;
   ws.begin_graph(g);
-  EXPECT_FALSE(ws.deadline().armed());
   const Schedule s = make_scheduler("DCP")->run(g, SchedOptions{}, ws);
   EXPECT_EQ(s.placed_count(), g.num_nodes());
 }
