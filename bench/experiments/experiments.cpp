@@ -277,9 +277,10 @@ std::vector<std::string> Slate::columns(AlgoClass cls) const {
 }
 
 RunResult Slate::run(const SlateEntry& e, const TaskGraph& g,
-                     SchedWorkspace& ws, const SchedOptions& opt) const {
+                     SchedWorkspace& ws, const SchedOptions& opt,
+                     std::optional<Schedule>* kept) const {
   if (e.apn != nullptr) return run(e, g, ws, hcube3_);
-  RunResult rr = require_valid(run_scheduler(*e.sched, g, opt, ws));
+  RunResult rr = require_valid(run_scheduler(*e.sched, g, opt, ws, kept));
   rr.algo = e.column;
   return rr;
 }
@@ -360,18 +361,18 @@ std::vector<Record> rgbos_records(const Slate& slate, const TaskGraph& g,
                                   BBOptions bb, double ccr, NodeId v,
                                   bool hit_field) {
   SchedWorkspace& ws = bind_workspace(g);
-  const std::vector<RunResult> runs = slate.run_all(g, ws, opt);
+  std::vector<RunResult> runs;
   bb.num_procs = proc_floor;
   bb.initial_upper_bound = kTimeInf;
-  const SlateEntry* best = nullptr;
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    bb.num_procs = std::max(bb.num_procs, runs[i].procs_used);
-    if (runs[i].length < bb.initial_upper_bound) {
-      bb.initial_upper_bound = runs[i].length;
-      best = &slate.entries()[i];
+  std::optional<Schedule> kept;
+  for (const SlateEntry& e : slate.entries()) {
+    const RunResult& rr = runs.emplace_back(slate.run(e, g, ws, opt, &kept));
+    bb.num_procs = std::max(bb.num_procs, rr.procs_used);
+    if (rr.length < bb.initial_upper_bound) {
+      bb.initial_upper_bound = rr.length;
+      bb.initial_schedule = std::move(kept);
     }
   }
-  bb.initial_schedule = best->sched->run(g, opt, ws);
   const BBResult ref = branch_and_bound(g, bb);
 
   std::vector<Record> records =

@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -185,9 +186,11 @@ class Slate {
   std::vector<std::string> columns(AlgoClass cls) const;
 
   /// Run `e` on `g` (UNC/BNP at `opt`, APN on the hypercube) and return
-  /// the validated result, its algo set to e.column.
+  /// the validated result, its algo set to e.column. With `kept`, a
+  /// UNC/BNP entry's schedule is moved there.
   RunResult run(const SlateEntry& e, const TaskGraph& g, SchedWorkspace& ws,
-                const SchedOptions& opt = {}) const;
+                const SchedOptions& opt = {},
+                std::optional<Schedule>* kept = nullptr) const;
   /// Run the APN entry `e` on the machine `routes` instead.
   RunResult run(const SlateEntry& e, const TaskGraph& g, SchedWorkspace& ws,
                 const RoutingTable& routes) const;

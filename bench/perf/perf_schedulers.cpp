@@ -9,9 +9,10 @@
 // the frozen EZ
 // of tests/reference_named.h, BM_Bsa_Reference the frozen BSA of
 // tests/reference_bsa.h, BM_GraphFromString_Reference the frozen
-// istream tgs1 reader of tests/reference_graph_io.h and
+// istream tgs1 reader of tests/reference_graph_io.h,
 // BM_ParseRequest_Reference the frozen JSON parser of
-// tests/reference_json.h, so each speedup over
+// tests/reference_json.h and BM_ReadyList_Reference the frozen sorted
+// ready list of tests/reference_ready_list.h, so each speedup over
 // the retired code is measured inside one binary; the committed
 // BENCH_schedulers.json at the repo root is the baseline CI compares
 // against (tools/check_perf_regression.py, >2x real_time fails).
@@ -29,6 +30,7 @@
 #include "reference_named.h"
 #include "reference_net.h"
 #include "reference_proc_choice.h"
+#include "reference_ready_list.h"
 #include "reference_schedulers.h"
 #include "reference_timeline.h"
 #include "tgs/bnp/bnp_common.h"
@@ -197,11 +199,12 @@ BENCHMARK(BM_Ez_Reference)->Arg(500);
 // v = 2000 bench graph, each put where insertion best_est_proc puts it (so
 // the timelines hold holes), and the nodes ready next with their frozen
 // arrivals in both forms. Every iteration chooses a processor for each
-// ready node under append and under insertion placement.
+// ready node under append and under insertion placement. The nodes are
+// placed smallest ready id first, from the frozen sorted list.
 struct ProcChoiceBench {
   explicit ProcChoiceBench(int procs)
       : g(bench_graph(2000)), sched(g, procs), scanner(sched, procs, pair) {
-    ReadyList rl(g);
+    reference::SortedReadyList rl(g);
     while (sched.placed_count() < 1000) {
       const NodeId n = rl.ready().front();
       const ProcChoice c = best_est_proc(scanner, n, arrival_of(sched, n),
@@ -563,20 +566,38 @@ void BM_Timeline_PackedFit_Scan(benchmark::State& state) {
 }
 BENCHMARK(BM_Timeline_PackedFit_Scan)->Arg(1024)->Arg(4096);
 
-void BM_ReadyList_Churn(benchmark::State& state) {
-  const TaskGraph g = bench_graph(static_cast<NodeId>(state.range(0)));
+// Ready-set bookkeeping alone: every iteration builds the list and
+// schedules the whole graph, smallest ready id first (the sorted list's
+// front()), so the production set and the frozen sorted list go through
+// the same ready sets. Arg 500 is the v = 500 bench graph; Arg 4096 is
+// FFT-4096, 24,576 nodes with 2048 ready at once, where every sorted
+// erase moves thousands of ids.
+template <class List>
+void ready_list_churn(benchmark::State& state) {
+  const int arg = static_cast<int>(state.range(0));
+  const TaskGraph g = arg == 4096 ? fft_graph(arg, 1.0)
+                                  : bench_graph(static_cast<NodeId>(arg));
+  std::vector<NodeId> order;
+  for (reference::SortedReadyList rl(g); !rl.empty();) {
+    order.push_back(rl.ready().front());
+    rl.mark_scheduled(order.back());
+  }
   for (auto _ : state) {
-    ReadyList ready(g);
-    std::size_t picked = 0;
-    while (!ready.empty()) {
-      const NodeId n = ready.ready().front();
-      ready.mark_scheduled(n);
-      ++picked;
-    }
-    benchmark::DoNotOptimize(picked);
+    List ready(g);
+    for (NodeId n : order) ready.mark_scheduled(n);
+    benchmark::DoNotOptimize(ready.empty());
   }
 }
-BENCHMARK(BM_ReadyList_Churn)->Arg(500);
+
+void BM_ReadyList_Churn(benchmark::State& state) {
+  ready_list_churn<ReadyList>(state);
+}
+BENCHMARK(BM_ReadyList_Churn)->Arg(500)->Arg(4096);
+
+void BM_ReadyList_Reference(benchmark::State& state) {
+  ready_list_churn<reference::SortedReadyList>(state);
+}
+BENCHMARK(BM_ReadyList_Reference)->Arg(4096);
 
 void BM_StaticLevels(benchmark::State& state) {
   const TaskGraph g = bench_graph(static_cast<NodeId>(state.range(0)));

@@ -169,9 +169,7 @@ NetSchedule dls_apn_schedule(const TaskGraph& g, const RoutingTable& routes,
     apn_commit_node(ns, best, sc.slots[slot].proc, /*insertion=*/false);
     sc.free_slots.push_back(slot);
     ++commits;
-    ready.mark_scheduled(best);
-    for (const Adj& c : g.children(best))
-      if (ready.is_ready(c.node)) admit(c.node);
+    for (NodeId c : ready.mark_scheduled(best)) admit(c);
   }
   return ns;
 }

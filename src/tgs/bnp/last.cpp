@@ -50,7 +50,9 @@ Schedule last_schedule(const TaskGraph& g, const SchedOptions& opt,
       }
       const Cost lhs = to_scheduled[m] * (incident[best] == 0 ? 1 : incident[best]);
       const Cost rhs = to_scheduled[best] * (incident[m] == 0 ? 1 : incident[m]);
-      if (lhs > rhs || (lhs == rhs && sl[m] > sl[best])) best = m;
+      if (lhs > rhs ||
+          (lhs == rhs && (sl[m] > sl[best] || (sl[m] == sl[best] && m < best))))
+        best = m;
     }
 
     const ProcChoice choice = best_est_proc(

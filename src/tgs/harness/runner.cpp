@@ -10,11 +10,12 @@ namespace tgs {
 namespace {
 
 RunResult measure(const Scheduler& algo, const TaskGraph& g,
-                  const SchedOptions& opt, SchedWorkspace* ws) {
+                  const SchedOptions& opt, SchedWorkspace* ws,
+                  std::optional<Schedule>* kept) {
   RunResult r;
   r.algo = algo.name();
   Timer timer;
-  const Schedule s = ws != nullptr ? algo.run(g, opt, *ws) : algo.run(g, opt);
+  Schedule s = ws != nullptr ? algo.run(g, opt, *ws) : algo.run(g, opt);
   r.seconds = timer.seconds();
   r.length = s.makespan();
   r.procs_used = s.procs_used();
@@ -22,6 +23,7 @@ RunResult measure(const Scheduler& algo, const TaskGraph& g,
   r.valid = v.ok;
   r.error = v.error;
   r.nsl = normalized_schedule_length(g, r.length);
+  if (kept != nullptr) kept->emplace(std::move(s));
   return r;
 }
 
@@ -46,12 +48,13 @@ RunResult measure_apn(const ApnScheduler& algo, const TaskGraph& g,
 
 RunResult run_scheduler(const Scheduler& algo, const TaskGraph& g,
                         const SchedOptions& opt) {
-  return measure(algo, g, opt, nullptr);
+  return measure(algo, g, opt, nullptr, nullptr);
 }
 
 RunResult run_scheduler(const Scheduler& algo, const TaskGraph& g,
-                        const SchedOptions& opt, SchedWorkspace& ws) {
-  return measure(algo, g, opt, &ws);
+                        const SchedOptions& opt, SchedWorkspace& ws,
+                        std::optional<Schedule>* kept) {
+  return measure(algo, g, opt, &ws, kept);
 }
 
 RunResult run_apn_scheduler(const ApnScheduler& algo, const TaskGraph& g,

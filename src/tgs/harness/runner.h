@@ -3,6 +3,7 @@
 // plus our always-on validity oracle).
 #pragma once
 
+#include <optional>
 #include <string>
 
 #include "tgs/apn/apn_common.h"
@@ -30,9 +31,11 @@ RunResult run_scheduler(const Scheduler& algo, const TaskGraph& g,
 /// algorithm, so graph attributes are computed once per graph -- not once
 /// per run -- and scratch allocations are amortized away. `seconds`
 /// measures the algorithm body only, which is exactly the steady-state
-/// per-call cost the running-time experiments report.
+/// per-call cost the running-time experiments report. With `kept`, the
+/// schedule itself is moved there after validation.
 RunResult run_scheduler(const Scheduler& algo, const TaskGraph& g,
-                        const SchedOptions& opt, SchedWorkspace& ws);
+                        const SchedOptions& opt, SchedWorkspace& ws,
+                        std::optional<Schedule>* kept = nullptr);
 
 /// Run + validate an APN scheduler on a routed topology.
 RunResult run_apn_scheduler(const ApnScheduler& algo, const TaskGraph& g,

@@ -1,6 +1,5 @@
 #include "tgs/list/ready_list.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace tgs {
@@ -8,30 +7,33 @@ namespace tgs {
 ReadyList::ReadyList(const TaskGraph& g)
     : graph_(&g),
       unscheduled_parents_(g.num_nodes()),
-      ready_flag_(g.num_nodes(), false) {
-  for (NodeId n = 0; n < g.num_nodes(); ++n)
-    unscheduled_parents_[n] = g.num_parents(n);
+      pos_(g.num_nodes(), kNoNode) {
   for (NodeId n = 0; n < g.num_nodes(); ++n) {
+    unscheduled_parents_[n] = static_cast<NodeId>(g.num_parents(n));
     if (unscheduled_parents_[n] == 0) {
+      pos_[n] = static_cast<NodeId>(ready_.size());
       ready_.push_back(n);
-      ready_flag_[n] = true;
     }
   }
 }
 
-void ReadyList::mark_scheduled(NodeId n) {
-  if (!ready_flag_[n]) throw std::logic_error("node not ready");
-  ready_flag_[n] = false;
-  // ready_ is sorted by id: binary search, not the O(width) linear find
-  // (FFT-class graphs keep thousands of nodes ready at once).
-  ready_.erase(std::lower_bound(ready_.begin(), ready_.end(), n));
+std::span<const NodeId> ReadyList::mark_scheduled(NodeId n) {
+  const NodeId at = pos_[n];
+  if (at == kNoNode) throw std::logic_error("node not ready");
+  // Swap-remove: the last entry takes n's slot.
+  const NodeId last = ready_.back();
+  ready_[at] = last;
+  pos_[last] = at;
+  pos_[n] = kNoNode;
+  ready_.pop_back();
+  const std::size_t first = ready_.size();
   for (const Adj& c : graph_->children(n)) {
     if (--unscheduled_parents_[c.node] == 0) {
-      auto it = std::lower_bound(ready_.begin(), ready_.end(), c.node);
-      ready_.insert(it, c.node);
-      ready_flag_[c.node] = true;
+      pos_[c.node] = static_cast<NodeId>(ready_.size());
+      ready_.push_back(c.node);
     }
   }
+  return std::span<const NodeId>(ready_).subspan(first);
 }
 
 }  // namespace tgs

@@ -177,14 +177,7 @@ class ListPhase {
   /// sees the placement, then the children it made ready.
   void note_placed(NodeId n, ProcId p) {
     if (append_sel_) append_sel_->node_placed(p);
-    ready_.mark_scheduled(n);
-    admit_children(n);
-  }
-
-  /// Children of `n` that just became ready are admitted.
-  void admit_children(NodeId n) {
-    for (const Adj& c : g_.children(n))
-      if (ready_.is_ready(c.node)) admit(c.node);
+    for (NodeId c : ready_.mark_scheduled(n)) admit(c);
   }
 
   void admit_all() {

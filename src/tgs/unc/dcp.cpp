@@ -52,7 +52,7 @@ Schedule dcp_schedule(const TaskGraph& g, const SchedOptions& opt,
       const Time alst = cpl - bl[m];
       const Time slack = alst - aest[m];
       if (n == kNoNode || slack < n_slack ||
-          (slack == n_slack && alst < n_alst)) {
+          (slack == n_slack && (alst < n_alst || (alst == n_alst && m < n)))) {
         n = m;
         n_slack = slack;
         n_alst = alst;

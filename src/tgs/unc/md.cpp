@@ -45,7 +45,8 @@ Schedule md_schedule(const TaskGraph& g, const SchedOptions& opt,
     for (NodeId u = 0; u < g.num_nodes(); ++u) L = std::max(L, t[u] + b[u]);
 
     // Min relative mobility among ready nodes, compared exactly by
-    // cross-multiplication: (L - s_a)/w_a < (L - s_b)/w_b.
+    // cross-multiplication: (L - s_a)/w_a < (L - s_b)/w_b; ties -> smaller
+    // id.
     NodeId n = kNoNode;
     for (NodeId m : ready.ready()) {
       if (n == kNoNode) {
@@ -54,7 +55,7 @@ Schedule md_schedule(const TaskGraph& g, const SchedOptions& opt,
       }
       const Time slack_m = (L - (t[m] + b[m])) * g.weight(n);
       const Time slack_n = (L - (t[n] + b[n])) * g.weight(m);
-      if (slack_m < slack_n) n = m;
+      if (slack_m < slack_n || (slack_m == slack_n && m < n)) n = m;
     }
 
     const Time window_end = L - b[n];  // latest CP-preserving start

@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "reference_ready_list.h"
 #include "reference_schedulers.h"
 #include "tgs/bnp/bnp_common.h"
 #include "tgs/gen/psg.h"
@@ -240,7 +241,8 @@ TEST(PairSelector, AllPairPointsMatchFrozenDigests) {
 
 // The naive pick under `order`: the exhaustive scan over the ready set.
 NodeId naive_pick(const Schedule& sched, const ProcScanner& scanner,
-                  const ReadyList& ready, const PairOrder& order) {
+                  const reference::SortedReadyList& ready,
+                  const PairOrder& order) {
   reference::Arrival probe;
   NodeId best = kNoNode;
   Time best_t = 0;
@@ -287,7 +289,7 @@ TEST(PairSelector, AppendSelectorStaysExactUnderArbitraryPlacements) {
       Schedule sched(g, effective_procs(g, opt));
       PairScratch pair;
       ProcScanner scanner(sched, effective_procs(g, opt), pair);
-      ReadyList ready(g);
+      reference::SortedReadyList ready(g);  // drawn from by position
       PairScratch etf_scratch, dls_scratch;
       const PairOrder etf_order{sl.data(), rank.data(), false};
       const PairOrder dls_order{sl.data(), rank.data(), true};
@@ -433,7 +435,7 @@ TEST(BestEstProc, MatchesExhaustiveScanOnSchedulesWithHoles) {
       Schedule sched(g, procs);
       PairScratch pair;
       ProcScanner scanner(sched, procs, pair);
-      ReadyList ready(g);
+      reference::SortedReadyList ready(g);  // drawn from by position
       reference::Arrival ref;
       std::uint64_t h =
           static_cast<std::uint64_t>(procs) * 0x9E3779B97F4A7C15ull;

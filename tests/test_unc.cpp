@@ -1,6 +1,10 @@
 // Tests for the five UNC algorithms and the clustering substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "fixture_graphs.h"
 #include "oracles.h"
 #include "tgs/gen/psg.h"
@@ -195,6 +199,28 @@ TEST(Dcp, EconomizesProcessors) {
   const Schedule s = dcp->run(g, {});
   EXPECT_EQ(s.procs_used(), 1);
   EXPECT_EQ(s.makespan(), 70);
+}
+
+// MD and DCP scan an unordered ready set (list/ready_list.h), so a tie on
+// their selection key must fall to the smaller id explicitly. Identical
+// independent tasks, or the workers of a fork-join, tie at every step:
+// picked in id order, they sit in id order by (processor, start).
+TEST(Unc, TiedReadyNodesArePickedInIdOrder) {
+  // The graph and its tied nodes.
+  const std::pair<TaskGraph, std::vector<NodeId>> cases[] = {
+      {fork_join(6, 10, 5), {1, 2, 3, 4, 5, 6}},
+      {independent_tasks(6), {0, 1, 2, 3, 4, 5}}};
+  for (const auto& [g, tied] : cases) {
+    for (const char* name : {"MD", "DCP"}) {
+      const Schedule s = make_scheduler(name)->run(g, {});
+      std::vector<NodeId> by_slot = tied;
+      std::sort(by_slot.begin(), by_slot.end(), [&](NodeId a, NodeId b) {
+        if (s.proc(a) != s.proc(b)) return s.proc(a) < s.proc(b);
+        return s.start(a) < s.start(b);
+      });
+      EXPECT_EQ(by_slot, tied) << name << " on " << g.name();
+    }
+  }
 }
 
 TEST(Unc, CpBasedBeatNonCpBasedOnCanonical9) {
