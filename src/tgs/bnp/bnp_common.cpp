@@ -11,6 +11,7 @@ ProcScanner::ProcScanner(const Schedule& s, int limit, PairScratch& scratch)
   ends_.init(limit, scratch.proc_ends);
   scratch.proc_probes.assign(static_cast<std::size_t>(limit), ProbeSummary{});
   probes_ = scratch.proc_probes.data();
+  counts_ = &scratch.insertion_scan;
 }
 
 ArrivalInfo arrival_of(const Schedule& s, NodeId n) {
@@ -75,11 +76,17 @@ ProcChoice best_est_proc(const ProcScanner& scanner, NodeId n,
   // timeline is not touched; the others are probed only up to the best
   // start, as a fit past it cannot win.
   const int stop = idle >= 0 ? idle : count;
-  for (ProcId p = 0; p < stop; ++p) {
+  ProcId p = 0;
+  std::uint64_t probes = 0;
+  for (; p < stop; ++p) {
     if (a.max1 > best.start || (a.max1 == best.start && p > best.proc)) break;
     if (p == a.proc1 || scanner.probe(p).appends(a.max1, dur)) continue;
+    ++probes;
     offer(p, s.timeline(p).earliest_fit(a.max1, dur, true, best.start));
   }
+  InsertionScanCounts& counts = scanner.scan_counts();
+  counts.visits += static_cast<std::uint64_t>(p);
+  counts.probes += probes;
   return best;
 }
 

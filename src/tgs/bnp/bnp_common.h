@@ -14,7 +14,7 @@
 //    O(log procs) plus a scan of only the processors busy past max1 that
 //    could still tie or win; a processor's timeline is probed only when
 //    its ProbeSummary leaves a gap that can hold the node, and only up to
-//    the best start in hand.
+//    the best start in hand. InsertionScanCounts counts that scan's work.
 //  * AppendPairSelector -- ETF/DLS (ready node, processor) pair
 //    selection in closed form for append placement.
 //
@@ -26,6 +26,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "tgs/sched/schedule.h"
@@ -101,6 +102,16 @@ struct ProbeSummary {
   }
 };
 
+/// Work counters of best_est_proc's insertion scan, accumulated over runs
+/// in PairScratch::insertion_scan (reset them to measure): the processors
+/// the scan visits below the idle one, and the timeline probes among them,
+/// one earliest_fit each. A visit that probes nothing is proc1, probed
+/// before the scan, or a processor its ProbeSummary rules out.
+struct InsertionScanCounts {
+  std::uint64_t visits = 0;
+  std::uint64_t probes = 0;
+};
+
 struct PairScratch;
 
 /// Tracks how many processors hold at least one task, assuming algorithms
@@ -123,6 +134,7 @@ class ProcScanner {
   const Schedule& schedule() const { return *sched_; }
   const ProcEndIndex& ends() const { return ends_; }
   const ProbeSummary& probe(ProcId p) const { return probes_[p]; }
+  InsertionScanCounts& scan_counts() const { return *counts_; }
 
   /// Report a placement on `p`, after Schedule::place.
   void note_placement(ProcId p) {
@@ -139,6 +151,7 @@ class ProcScanner {
   int used_ = 0;
   ProcEndIndex ends_;
   ProbeSummary* probes_ = nullptr;  // PairScratch::proc_probes, per proc
+  InsertionScanCounts* counts_ = nullptr;  // PairScratch::insertion_scan
 };
 
 /// Frozen arrival summary of a ready node (all parents placed). A parent's
@@ -203,6 +216,7 @@ struct PairScratch {
   std::vector<ArrivalInfo> arrival;
   std::vector<Time> proc_ends;  // ProcScanner's end-time index
   std::vector<ProbeSummary> proc_probes;  // ProcScanner's probe summaries
+  InsertionScanCounts insertion_scan;     // best_est_proc's work, all runs
 
   // AppendPairSelector: heaps of node ids whose keys are read from the
   // frozen arrivals (A terms: r1, G terms: max1).

@@ -541,6 +541,25 @@ TEST(BestEstProc, MatchesExhaustiveScanOnSchedulesWithHoles) {
   EXPECT_GT(bound_cuts, 0u);
 }
 
+// The insertion scan's work on MCP's Cholesky run at 64 processors, the
+// case its cuts were made for. A scan that stops consulting the probe
+// summaries picks the same processors, only slower, so no schedule test
+// can see it. These exact counts can: without the summary cut the scan
+// probes 374,430 timelines here (and 4.26 M instead of 2.19 M at
+// Cholesky-446). The bound inside each probe is checked by the test
+// above. Re-pin on purpose when the scan changes.
+TEST(BestEstProc, InsertionScanWorkIsPinned) {
+  const TaskGraph g = cholesky_graph(141, 1.0);
+  SchedWorkspace ws;
+  ws.begin_graph(g);
+  SchedOptions opt;
+  opt.num_procs = 64;
+  EXPECT_EQ(make_scheduler("MCP")->run(g, opt, ws).makespan(), 39762);
+  const InsertionScanCounts& c = ws.pair_scratch().insertion_scan;
+  EXPECT_EQ(c.visits, 384160u);
+  EXPECT_EQ(c.probes, 367689u);
+}
+
 // Two network schedules are the same schedule: every task, every message
 // in commit order and every hop of every message.
 void expect_identical_net(const NetSchedule& a, const NetSchedule& b,
